@@ -14,7 +14,7 @@ from .stability import (BandResult, Classification, StabilityReport,
 from .integrate import (BlowUpError, PressureFields, SolverConfig,
                         SolverState, Stepper, Trajectory, nonlinear_rhs,
                         random_solenoidal_field, recover_pressure, run,
-                        single_mode_field, step, tune_allocator)
+                        single_mode_field, step)
 from .diagnostics import (DecayBoundReport, EnergyBudget, GrowthFit,
                           budget_series, check_decay_bound, energy_budget,
                           fit_growth, integrated_identity_residual)

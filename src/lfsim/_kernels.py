@@ -1,38 +1,21 @@
-"""Mode-local hot kernels: numba-jitted with pure-numpy fallbacks.
+"""Mode-local hot kernels.
 
 All kernels operate on flattened views: spectral arrays are complex128 of
 shape (dim, n_modes) with wavevector tables (dim, n_modes) / (n_modes,),
 physical arrays are float64 of shape (dim, n_points).  FFTs are not handled
-here (numpy's pocketfft serves both paths); these kernels fuse the
-elementwise passes between transforms.
-
-Selection: the jitted path is used when numba imports cleanly and the
-environment variable LF_DISABLE_NUMBA is not set to a truthy value.  Both
-implementations are exported in NUMPY_IMPLS / NUMBA_IMPLS so the benchmark
-can time them side by side.
+here; these kernels fuse the elementwise passes between transforms and write
+into caller-owned `out` arrays.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["USE_NUMBA", "NUMPY_IMPLS", "NUMBA_IMPLS", "IMPLS",
-           "leray", "stage_combine", "etdrk4_final", "assemble_rhs",
+__all__ = ["leray", "stage_combine", "etdrk4_final", "assemble_rhs",
            "products_2d", "products_3d"]
 
 
-def _disabled_by_env() -> bool:
-    return os.environ.get("LF_DISABLE_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-# --------------------------------------------------------------------------
-# numpy reference implementations
-# --------------------------------------------------------------------------
-
-def _leray_np(u, k, ksq):
+def leray(u, k, ksq):
     """In place: u -= k (k.u)/|k|^2, skipping the k = 0 mode."""
     safe = np.where(ksq > 0.0, ksq, 1.0)
     kdotu = np.einsum("am,am->m", k, u)
@@ -40,14 +23,14 @@ def _leray_np(u, k, ksq):
     return u
 
 
-def _stage_combine_np(E, u, Q, N, out):
+def stage_combine(E, u, Q, N, out):
     """out = E*u + Q*N with per-mode real coefficients E, Q."""
     np.multiply(E, u, out=out)
     out += Q * N
     return out
 
 
-def _etdrk4_final_np(E, u, f1, N0, f2, N1, N2, f3, N3, out):
+def etdrk4_final(E, u, f1, N0, f2, N1, N2, f3, N3, out):
     np.multiply(E, u, out=out)
     out += f1 * N0
     out += (2.0 * f2) * (N1 + N2)
@@ -55,171 +38,69 @@ def _etdrk4_final_np(E, u, f1, N0, f2, N1, N2, f3, N3, out):
     return out
 
 
-def _assemble_rhs_np(G, u, Mmat, k, ksq, kv, out):
+def assemble_rhs(G, u, Mmat, k, ksq, kv, out):
     """Explicit tendency: out = -P[G + M u] - i*kv*u.
 
     kv is lambda0 * (V . k) per mode; G holds the transformed products
     (advection + cubic - quadratic), M u is added spectrally.
     """
     w = G + np.einsum("ij,jm->im", Mmat, u)
-    _leray_np(w, k, ksq)
+    leray(w, k, ksq)
     np.multiply(-1.0, w, out=out)
     out -= (1j * kv) * u
     return out
 
 
-def _products_2d_np(u, om, lam0, beta, quad, has_quad, out):
+def _square_norm(u, tmp):
+    """|u|^2 per point, summed component by component through tmp."""
+    s = u[0] * u[0]
+    for c in u[1:]:
+        np.multiply(c, c, out=tmp)
+        s += tmp
+    return s
+
+
+def _subtract_quadratic(u, quad, out, tmp):
+    """out_i -= N_i(u) = sum_jk quad[j, k, i] u_j u_k, one component at a
+    time through the scratch row tmp."""
+    for i, row in enumerate(out):
+        np.einsum("jk,jm,km->m", quad[:, :, i], u, u, out=tmp)
+        row -= tmp
+
+
+def products_2d(u, om, lam0, beta, quad, has_quad, out):
     """Fine-grid tendency products, 2D.
 
     out_i = lam0 * (-u x omega)_i + beta |u|^2 u_i - N_i(u), with the
     rotational advection (-u x omega) = (-u2*om, u1*om).
     """
-    u1, u2 = u[0], u[1]
-    s = u1 * u1 + u2 * u2
-    out[0] = lam0 * (-u2 * om[0]) + beta * (s * u1)
-    out[1] = lam0 * (u1 * om[0]) + beta * (s * u2)
+    u1, u2, w = u[0], u[1], om[0]
+    tmp = np.empty_like(u1)
+    s = _square_norm(u, tmp)
+    for row, a, b, sign in ((out[0], u2, u1, -lam0), (out[1], u1, u2, lam0)):
+        np.multiply(a, w, out=row)
+        row *= sign
+        np.multiply(s, b, out=tmp)
+        tmp *= beta
+        row += tmp
     if has_quad:
-        out -= np.einsum("jki,jm,km->im", quad, u, u)
+        _subtract_quadratic(u, quad, out, tmp)
     return out
 
 
-def _products_3d_np(u, om, lam0, beta, quad, has_quad, out):
+def products_3d(u, om, lam0, beta, quad, has_quad, out):
     """Fine-grid tendency products, 3D; advection as omega x u = -u x omega."""
-    s = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    out[0] = lam0 * (om[1] * u[2] - om[2] * u[1]) + beta * (s * u[0])
-    out[1] = lam0 * (om[2] * u[0] - om[0] * u[2]) + beta * (s * u[1])
-    out[2] = lam0 * (om[0] * u[1] - om[1] * u[0]) + beta * (s * u[2])
+    tmp = np.empty_like(u[0])
+    s = _square_norm(u, tmp)
+    for i, row in enumerate(out):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(om[j], u[k], out=row)
+        np.multiply(om[k], u[j], out=tmp)
+        row -= tmp
+        row *= lam0
+        np.multiply(s, u[i], out=tmp)
+        tmp *= beta
+        row += tmp
     if has_quad:
-        out -= np.einsum("jki,jm,km->im", quad, u, u)
+        _subtract_quadratic(u, quad, out, tmp)
     return out
-
-
-NUMPY_IMPLS = {
-    "leray": _leray_np,
-    "stage_combine": _stage_combine_np,
-    "etdrk4_final": _etdrk4_final_np,
-    "assemble_rhs": _assemble_rhs_np,
-    "products_2d": _products_2d_np,
-    "products_3d": _products_3d_np,
-}
-
-
-# --------------------------------------------------------------------------
-# numba implementations
-# --------------------------------------------------------------------------
-
-NUMBA_IMPLS: dict | None
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    NUMBA_IMPLS = None
-
-if njit is not None:
-    @njit(cache=True)
-    def _leray_nb(u, k, ksq):
-        d, m = u.shape
-        for j in range(m):
-            if ksq[j] > 0.0:
-                kdotu = 0.0 + 0.0j
-                for i in range(d):
-                    kdotu += k[i, j] * u[i, j]
-                kdotu /= ksq[j]
-                for i in range(d):
-                    u[i, j] -= k[i, j] * kdotu
-        return u
-
-    @njit(cache=True)
-    def _stage_combine_nb(E, u, Q, N, out):
-        d, m = u.shape
-        for i in range(d):
-            for j in range(m):
-                out[i, j] = E[j] * u[i, j] + Q[j] * N[i, j]
-        return out
-
-    @njit(cache=True)
-    def _etdrk4_final_nb(E, u, f1, N0, f2, N1, N2, f3, N3, out):
-        d, m = u.shape
-        for i in range(d):
-            for j in range(m):
-                out[i, j] = (E[j] * u[i, j] + f1[j] * N0[i, j]
-                             + 2.0 * f2[j] * (N1[i, j] + N2[i, j])
-                             + f3[j] * N3[i, j])
-        return out
-
-    @njit(cache=True)
-    def _assemble_rhs_nb(G, u, Mmat, k, ksq, kv, out):
-        d, m = u.shape
-        for j in range(m):
-            kdotw = 0.0 + 0.0j
-            for i in range(d):
-                w = G[i, j]
-                for l in range(d):
-                    w += Mmat[i, l] * u[l, j]
-                out[i, j] = w
-                kdotw += k[i, j] * w
-            if ksq[j] > 0.0:
-                kdotw /= ksq[j]
-                for i in range(d):
-                    out[i, j] -= k[i, j] * kdotw
-            for i in range(d):
-                out[i, j] = -out[i, j] - 1j * kv[j] * u[i, j]
-        return out
-
-    @njit(cache=True)
-    def _products_2d_nb(u, om, lam0, beta, quad, has_quad, out):
-        m = u.shape[1]
-        for j in range(m):
-            u1 = u[0, j]
-            u2 = u[1, j]
-            w = om[0, j]
-            s = u1 * u1 + u2 * u2
-            g1 = lam0 * (-u2 * w) + beta * s * u1
-            g2 = lam0 * (u1 * w) + beta * s * u2
-            if has_quad:
-                g1 -= (quad[0, 0, 0] * u1 * u1 + (quad[0, 1, 0] + quad[1, 0, 0]) * u1 * u2
-                       + quad[1, 1, 0] * u2 * u2)
-                g2 -= (quad[0, 0, 1] * u1 * u1 + (quad[0, 1, 1] + quad[1, 0, 1]) * u1 * u2
-                       + quad[1, 1, 1] * u2 * u2)
-            out[0, j] = g1
-            out[1, j] = g2
-        return out
-
-    @njit(cache=True)
-    def _products_3d_nb(u, om, lam0, beta, quad, has_quad, out):
-        m = u.shape[1]
-        for j in range(m):
-            u1, u2, u3 = u[0, j], u[1, j], u[2, j]
-            o1, o2, o3 = om[0, j], om[1, j], om[2, j]
-            s = u1 * u1 + u2 * u2 + u3 * u3
-            out[0, j] = lam0 * (o2 * u3 - o3 * u2) + beta * s * u1
-            out[1, j] = lam0 * (o3 * u1 - o1 * u3) + beta * s * u2
-            out[2, j] = lam0 * (o1 * u2 - o2 * u1) + beta * s * u3
-            if has_quad:
-                for i in range(3):
-                    out[i, j] -= (quad[0, 0, i] * u1 * u1
-                                  + quad[1, 1, i] * u2 * u2
-                                  + quad[2, 2, i] * u3 * u3
-                                  + (quad[0, 1, i] + quad[1, 0, i]) * u1 * u2
-                                  + (quad[0, 2, i] + quad[2, 0, i]) * u1 * u3
-                                  + (quad[1, 2, i] + quad[2, 1, i]) * u2 * u3)
-        return out
-
-    NUMBA_IMPLS = {
-        "leray": _leray_nb,
-        "stage_combine": _stage_combine_nb,
-        "etdrk4_final": _etdrk4_final_nb,
-        "assemble_rhs": _assemble_rhs_nb,
-        "products_2d": _products_2d_nb,
-        "products_3d": _products_3d_nb,
-    }
-
-USE_NUMBA = NUMBA_IMPLS is not None and not _disabled_by_env()
-IMPLS = NUMBA_IMPLS if USE_NUMBA else NUMPY_IMPLS
-
-leray = IMPLS["leray"]
-stage_combine = IMPLS["stage_combine"]
-etdrk4_final = IMPLS["etdrk4_final"]
-assemble_rhs = IMPLS["assemble_rhs"]
-products_2d = IMPLS["products_2d"]
-products_3d = IMPLS["products_3d"]

@@ -1,19 +1,17 @@
 """Command-line front end.
 
-    lf run <config-file> [--out DIR] [--threads N] [--override key=value ...]
+    lf run <config-file> [--out DIR] [--override key=value ...]
     lf classify --gamma0 X --alpha Y [--gamma2 Z --beta W --ordered ...]
     lf dispersion --gamma0 X --alpha Y [--measure ...]
-    lf bench [--n N --steps K]
 
 Exit codes: 0 all checks pass, 1 check failure, 2 numerical failure
-(blow-up), 3 config error.  LF_THREADS sets the default worker count.
+(blow-up), 3 config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,8 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("config", help="experiment config file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: LF_THREADS or 1)")
     p_run.add_argument("--override", action="append", default=[],
                        metavar="key=value", help="override a config key")
 
@@ -66,20 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--dt", type=float, default=1e-3)
     p_disp.add_argument("--t-end", type=float, default=5.0)
 
-    p_bench = sub.add_parser("bench", help="compare the numba and numpy "
-                                           "kernel paths")
-    p_bench.add_argument("--n", type=int, default=64)
-    p_bench.add_argument("--steps", type=int, default=200)
     return parser
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("LF_THREADS", "").strip()
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return 1
 
 
 def _params_from_args(args):
@@ -110,7 +93,7 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     try:
-        report = run_experiment(cfg, out_dir=args.out, threads=_threads(args))
+        report = run_experiment(cfg, out_dir=args.out)
     except BlowUpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -138,6 +121,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
+    from .integrate import SolverConfig
     from .model import make_disordered_system, make_ordered_system
     from .spectral import SpectralGrid
     from .stability import growth_rate
@@ -147,6 +131,8 @@ def _cmd_dispersion(args) -> int:
         grid = SpectralGrid(params.dim, args.n, args.box_length)
         system = (make_ordered_system(params) if args.ordered
                   else make_disordered_system(params))
+        cfg = (SolverConfig(dt=args.dt, t_end=args.t_end) if args.measure
+               else None)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -156,8 +142,7 @@ def _cmd_dispersion(args) -> int:
     if args.measure:
         from .diagnostics import fit_growth
         from .experiments import _seed_modes
-        from .integrate import SolverConfig, amp_label, run
-        cfg = SolverConfig(dt=args.dt, t_end=args.t_end)
+        from .integrate import amp_label, run
         initial = _seed_modes(grid, system, modes, 1e-4)
         traj = run(initial, system, grid, cfg, linearized=True,
                    tracked_wavevectors=modes)
@@ -178,54 +163,10 @@ def _cmd_dispersion(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import time
-    from . import _kernels
-    from .model import ModelParams, make_disordered_system
-    from .spectral import SpectralGrid
-    from .integrate import Stepper, random_solenoidal_field, tune_allocator
-
-    tune_allocator()
-    if _kernels.NUMBA_IMPLS is None:
-        print("numba unavailable; only the numpy path can run")
-    params = ModelParams(1.0, 0.0, 0.1, 1.0, -1.0, 1.0, 2)
-    system = make_disordered_system(params)
-    grid = SpectralGrid(2, args.n, 20.0 * np.pi)
-    u0 = random_solenoidal_field(grid, 1e-2, 0.5, 1)
-
-    results = {}
-    saved = {name: getattr(_kernels, name) for name in _kernels.NUMPY_IMPLS}
-    for label, impls in (("numba", _kernels.NUMBA_IMPLS),
-                         ("numpy", _kernels.NUMPY_IMPLS)):
-        if impls is None:
-            continue
-        for name, fn in impls.items():
-            setattr(_kernels, name, fn)
-        stepper = Stepper(system, grid, dt=5e-3)
-        uh = stepper.from_state(u0)
-        for i in range(10):
-            uh = stepper.step(uh, 0.0)
-        t0 = time.perf_counter()
-        for i in range(args.steps):
-            uh = stepper.step(uh, i * 5e-3)
-        results[label] = (time.perf_counter() - t0) / args.steps
-    for name, fn in saved.items():
-        setattr(_kernels, name, fn)
-
-    print(f"grid {args.n}^2, {args.steps} ETDRK4 steps per path")
-    for label, per in results.items():
-        print(f"  {label:>6}: {per * 1e3:8.3f} ms/step "
-              f"({1.0 / per:8.1f} steps/s)")
-    if len(results) == 2:
-        print(f"  speedup (numpy/numba): "
-              f"{results['numpy'] / results['numba']:.2f}x")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = {"run": _cmd_run, "classify": _cmd_classify,
-           "dispersion": _cmd_dispersion, "bench": _cmd_bench}[args.command]
+           "dispersion": _cmd_dispersion}[args.command]
     return cmd(args)
 
 

@@ -21,7 +21,6 @@ A first-order IMEX Euler scheme is included for cross-checks.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -60,53 +59,27 @@ __all__ = [
 
 SCHEMES = ("etdrk4", "imex_euler")
 
-_ALLOCATOR_TUNED = False
 
-
-def tune_allocator() -> bool:
-    """Raise glibc's mmap/trim thresholds so FFT work buffers are recycled.
-
-    numpy.fft allocates its outputs afresh each call; with default glibc
-    settings those ~MB blocks are returned to the kernel on free and
-    re-faulted on the next step, which costs more than the transforms
-    themselves in the solver loop (measured ~3.5x).  Harmless elsewhere: the
-    process simply keeps its small high-water mark.  Set LF_NO_MALLOC_TUNING=1
-    to skip; silently a no-op off glibc.
-    """
-    global _ALLOCATOR_TUNED
-    if _ALLOCATOR_TUNED:
-        return True
-    if os.environ.get("LF_NO_MALLOC_TUNING", "").strip().lower() in (
-            "1", "true", "yes", "on"):
-        return False
-    try:
-        import ctypes
-        libc = ctypes.CDLL("libc.so.6")
-        m_mmap_threshold, m_trim_threshold = -3, -1
-        libc.mallopt(m_mmap_threshold, 32 * 1024 * 1024)
-        libc.mallopt(m_trim_threshold, 32 * 1024 * 1024)
-        _ALLOCATOR_TUNED = True
-    except Exception:
-        return False
-    return True
-
-
-def _irfft_spatial(arr: np.ndarray, n_out: int, dim: int) -> np.ndarray:
+def _irfft_spatial(arr: np.ndarray, n_out: int, dim: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum -> real samples, one axis at a time.
 
     numpy's irfftn routes these batched shapes through a slow path; applying
     ifft per row axis and irfft on the last axis is ~4x faster and identical.
+    The row-axis passes run in place, so `arr` is overwritten; the samples
+    go to `out` when given.
     """
     for ax in range(arr.ndim - dim, arr.ndim - 1):
-        arr = np.fft.ifft(arr, axis=ax, norm="forward")
-    return np.fft.irfft(arr, n=n_out, axis=-1, norm="forward")
+        np.fft.ifft(arr, axis=ax, norm="forward", out=arr)
+    return np.fft.irfft(arr, n=n_out, axis=-1, norm="forward", out=out)
 
 
-def _rfft_spatial(arr: np.ndarray, dim: int) -> np.ndarray:
-    """Real samples -> half-spectrum, one axis at a time (see _irfft_spatial)."""
-    out = np.fft.rfft(arr, axis=-1, norm="forward")
+def _rfft_spatial(arr: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
+    """Real samples -> half-spectrum in `out`, one axis at a time (see
+    _irfft_spatial); the row-axis passes run in place in `out`."""
+    np.fft.rfft(arr, axis=-1, norm="forward", out=out)
     for ax in range(out.ndim - dim, out.ndim - 1):
-        out = np.fft.fft(out, axis=ax, norm="forward")
+        np.fft.fft(out, axis=ax, norm="forward", out=out)
     return out
 
 
@@ -127,6 +100,14 @@ class BlowUpError(RuntimeError):
         self.last_state = last_state
 
 
+def _is_multiple(a: float, b: float) -> bool:
+    """Whether a is a whole multiple of b, to a relative 1e-9 (so that
+    0.012 / 0.001 = 11.999999999999998 counts)."""
+    ratio = a / b
+    whole = round(ratio)
+    return whole >= 1 and abs(ratio - whole) <= 1e-9 * whole
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -145,10 +126,24 @@ class SolverConfig:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if not _is_multiple(self.t_end, self.dt):
+            raise ValueError(f"t_end={self.t_end} is not a multiple of "
+                             f"dt={self.dt}")
         for name in ("snapshot_interval", "diagnostics_interval"):
             value = getattr(self, name)
-            if value is not None and value < self.dt:
-                raise ValueError(f"{name}={value} must be >= dt={self.dt}")
+            if value is None:
+                continue
+            if not (np.isfinite(value) and value >= self.dt):
+                raise ValueError(f"{name}={value} must be finite and "
+                                 f">= dt={self.dt}")
+            if not _is_multiple(value, self.dt):
+                raise ValueError(f"{name}={value} is not a multiple of "
+                                 f"dt={self.dt}")
+        diag = self.effective_diag_interval
+        if diag < self.t_end and not _is_multiple(self.t_end, diag):
+            raise ValueError(
+                f"t_end={self.t_end} is not a multiple of the diagnostics "
+                f"interval {diag}; the last sample would fall off the cadence")
 
     @property
     def effective_diag_interval(self) -> float:
@@ -238,7 +233,6 @@ class Stepper:
             raise ValueError(f"unknown scheme {scheme!r}")
         if system.params.dim != grid.dim:
             raise ValueError("system and grid dimensions disagree")
-        tune_allocator()
         self.system = system
         self.grid = grid
         self.dt = float(dt)
@@ -277,19 +271,22 @@ class Stepper:
         self.f3 = self.dt * (4.0 * _phi(z, 3) - _phi(z, 2))
         self.imex_div = 1.0 / (1.0 + self.dt * lin)
 
-        # fine (factor-2) lattice for dealiased products
+        # fine (factor-2) lattice for dealiased products.  The transforms
+        # write into these buffers, so a step allocates no FFT outputs.
         self.nf = 2 * n
         self.fine_half_shape = (self.nf,) * (d - 1) + (self.nf // 2 + 1,)
         self.n_fine = self.nf**d
         ncurl = 1 if d == 2 else 3
         self._pad_buf = np.zeros((d + ncurl,) + self.fine_half_shape, np.complex128)
+        self._phys = np.empty((d + ncurl,) + (self.nf,) * d)
+        self._phys_flat = self._phys.reshape(d + ncurl, self.n_fine)
+        self._G_fine = np.empty((d,) + self.fine_half_shape, np.complex128)
         self._G_half = np.zeros((d,) + self.half_shape, np.complex128)
         self._G_flat = self._G_half.reshape(d, M)
         self._Gp = np.empty((d, self.n_fine))
         self._zero_G = np.zeros((d, M), np.complex128)
         self._quad = np.ascontiguousarray(system.quad_coeffs)
         self._has_quad = system.has_quadratic and not self.linearized
-        self._spatial_axes = tuple(range(1, d + 1))
 
         self._rhs_bufs = [np.empty((d, M), np.complex128) for _ in range(4)]
         self._stage_bufs = [np.empty((d, M), np.complex128) for _ in range(3)]
@@ -309,7 +306,7 @@ class Stepper:
 
     def physical(self, uh_flat: np.ndarray) -> np.ndarray:
         half = uh_flat.reshape((self.grid.dim,) + self.half_shape)
-        return _irfft_spatial(half, self.grid.n, self.grid.dim)
+        return _irfft_spatial(half.copy(), self.grid.n, self.grid.dim)
 
     # -- dealiased products on the fine lattice ------------------------------
 
@@ -323,18 +320,25 @@ class Stepper:
             1j * (kd[0] * uh[1] - kd[1] * uh[0]),
         ])
 
-    def _pad_blocks(self, src: np.ndarray) -> None:
-        """Copy the coarse band of src into the zeroed fine-lattice buffer."""
+    def _pad(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Zero-pad the coarse half-spectrum src into the fine buffer dst.
+
+        The in-place inverse passes fill only the first h columns of dst;
+        the columns above stay zero from construction.  Here the rows of
+        those columns outside the coarse band are zeroed again and the band
+        is copied in.
+        """
         n, nf, h = self.grid.n, self.nf, self.grid.n // 2
-        dst = self._pad_buf
-        lo = slice(0, h)
-        hi_src = slice(h + 1, n)
-        hi_dst = slice(nf - h + 1, nf)
+        lo, mid = slice(0, h), slice(h, nf - h + 1)
+        hi_src, hi_dst = slice(h + 1, n), slice(nf - h + 1, nf)
         cols = slice(0, h)  # Nyquist column stays zero
         if self.grid.dim == 2:
+            dst[:, mid, cols] = 0.0
             dst[:, lo, cols] = src[:, lo, cols]
             dst[:, hi_dst, cols] = src[:, hi_src, cols]
         else:
+            dst[:, mid, :, cols] = 0.0
+            dst[:, :, mid, cols] = 0.0
             for d0, s0 in ((lo, lo), (hi_dst, hi_src)):
                 for d1, s1 in ((lo, lo), (hi_dst, hi_src)):
                     dst[:, d0, d1, cols] = src[:, s0, s1, cols]
@@ -356,38 +360,31 @@ class Stepper:
                     dst[:, d0, d1, cols] = fine[:, s0, s1, cols]
 
     def fine_physical(self, uh_flat: np.ndarray) -> np.ndarray:
-        """Physical samples of u on the factor-2 lattice, shape (dim, nf^dim)."""
+        """Physical samples of u on the factor-2 lattice, shape (dim, nf^dim).
+
+        Returns a view into a buffer the Stepper owns; the next `rhs`,
+        `step` or `fine_physical` call overwrites it.
+        """
         d = self.grid.dim
-        uh = uh_flat.reshape((d,) + self.half_shape)
-        # pad only the velocity block; the curl slots are unused here
-        n, nf, h = self.grid.n, self.nf, self.grid.n // 2
         buf = self._pad_buf[:d]
-        lo, hi_src, hi_dst = slice(0, h), slice(h + 1, n), slice(nf - h + 1, nf)
-        cols = slice(0, h)
-        if d == 2:
-            buf[:, lo, cols] = uh[:, lo, cols]
-            buf[:, hi_dst, cols] = uh[:, hi_src, cols]
-        else:
-            for d0, s0 in ((lo, lo), (hi_dst, hi_src)):
-                for d1, s1 in ((lo, lo), (hi_dst, hi_src)):
-                    buf[:, d0, d1, cols] = uh[:, s0, s1, cols]
-        phys = _irfft_spatial(buf, nf, d)
-        return phys.reshape(d, self.n_fine)
+        self._pad(uh_flat.reshape((d,) + self.half_shape), buf)
+        _irfft_spatial(buf, self.nf, d, out=self._phys[:d])
+        return self._phys_flat[:d]
 
     def _nonlinear_G(self, uh_flat: np.ndarray) -> np.ndarray:
         """Transforms of lam0*(u.grad)u + beta|u|^2 u - N(u), coarse band."""
         d = self.grid.dim
         p = self.system.params
         uh = uh_flat.reshape((d,) + self.half_shape)
-        om = self._curl_half(uh)
-        self._pad_blocks(np.concatenate([uh, om]))
-        phys = _irfft_spatial(self._pad_buf, self.nf, d)
-        flat = phys.reshape(phys.shape[0], self.n_fine)
+        self._pad(uh, self._pad_buf[:d])
+        self._pad(self._curl_half(uh), self._pad_buf[d:])
+        _irfft_spatial(self._pad_buf, self.nf, d, out=self._phys)
+        flat = self._phys_flat
         products = _kernels.products_2d if d == 2 else _kernels.products_3d
         products(flat[:d], flat[d:], p.lambda0, p.beta, self._quad,
                  self._has_quad, self._Gp)
-        G_fine = _rfft_spatial(self._Gp.reshape((d,) + (self.nf,) * d), d)
-        self._truncate_blocks(G_fine)
+        _rfft_spatial(self._Gp.reshape((d,) + (self.nf,) * d), d, self._G_fine)
+        self._truncate_blocks(self._G_fine)
         return self._G_flat
 
     # -- tendency and steps ---------------------------------------------------
@@ -534,8 +531,9 @@ class _SeriesRecorder:
         div_res = float(np.max(div) / denom) if denom > 0 else 0.0
 
         fine = st.fine_physical(uh_flat)
-        s = np.sum(fine * fine, axis=0)
-        l4 = self.vol * float(np.mean(s * s))
+        s = np.einsum("im,im->m", fine, fine)
+        s *= s
+        l4 = self.vol * float(np.mean(s))
         if self.has_quad:
             Narr = np.einsum("jki,jm,km->im", self.quad, fine, fine)
             n_inner = self.vol * float(np.mean(np.sum(fine * Narr, axis=0)))

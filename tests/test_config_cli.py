@@ -10,7 +10,11 @@ import pytest
 from lfsim.cli import main
 from lfsim.config import (ExperimentKind, ParseError, ValidationError,
                           parse_config)
+from lfsim.integrate import Stepper
 from lfsim.model import StateKind
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
 
 MINIMAL = """
 experiment = dispersion
@@ -160,6 +164,12 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5 and "predicted" in lines[0]
 
+    def test_dispersion_measure_rejects_off_cadence(self, capsys):
+        code = main(["dispersion", "--gamma0", "-1", "--alpha", "0.1",
+                     "--measure", "--dt", "0.3", "--t-end", "1.0"])
+        assert code == 3
+        assert "not a multiple" in capsys.readouterr().err
+
     def test_run_pass_and_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK_DISPERSION)
         out = str(tmp_path / "out")
@@ -206,8 +216,7 @@ solver.diagnostics_interval = 0.2
                 outs.append(fh.read())
         assert outs[0] == outs[1]
 
-    def test_lf_threads_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LF_THREADS", "2")
+    def test_phase_diagram_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """
 experiment = phase_diagram
 params.alpha = 0.1
@@ -218,6 +227,40 @@ phase.resolution = 9
         path = os.path.join(str(tmp_path / "o"), "phase_diagram",
                             "phase_disordered.csv")
         assert sum(1 for _ in open(path)) == 1 + 81
+
+    @pytest.mark.parametrize("overrides", [
+        ["solver.t_end=1.0", "solver.diagnostics_interval=0.03"],
+        ["solver.dt=0.3", "solver.t_end=1.0"]])
+    def test_off_cadence_rejected_before_stepping(self, tmp_path, capsys,
+                                                  monkeypatch, overrides):
+        def no_stepper(*args, **kwargs):
+            raise AssertionError("a Stepper was built")
+
+        monkeypatch.setattr(Stepper, "__init__", no_stepper)
+        args = ["run", os.path.join(CONFIGS, "nonlinear_decay.cfg"),
+                "--out", str(tmp_path / "o")]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 3
+        assert "not a multiple" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_free_run_default_snapshots_on_step_cadence(self, tmp_path):
+        # 12 steps: t_end / 5 is no whole number of steps, so the default
+        # snapshot interval is rounded to 2 steps
+        cfg = write_cfg(tmp_path, """
+experiment = free_run
+params.alpha = 0.1
+params.gamma0 = 1.0
+grid.n_per_axis = 16
+solver.dt = 0.01
+solver.t_end = 0.12
+solver.diagnostics_interval = 0.02
+""")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+        snaps = [f for f in os.listdir(tmp_path / "o" / "free_run")
+                 if f.endswith(".lfsnap")]
+        assert len(snaps) == 7
 
     def test_small_box_warns_about_band_coverage(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """

@@ -1,10 +1,10 @@
+"""The mode-local kernels against textbook formulas evaluated mode by mode
+(spectral kernels) or point by point (fine-lattice products)."""
+
 import numpy as np
 import pytest
 
 from lfsim import _kernels
-
-pytestmark = pytest.mark.skipif(_kernels.NUMBA_IMPLS is None,
-                                reason="numba unavailable")
 
 RNG = np.random.default_rng(99)
 
@@ -13,30 +13,43 @@ def complex_array(*shape):
     return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
 
 
+def wavevectors(d, m):
+    k = RNG.standard_normal((d, m))
+    k[:, 0] = 0.0
+    return k, np.sum(k * k, axis=0)
+
+
+def project(w, kj, ksqj):
+    """Helmholtz projection of one mode: w - k (k.w)/|k|^2, identity at k = 0."""
+    return w - kj * (np.dot(kj, w) / ksqj) if ksqj > 0 else w
+
+
+def assert_close(a, b):
+    assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_leray_agreement(d):
     m = 500
     u = complex_array(d, m)
-    k = RNG.standard_normal((d, m))
-    k[:, 0] = 0.0
-    ksq = np.sum(k * k, axis=0)
-    a = _kernels.NUMPY_IMPLS["leray"](u.copy(), k, ksq)
-    b = _kernels.NUMBA_IMPLS["leray"](u.copy(), k, ksq)
-    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    k, ksq = wavevectors(d, m)
+    got = _kernels.leray(u.copy(), k, ksq)
+    want = np.stack([project(u[:, j], k[:, j], ksq[j]) for j in range(m)], axis=1)
+    assert_close(got, want)
+    assert np.max(np.abs(np.einsum("am,am->m", k, got))) <= 1e-12
 
 
 def test_stage_and_final_agreement():
     d, m = 2, 400
     u, n0, n1, n2, n3 = (complex_array(d, m) for _ in range(5))
     E, E2, Q, f1, f2, f3 = (RNG.standard_normal(m) for _ in range(6))
-    outs = []
-    for impls in (_kernels.NUMPY_IMPLS, _kernels.NUMBA_IMPLS):
-        a = impls["stage_combine"](E2, u, Q, n0, np.empty_like(u))
-        b = impls["etdrk4_final"](E, u, f1, n0, f2, n1, n2, f3, n3,
+    stage = _kernels.stage_combine(E2, u, Q, n0, np.empty_like(u))
+    final = _kernels.etdrk4_final(E, u, f1, n0, f2, n1, n2, f3, n3,
                                   np.empty_like(u))
-        outs.append((a, b))
-    for x, y in zip(outs[0], outs[1]):
-        assert np.max(np.abs(x - y)) <= 1e-13 * max(1.0, np.max(np.abs(x)))
+    for j in range(m):
+        assert_close(stage[:, j], E2[j] * u[:, j] + Q[j] * n0[:, j])
+        assert_close(final[:, j], E[j] * u[:, j] + f1[j] * n0[:, j]
+                     + 2.0 * f2[j] * (n1[:, j] + n2[:, j]) + f3[j] * n3[:, j])
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -44,42 +57,32 @@ def test_assemble_rhs_agreement(d):
     m = 300
     u = complex_array(d, m)
     G = complex_array(d, m)
-    k = RNG.standard_normal((d, m))
-    k[:, 0] = 0.0
-    ksq = np.sum(k * k, axis=0)
+    k, ksq = wavevectors(d, m)
     kv = RNG.standard_normal(m)
     Mmat = RNG.standard_normal((d, d))
     Mmat = Mmat + Mmat.T
-    a = _kernels.NUMPY_IMPLS["assemble_rhs"](G, u, Mmat, k, ksq, kv,
-                                             np.empty_like(u))
-    b = _kernels.NUMBA_IMPLS["assemble_rhs"](G, u, Mmat, k, ksq, kv,
-                                             np.empty_like(u))
-    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    got = _kernels.assemble_rhs(G, u, Mmat, k, ksq, kv, np.empty_like(u))
+    for j in range(m):
+        w = project(G[:, j] + Mmat @ u[:, j], k[:, j], ksq[j])
+        assert_close(got[:, j], -w - 1j * kv[j] * u[:, j])
 
 
 @pytest.mark.parametrize("d,has_quad", [(2, False), (2, True),
                                         (3, False), (3, True)])
 def test_products_agreement(d, has_quad):
     m = 256
+    lam0, beta = 1.3, 0.7
     u = RNG.standard_normal((d, m))
     om = RNG.standard_normal((1 if d == 2 else 3, m))
     quad = RNG.standard_normal((d, d, d))
     quad = 0.5 * (quad + np.swapaxes(quad, 0, 1))
-    name = "products_2d" if d == 2 else "products_3d"
-    a = _kernels.NUMPY_IMPLS[name](u, om, 1.3, 0.7, quad, has_quad,
-                                   np.empty_like(u))
-    b = _kernels.NUMBA_IMPLS[name](u, om, 1.3, 0.7, quad, has_quad,
-                                   np.empty_like(u))
-    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-
-
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv("LF_DISABLE_NUMBA", "1")
-    import importlib
-    mod = importlib.reload(_kernels)
-    try:
-        assert mod.USE_NUMBA is False
-        assert mod.leray is mod.NUMPY_IMPLS["leray"]
-    finally:
-        monkeypatch.delenv("LF_DISABLE_NUMBA")
-        importlib.reload(mod)
+    products = _kernels.products_2d if d == 2 else _kernels.products_3d
+    got = products(u, om, lam0, beta, quad, has_quad, np.empty_like(u))
+    for j in range(m):
+        # -u x omega, with the 2D vorticity along e3
+        u3 = np.append(u[:, j], [0.0] * (3 - d))
+        om3 = om[:, j] if d == 3 else np.array([0.0, 0.0, om[0, j]])
+        want = lam0 * -np.cross(u3, om3)[:d] + beta * np.dot(u3, u3) * u[:, j]
+        if has_quad:
+            want -= [u[:, j] @ quad[:, :, i] @ u[:, j] for i in range(d)]
+        assert_close(got[:, j], want)
