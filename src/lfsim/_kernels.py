@@ -42,9 +42,11 @@ def assemble_rhs(G, u, Mmat, k, ksq, kv, out):
     """Explicit tendency: out = -P[G + M u] - i*kv*u.
 
     kv is lambda0 * (V . k) per mode; G holds the transformed products
-    (advection + cubic - quadratic), M u is added spectrally.
+    (advection + cubic - quadratic), or is 0.0 when there are none; M u is
+    added spectrally.
     """
-    w = G + np.einsum("ij,jm->im", Mmat, u)
+    w = np.einsum("ij,jm->im", Mmat, u)
+    w += G
     leray(w, k, ksq)
     np.multiply(-1.0, w, out=out)
     out -= (1j * kv) * u

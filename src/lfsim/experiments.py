@@ -284,19 +284,48 @@ def _max_energy_residual(traj: Trajectory) -> float:
     return max(b.residual / max(1.0, b.kinetic) for b in budgets)
 
 
+def _check_window_reachable(k, rate: float, solver: SolverConfig) -> None:
+    """Reject a run whose fastest tracked mode cannot reach the fit window.
+
+    Growing at `rate` from a0, the mode crosses LINEAR_WINDOW[0] * a0 at
+    ln(LINEAR_WINDOW[0]) / rate, and the fit needs 10 samples from there.
+    """
+    label = "(" + ", ".join("%g" % c for c in k) + ")"
+    if rate <= 0.0:
+        raise ValueError(f"the fastest tracked mode k={label} has predicted "
+                         f"growth rate {rate:.6g} <= 0, so it never grows "
+                         "through the linear-regime fit window")
+    needed = (math.log(LINEAR_WINDOW[0]) / rate
+              + 9.0 * solver.effective_diag_interval)
+    if solver.t_end < needed:
+        raise ValueError(
+            f"t_end={solver.t_end:g} is too short for the linear-regime fit: "
+            f"the fastest tracked mode k={label} (rate {rate:.6g}) needs "
+            f"t_end >= {needed:.4g}")
+
+
 def _run_instability(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     grid = cfg.make_grid()
     system = cfg.make_system()
     tracked = cfg.tracked_wavevectors or _default_instability_modes(system, grid)
-    initial = _seed_modes(grid, system, tracked, cfg.amplitude)
-    traj = run(initial, system, grid, cfg.solver, tracked_wavevectors=tracked)
-
     predictions = {k: growth_rate(system, np.asarray(k)) for k in tracked}
     best = max(tracked, key=lambda k: predictions[k])
     predicted = predictions[best]
+    _check_window_reachable(best, predicted, cfg.solver)
+
+    initial = _seed_modes(grid, system, tracked, cfg.amplitude)
+    traj = run(initial, system, grid, cfg.solver, tracked_wavevectors=tracked)
+    files = {"diagnostics": os.path.join(out, "diagnostics.csv"),
+             "rates": os.path.join(out, "rates.csv"),
+             "final_snapshot": os.path.join(out, "final.lfsnap")}
+    write_diagnostics_csv(files["diagnostics"], traj)
     amps = traj.series[amp_label(best)]
     a0 = amps[0]
-    window = _linear_window(traj.times, amps, a0)
+    try:
+        window = _linear_window(traj.times, amps, a0)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; diagnostics written to "
+                         f"{files['diagnostics']}") from None
     fit = fit_growth(traj.times, amps, window=window, wavevector=best)
     rel = abs(fit.rate - predicted) / max(abs(predicted), 1e-12)
 
@@ -304,10 +333,6 @@ def _run_instability(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     tail = kinetic[traj.times >= 0.75 * traj.times[-1]]
     saturation = float(np.mean(tail))
 
-    files = {"diagnostics": os.path.join(out, "diagnostics.csv"),
-             "rates": os.path.join(out, "rates.csv"),
-             "final_snapshot": os.path.join(out, "final.lfsnap")}
-    write_diagnostics_csv(files["diagnostics"], traj)
     rows = [{"k": k, "ksq": float(np.dot(k, k)),
              "predicted_rate": "%.17g" % predictions[k],
              "measured_rate": "%.17g" % (fit.rate if k == best else math.nan),

@@ -20,6 +20,7 @@ A first-order IMEX Euler scheme is included for cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -60,26 +61,49 @@ __all__ = [
 SCHEMES = ("etdrk4", "imex_euler")
 
 
-def _irfft_spatial(arr: np.ndarray, n_out: int, dim: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Half-spectrum -> real samples, one axis at a time.
+def _band_rows(size: int, h: int) -> tuple[slice, slice]:
+    """Rows of a spectral axis of `size` points that hold the band |m| < h."""
+    return slice(0, h), slice(size - h + 1, size)
 
-    numpy's irfftn routes these batched shapes through a slow path; applying
-    ifft per row axis and irfft on the last axis is ~4x faster and identical.
-    The row-axis passes run in place, so `arr` is overwritten; the samples
-    go to `out` when given.
+
+def _irfft_spatial(arr: np.ndarray, n_out: int, dim: int, h: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Band-limited half-spectrum -> real samples, one axis at a time.
+
+    `arr` must be zero outside the band |m| < h: in the columns >= h and,
+    on each leading axis, outside the rows of `_band_rows`.  The leading-axis
+    passes skip the 1-D transforms of all-zero lines (pruned inverse,
+    Bowman & Roberts 2011) and run in place, so `arr` is overwritten in its
+    columns < h.  The real samples go to `out` when given.  numpy's irfftn
+    routes these batched shapes through a slow path; ifft per leading axis
+    and irfft on the last axis is ~4x faster.
     """
-    for ax in range(arr.ndim - dim, arr.ndim - 1):
-        np.fft.ifft(arr, axis=ax, norm="forward", out=arr)
+    cols = arr[..., :h]
+    if dim == 3:
+        for rows in _band_rows(arr.shape[-2], h):
+            band = cols[..., rows, :]
+            np.fft.ifft(band, axis=-3, norm="forward", out=band)
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     return np.fft.irfft(arr, n=n_out, axis=-1, norm="forward", out=out)
 
 
-def _rfft_spatial(arr: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """Real samples -> half-spectrum in `out`, one axis at a time (see
-    _irfft_spatial); the row-axis passes run in place in `out`."""
+def _rfft_spatial(arr: np.ndarray, dim: int, h: int,
+                  out: np.ndarray) -> np.ndarray:
+    """Real samples -> half-spectrum in `out`, valid only in the band |m| < h.
+
+    The leading-axis passes run in place in `out` and compute only the lines
+    that reach the band (truncated forward, see `_irfft_spatial`); outside
+    the band `out` holds partial transforms.
+    """
     np.fft.rfft(arr, axis=-1, norm="forward", out=out)
-    for ax in range(out.ndim - dim, out.ndim - 1):
-        np.fft.fft(out, axis=ax, norm="forward", out=out)
+    cols = out[..., :h]
+    if dim == 3:
+        np.fft.fft(cols, axis=-3, norm="forward", out=cols)
+        for rows in _band_rows(out.shape[-3], h):
+            band = cols[..., rows, :, :]
+            np.fft.fft(band, axis=-2, norm="forward", out=band)
+    else:
+        np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     return out
 
 
@@ -272,19 +296,35 @@ class Stepper:
         self.imex_div = 1.0 / (1.0 + self.dt * lin)
 
         # fine (factor-2) lattice for dealiased products.  The transforms
-        # write into these buffers, so a step allocates no FFT outputs.
+        # write into these buffers, so a step allocates no FFT outputs.  The
+        # coarse band |m| < h sits in the blocks that pair the band rows of
+        # the fine and the coarse axes (the Nyquist row and column stay zero).
         self.nf = 2 * n
         self.fine_half_shape = (self.nf,) * (d - 1) + (self.nf // 2 + 1,)
         self.n_fine = self.nf**d
-        ncurl = 1 if d == 2 else 3
-        self._pad_buf = np.zeros((d + ncurl,) + self.fine_half_shape, np.complex128)
-        self._phys = np.empty((d + ncurl,) + (self.nf,) * d)
-        self._phys_flat = self._phys.reshape(d + ncurl, self.n_fine)
-        self._G_fine = np.empty((d,) + self.fine_half_shape, np.complex128)
-        self._G_half = np.zeros((d,) + self.half_shape, np.complex128)
-        self._G_flat = self._G_half.reshape(d, M)
-        self._Gp = np.empty((d, self.n_fine))
-        self._zero_G = np.zeros((d, M), np.complex128)
+        h = self._h = n // 2
+        cols = slice(0, h)
+        rows = list(zip(_band_rows(self.nf, h), _band_rows(n, h)))
+        self._blocks = []   # (fine index, coarse index) of each band block
+        for combo in itertools.product(rows, repeat=d - 1):
+            fine, coarse = zip(*combo)
+            self._blocks.append(((slice(None), *fine, cols),
+                                 (slice(None), *coarse, cols)))
+        mid = slice(h, self.nf - h + 1)
+        self._gaps = [(slice(None),) * (1 + a) + (mid,)
+                      + (slice(None),) * (d - 2 - a) + (cols,)
+                      for a in range(d - 1)]
+        # a linearized stepper samples u on the fine lattice (`fine_physical`)
+        # but forms no products: no curl rows, no product buffers
+        nrows = d if self.linearized else d + (1 if d == 2 else 3)
+        self._pad_buf = np.zeros((nrows,) + self.fine_half_shape, np.complex128)
+        self._phys = np.empty((nrows,) + (self.nf,) * d)
+        self._phys_flat = self._phys.reshape(nrows, self.n_fine)
+        if not self.linearized:
+            self._G_fine = np.empty((d,) + self.fine_half_shape, np.complex128)
+            self._G_half = np.zeros((d,) + self.half_shape, np.complex128)
+            self._G_flat = self._G_half.reshape(d, M)
+            self._Gp = np.empty((d, self.n_fine))
         self._quad = np.ascontiguousarray(system.quad_coeffs)
         self._has_quad = system.has_quadratic and not self.linearized
 
@@ -306,7 +346,7 @@ class Stepper:
 
     def physical(self, uh_flat: np.ndarray) -> np.ndarray:
         half = uh_flat.reshape((self.grid.dim,) + self.half_shape)
-        return _irfft_spatial(half.copy(), self.grid.n, self.grid.dim)
+        return _irfft_spatial(half.copy(), self.grid.n, self.grid.dim, self._h)
 
     # -- dealiased products on the fine lattice ------------------------------
 
@@ -328,36 +368,15 @@ class Stepper:
         those columns outside the coarse band are zeroed again and the band
         is copied in.
         """
-        n, nf, h = self.grid.n, self.nf, self.grid.n // 2
-        lo, mid = slice(0, h), slice(h, nf - h + 1)
-        hi_src, hi_dst = slice(h + 1, n), slice(nf - h + 1, nf)
-        cols = slice(0, h)  # Nyquist column stays zero
-        if self.grid.dim == 2:
-            dst[:, mid, cols] = 0.0
-            dst[:, lo, cols] = src[:, lo, cols]
-            dst[:, hi_dst, cols] = src[:, hi_src, cols]
-        else:
-            dst[:, mid, :, cols] = 0.0
-            dst[:, :, mid, cols] = 0.0
-            for d0, s0 in ((lo, lo), (hi_dst, hi_src)):
-                for d1, s1 in ((lo, lo), (hi_dst, hi_src)):
-                    dst[:, d0, d1, cols] = src[:, s0, s1, cols]
+        for gap in self._gaps:
+            dst[gap] = 0.0
+        for fine, coarse in self._blocks:
+            dst[fine] = src[coarse]
 
     def _truncate_blocks(self, fine: np.ndarray) -> None:
         """Copy the coarse band of the fine-lattice result into _G_half."""
-        n, nf, h = self.grid.n, self.nf, self.grid.n // 2
-        dst = self._G_half
-        lo = slice(0, h)
-        hi_dst = slice(h + 1, n)
-        hi_src = slice(nf - h + 1, nf)
-        cols = slice(0, h)
-        if self.grid.dim == 2:
-            dst[:, lo, cols] = fine[:, lo, cols]
-            dst[:, hi_dst, cols] = fine[:, hi_src, cols]
-        else:
-            for d0, s0 in ((lo, lo), (hi_dst, hi_src)):
-                for d1, s1 in ((lo, lo), (hi_dst, hi_src)):
-                    dst[:, d0, d1, cols] = fine[:, s0, s1, cols]
+        for fine_ix, coarse_ix in self._blocks:
+            self._G_half[coarse_ix] = fine[fine_ix]
 
     def fine_physical(self, uh_flat: np.ndarray) -> np.ndarray:
         """Physical samples of u on the factor-2 lattice, shape (dim, nf^dim).
@@ -368,7 +387,7 @@ class Stepper:
         d = self.grid.dim
         buf = self._pad_buf[:d]
         self._pad(uh_flat.reshape((d,) + self.half_shape), buf)
-        _irfft_spatial(buf, self.nf, d, out=self._phys[:d])
+        _irfft_spatial(buf, self.nf, d, self._h, out=self._phys[:d])
         return self._phys_flat[:d]
 
     def _nonlinear_G(self, uh_flat: np.ndarray) -> np.ndarray:
@@ -378,12 +397,13 @@ class Stepper:
         uh = uh_flat.reshape((d,) + self.half_shape)
         self._pad(uh, self._pad_buf[:d])
         self._pad(self._curl_half(uh), self._pad_buf[d:])
-        _irfft_spatial(self._pad_buf, self.nf, d, out=self._phys)
+        _irfft_spatial(self._pad_buf, self.nf, d, self._h, out=self._phys)
         flat = self._phys_flat
         products = _kernels.products_2d if d == 2 else _kernels.products_3d
         products(flat[:d], flat[d:], p.lambda0, p.beta, self._quad,
                  self._has_quad, self._Gp)
-        _rfft_spatial(self._Gp.reshape((d,) + (self.nf,) * d), d, self._G_fine)
+        _rfft_spatial(self._Gp.reshape((d,) + (self.nf,) * d), d, self._h,
+                      self._G_fine)
         self._truncate_blocks(self._G_fine)
         return self._G_flat
 
@@ -392,7 +412,7 @@ class Stepper:
     def rhs(self, uh_flat: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """Explicit tendency -P[lam0 (u.grad)u + M u + beta|u|^2 u - N(u)]
         - i lam0 (V.k) u + P f."""
-        G = self._zero_G if self.linearized else self._nonlinear_G(uh_flat)
+        G = 0.0 if self.linearized else self._nonlinear_G(uh_flat)
         _kernels.assemble_rhs(G, uh_flat, self.Mmat, self.k_flat,
                               self.ksq_flat, self.kv, out)
         if self.forcing is not None:
@@ -402,7 +422,7 @@ class Stepper:
     def _forcing_half(self, t: float) -> np.ndarray:
         f = self.forcing(t)
         coeffs = f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
-        coeffs = project_coeffs(self.grid, coeffs)
+        coeffs = zero_nyquist(self.grid, project_coeffs(self.grid, coeffs))
         return to_half(self.grid, coeffs).reshape(self.grid.dim, self.n_modes)
 
     def step(self, uh_flat: np.ndarray, t: float) -> np.ndarray:
@@ -458,8 +478,7 @@ def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
     stepper = Stepper(state.system, state.grid, dt=1e-9, linearized=linearized,
                       forcing=forcing)
     uh = stepper.from_state(state.u_hat)
-    out = np.empty_like(uh)
-    stepper.rhs(uh, state.t, out)
+    out = stepper.rhs(uh, state.t, stepper._rhs_bufs[0])
     return stepper.to_state(out)
 
 

@@ -245,6 +245,58 @@ phase.resolution = 9
         assert "not a multiple" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unreachable_fit_window_rejected_before_stepping(
+            self, tmp_path, capsys, monkeypatch):
+        # sigma = 0.0625 reaches 2 a0 at ln 2 / sigma = 11.09, plus 9
+        # samples at 0.05
+        def no_stepper(*args, **kwargs):
+            raise AssertionError("a Stepper was built")
+
+        monkeypatch.setattr(Stepper, "__init__", no_stepper)
+        out = tmp_path / "o"
+        assert main(["run", os.path.join(CONFIGS, "ordered_instability.cfg"),
+                     "--out", str(out), "--override", "solver.t_end=0.5"]) == 3
+        assert "needs t_end >= 11.54" in capsys.readouterr().err
+        assert not any(files for _, _, files in os.walk(out))
+
+    @pytest.mark.parametrize("name", ["ordered_instability.cfg",
+                                      "disordered_instability.cfg"])
+    def test_shipped_instability_configs_reach_the_run(self, tmp_path,
+                                                        monkeypatch, name):
+        import lfsim.experiments as ex
+
+        class Reached(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(ex, "run", stop)
+        with pytest.raises(Reached):
+            main(["run", os.path.join(CONFIGS, name),
+                  "--out", str(tmp_path / "o")])
+
+    def test_window_missed_after_run_writes_diagnostics(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # an overstated rate passes the pre-check; the run then misses the
+        # window and must leave its diagnostics behind
+        import lfsim.experiments as ex
+        monkeypatch.setattr(ex, "growth_rate", lambda system, k: 100.0)
+        cfg = write_cfg(tmp_path, """
+experiment = disordered_instability
+params.alpha = 0.1
+params.gamma0 = -1.0
+grid.n_per_axis = 16
+solver.dt = 0.01
+solver.t_end = 0.2
+solver.diagnostics_interval = 0.01
+""")
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert "no usable linear-regime window" in capsys.readouterr().err
+        path = out / "disordered_instability" / "diagnostics.csv"
+        assert sum(1 for _ in open(path)) == 1 + 21
+
     def test_free_run_default_snapshots_on_step_cadence(self, tmp_path):
         # 12 steps: t_end / 5 is no whole number of steps, so the default
         # snapshot interval is rounded to 2 steps

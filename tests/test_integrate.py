@@ -7,9 +7,9 @@ from lfsim.model import ModelParams, make_disordered_system, make_ordered_system
 from lfsim.spectral import (SpectralField, SpectralGrid, forward, inverse,
                             project_coeffs, zero_nyquist)
 from lfsim.integrate import (BlowUpError, SolverConfig, SolverState, Stepper,
-                             _phi, amp_label, nonlinear_rhs,
-                             random_solenoidal_field, recover_pressure, run,
-                             single_mode_field, step)
+                             _irfft_spatial, _phi, _rfft_spatial, amp_label,
+                             nonlinear_rhs, random_solenoidal_field,
+                             recover_pressure, run, single_mode_field, step)
 from lfsim.stability import growth_rate
 from lfsim.diagnostics import fit_growth
 
@@ -506,3 +506,130 @@ class TestStepAllocations:
         finally:
             tracemalloc.stop()
         assert (peak - before) / 1024 <= limit_kb
+
+    def test_linearized_tendency_peak(self):
+        # a linearized Stepper forms no products; with the product buffers
+        # and the curl rows allocated, nonlinear_rhs(linearized=True) peaked
+        # at 6828 KB here (3D n = 16)
+        import tracemalloc
+        grid = SpectralGrid(3, 16, 20.0 * np.pi)
+        sys = make_disordered_system(params(dim=3, alpha=0.5))
+        state = SolverState(0.0, random_solenoidal_field(grid, 0.05, 0.5, 3),
+                            sys, grid)
+        nonlinear_rhs(state, linearized=True)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            nonlinear_rhs(state, linearized=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / 1024 < 6828 / 2
+
+
+def _irfft_unpruned(arr, n_out, dim):
+    """Reference inverse: every leading-axis line, in place, then irfft."""
+    for ax in range(arr.ndim - dim, arr.ndim - 1):
+        np.fft.ifft(arr, axis=ax, norm="forward", out=arr)
+    return np.fft.irfft(arr, n=n_out, axis=-1, norm="forward")
+
+
+def _rfft_unpruned(arr, dim):
+    """Reference forward: rfft, then every leading-axis line, in place."""
+    out = np.fft.rfft(arr, axis=-1, norm="forward")
+    for ax in range(out.ndim - dim, out.ndim - 1):
+        np.fft.fft(out, axis=ax, norm="forward", out=out)
+    return out
+
+
+def _band_mask(dim, size, h):
+    """True on the band |m| < h of a half-spectrum with `size` points on
+    each leading axis."""
+    rows = (np.arange(size) < h) | (np.arange(size) >= size - h + 1)
+    mask = np.arange(size // 2 + 1) < h
+    for _ in range(dim - 1):
+        mask = np.logical_and.outer(rows, mask)
+    return mask
+
+
+class TestPrunedTransforms:
+    """The pruned pair skips lines that are all zero on input (inverse) or
+    never read back (forward); every line it does compute sees the same
+    input as in the unpruned loop, so the results agree bit for bit."""
+
+    CASES = [(2, 8), (2, 64), (3, 8), (3, 16)]
+
+    @pytest.mark.parametrize("dim,n", CASES)
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_inverse_matches_unpruned(self, dim, n, factor):
+        rng = np.random.default_rng(n + dim)
+        size = factor * n
+        shape = (dim,) + (size,) * (dim - 1) + (size // 2 + 1,)
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        arr *= _band_mask(dim, size, n // 2)
+        expect = _irfft_unpruned(arr.copy(), size, dim)
+        out = np.empty((dim,) + (size,) * dim)
+        got = _irfft_spatial(arr.copy(), size, dim, n // 2, out=out)
+        assert got is out
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("dim,n", CASES)
+    def test_forward_matches_unpruned_in_band(self, dim, n):
+        rng = np.random.default_rng(10 * n + dim)
+        nf = 2 * n
+        arr = rng.standard_normal((dim,) + (nf,) * dim)
+        expect = _rfft_unpruned(arr, dim)
+        out = np.empty_like(expect)
+        _rfft_spatial(arr, dim, n // 2, out)
+        band = np.broadcast_to(_band_mask(dim, nf, n // 2), out.shape)
+        assert np.array_equal(out[band], expect[band])
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_fine_physical_after_rhs_matches_fresh(self, dim, n):
+        # rhs leaves the pad buffer dirty wherever the pruned passes wrote;
+        # the re-zeroing in _pad must cover all of it
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        sys = make_ordered_system(params(dim=dim, alpha=-0.5))
+        stepper = Stepper(sys, grid, dt=1e-3)
+        u = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.5, 4))
+        other = stepper.from_state(random_solenoidal_field(grid, 0.7, 0.8, 5))
+        stepper.rhs(other, 0.0, np.empty_like(other))
+        got = stepper.fine_physical(u).copy()
+        fresh = Stepper(sys, grid, dt=1e-3).fine_physical(u)
+        assert np.array_equal(got, fresh)
+
+    def test_fft_work_of_a_step(self, monkeypatch):
+        """5 L log2 L per complex line and 2.5 L log2 L per real line, from
+        the shapes numpy.fft sees, against the same count for the unpruned
+        passes over the whole fine lattice."""
+        dim, n = 3, 16
+        nf = 2 * n
+        flops = []
+
+        def counted(name, per):
+            fn = getattr(np.fft, name)
+
+            def wrapper(a, n=None, axis=-1, **kw):
+                length = n if name == "irfft" else a.shape[axis]
+                lines = a.size // a.shape[axis]
+                flops.append(per * length * math.log2(length) * lines)
+                return fn(a, n=n, axis=axis, **kw)
+            monkeypatch.setattr(np.fft, name, wrapper)
+
+        for name, per in (("fft", 5.0), ("ifft", 5.0), ("rfft", 2.5),
+                          ("irfft", 2.5)):
+            counted(name, per)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        stepper = Stepper(make_disordered_system(params(dim=dim)), grid,
+                          dt=1e-3)
+        uh = stepper.from_state(random_solenoidal_field(grid, 0.05, 0.5, 3))
+        stepper.step(uh, 0.0)
+
+        # per field row, unpruned: dim - 1 complex passes of
+        # nf^(dim-2) (nf/2 + 1) lines and one real pass of nf^(dim-1) lines,
+        # all of length nf; rows are u and curl u in, G out; 4 tendencies
+        lines = (dim - 1) * 5.0 * nf ** (dim - 2) * (nf // 2 + 1) \
+            + 2.5 * nf ** (dim - 1)
+        unpruned = 4 * (2 * dim + dim) * lines * nf * math.log2(nf)
+        assert sum(flops) <= 0.65 * unpruned, sum(flops) / unpruned
