@@ -19,6 +19,19 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _add_model_args(parser: argparse.ArgumentParser,
+                    ordered_help: str | None = None) -> None:
+    """The model parameters, the dimension and the state to linearize about."""
+    for name, default, required in (
+            ("gamma0", None, True), ("alpha", None, True),
+            ("gamma2", 1.0, False), ("beta", 1.0, False),
+            ("lambda0", 1.0, False), ("lambda1", 0.0, False)):
+        parser.add_argument(f"--{name}", type=float, default=default,
+                            required=required)
+    parser.add_argument("--dim", type=int, default=2)
+    parser.add_argument("--ordered", action="store_true", help=ordered_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lf",
@@ -34,25 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="print the stability report "
                                             "for one parameter point")
-    for name, default, required in (
-            ("gamma0", None, True), ("alpha", None, True),
-            ("gamma2", 1.0, False), ("beta", 1.0, False),
-            ("lambda0", 1.0, False), ("lambda1", 0.0, False)):
-        p_cls.add_argument(f"--{name}", type=float, default=default,
-                           required=required)
-    p_cls.add_argument("--dim", type=int, default=2)
-    p_cls.add_argument("--ordered", action="store_true",
-                       help="classify the ordered polar state instead")
+    _add_model_args(p_cls, "classify the ordered polar state instead")
 
     p_disp = sub.add_parser("dispersion", help="print a growth-rate table")
-    for name, default, required in (
-            ("gamma0", None, True), ("alpha", None, True),
-            ("gamma2", 1.0, False), ("beta", 1.0, False),
-            ("lambda0", 1.0, False), ("lambda1", 0.0, False)):
-        p_disp.add_argument(f"--{name}", type=float, default=default,
-                            required=required)
-    p_disp.add_argument("--dim", type=int, default=2)
-    p_disp.add_argument("--ordered", action="store_true")
+    _add_model_args(p_disp)
     p_disp.add_argument("--n", type=int, default=64)
     p_disp.add_argument("--box-length", type=float, default=20.0 * np.pi)
     p_disp.add_argument("--modes", type=int, default=8,

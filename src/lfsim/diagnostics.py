@@ -25,17 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, StateKind, TransformedSystem
-from .integrate import SolverState, Trajectory
+from .integrate import FineLattice, SolverState, Trajectory, _u_grad_samples
 from .spectral import (
     SpectralField,
     SpectralGrid,
-    dealiased_product,
-    gradient_coeffs,
     grad_norm_sq,
     l2_norm_sq,
     l4_norm_4,
     lap_norm_sq,
-    pad_spectrum,
+    to_half,
     zero_nyquist,
 )
 
@@ -278,29 +276,19 @@ def advection_skew_inner(grid: SpectralGrid, field: SpectralField,
                          V: np.ndarray | None = None) -> float:
     """<((u+V).grad)u, u> on the dealiased lattice; zero up to roundoff
     for solenoidal u (this is what removes advection from the budget)."""
-    d = grid.dim
-    V = np.zeros(d) if V is None else np.asarray(V, dtype=float)
-    coeffs = zero_nyquist(grid, field.coeffs.copy())
-    grads = gradient_coeffs(grid, coeffs).reshape((d * d,) + grid.shape)
-    stacked = np.concatenate([coeffs, grads])
-    axes = tuple(range(1, d + 1))
-    fine = np.real(np.fft.ifftn(pad_spectrum(grid, stacked, 2 * grid.n),
-                                axes=axes, norm="forward"))
-    uf = fine[:d]
-    gf = fine[d:].reshape((d, d) + (2 * grid.n,) * d)
-    w = np.einsum("a...,ai...->i...", uf + V.reshape((d,) + (1,) * d), gf)
+    V = np.zeros(grid.dim) if V is None else np.asarray(V, dtype=float)
+    _, uf, gf = _u_grad_samples(grid, field.coeffs)
+    w = np.einsum("am,aim->im", uf + V[:, None], gf)
     return grid.volume * float(np.mean(np.sum(w * uf, axis=0)))
 
 
 def quartic_gradient_inner(grid: SpectralGrid, field: SpectralField) -> float:
     """int grad(|u|^2 u) . grad u dx; non-negative (a sum of squares)."""
     d = grid.dim
-    coeffs = zero_nyquist(grid, field.coeffs.copy())
-    axes = tuple(range(1, d + 1))
-    u = np.real(np.fft.ifftn(coeffs, axes=axes, norm="forward"))
-    g_hat = np.stack([
-        sum(dealiased_product(grid, [u[a], u[a], u[j]]) for a in range(d))
-        for j in range(d)])
-    dg = gradient_coeffs(grid, g_hat)   # dg[k, j] = d_k (|u|^2 u_j)
-    du = gradient_coeffs(grid, coeffs)  # du[k, j] = d_k u_j
-    return grid.volume * float(np.real(np.sum(dg * np.conj(du))))
+    uh = zero_nyquist(grid, to_half(grid, field.coeffs))
+    lattice = FineLattice(grid, d, d)
+    uf = lattice.samples(uh)
+    g = lattice.band(uf * np.einsum("im,im->m", uf, uf), np.zeros_like(uh))
+    w = grid.parseval_weight_half * np.sum(grid.k_deriv_half**2, axis=0)
+    return grid.volume * float(
+        np.sum(w * np.real(np.sum(g * np.conj(uh), axis=0))))

@@ -24,8 +24,9 @@ from .integrate import (SolverConfig, Trajectory, amp_label, run,
                         random_solenoidal_field, single_mode_field)
 from .model import StateKind, TransformedSystem
 from .spectral import SpectralGrid, write_snapshot
-from .stability import (growth_rate, phase_diagram, unstable_band,
-                        write_dispersion_csv, write_phase_diagram_csv)
+from .stability import (growth_rate, lattice_growth_rates, phase_diagram,
+                        unstable_band, write_dispersion_csv,
+                        write_phase_diagram_csv)
 
 __all__ = ["Check", "ExperimentReport", "run_experiment",
            "write_diagnostics_csv", "FIXED_DIAG_COLUMNS"]
@@ -110,35 +111,14 @@ def write_report_csv(path, checks: list[Check]) -> None:
                              "%.17g" % c.threshold, str(c.passed).lower()])
 
 
-def _outdir(cfg: ExperimentConfig, override: str | None) -> str:
-    base = override if override else cfg.output_dir
-    path = os.path.join(base, cfg.experiment.value)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 # --------------------------------------------------------------------------
 # Mode selection helpers
 # --------------------------------------------------------------------------
 
-def _lattice_rates(system: TransformedSystem, grid: SpectralGrid) -> np.ndarray:
-    p = system.params
-    scalar = p.gamma2 * grid.ksq**2 + p.gamma0 * grid.ksq
-    if system.scalar_m is not None:
-        return -(scalar + system.scalar_m)
-    if grid.dim == 2:
-        knorm = np.sqrt(np.where(grid.ksq > 0, grid.ksq, 1.0))
-        vdot = (system.V[0] * (-grid.k[1]) + system.V[1] * grid.k[0]) / knorm
-        mu = np.where(grid.ksq > 0, 2.0 * p.beta * vdot**2, 0.0)
-    else:
-        mu = np.zeros_like(grid.ksq)
-    return -(scalar + mu)
-
-
 def _default_instability_modes(system: TransformedSystem, grid: SpectralGrid,
                                count: int = 3) -> list[tuple[float, ...]]:
     """The `count` fastest-growing lattice modes (one per +-k pair)."""
-    rates = _lattice_rates(system, grid)
+    rates = lattice_growth_rates(system, grid)
     m = grid.mode_numbers
     # one representative per conjugate pair, skip k=0 and Nyquist rows
     first_nonzero = np.zeros(grid.shape, dtype=np.int64)
@@ -206,6 +186,7 @@ def _linear_window(times, amps, a0: float) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
+    os.makedirs(out, exist_ok=True)
     grid = cfg.make_grid()
     system = cfg.make_system()
     tracked = cfg.tracked_wavevectors
@@ -237,6 +218,7 @@ def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 
 def _run_phase_diagram(cfg: ExperimentConfig, out: str) -> ExperimentReport:
+    os.makedirs(out, exist_ok=True)
     pr = cfg.phase_ranges
     res = int(pr["resolution"])
     diag = phase_diagram(cfg.params, (pr["gamma0_min"], pr["gamma0_max"]),
@@ -262,6 +244,7 @@ def _run_phase_diagram(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 
 def _run_nonlinear_decay(cfg: ExperimentConfig, out: str) -> ExperimentReport:
+    os.makedirs(out, exist_ok=True)
     grid = cfg.make_grid()
     system = cfg.make_system()
     initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
@@ -312,6 +295,7 @@ def _run_instability(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     best = max(tracked, key=lambda k: predictions[k])
     predicted = predictions[best]
     _check_window_reachable(best, predicted, cfg.solver)
+    os.makedirs(out, exist_ok=True)
 
     initial = _seed_modes(grid, system, tracked, cfg.amplitude)
     traj = run(initial, system, grid, cfg.solver, tracked_wavevectors=tracked)
@@ -360,6 +344,7 @@ def _run_contractivity(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     if cfg.params.gamma0 < 0:
         raise ValueError("contractivity requires gamma0 >= 0 (the ordered "
                          "state is exponentially unstable for gamma0 < 0)")
+    os.makedirs(out, exist_ok=True)
     grid = cfg.make_grid()
     system = cfg.make_system()
     solver = cfg.solver
@@ -382,6 +367,7 @@ def _run_contractivity(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 
 def _run_free(cfg: ExperimentConfig, out: str) -> ExperimentReport:
+    os.makedirs(out, exist_ok=True)
     grid = cfg.make_grid()
     system = cfg.make_system()
     solver = cfg.solver
@@ -437,7 +423,12 @@ def _band_coverage_warning(cfg: ExperimentConfig) -> str | None:
 
 def run_experiment(cfg: ExperimentConfig, *, out_dir: str | None = None
                    ) -> ExperimentReport:
-    out = _outdir(cfg, out_dir)
+    """Run the configured experiment into <out_dir or cfg.output_dir>/<kind>.
+
+    The output directory is created only once the experiment's pre-checks
+    pass, so a run rejected before any work leaves nothing behind.
+    """
+    out = os.path.join(out_dir or cfg.output_dir, cfg.experiment.value)
     warning = _band_coverage_warning(cfg)
     if warning is not None:
         print(f"WARNING {warning}", file=sys.stderr)

@@ -33,13 +33,9 @@ from .model import TransformedSystem
 from .spectral import (
     SpectralField,
     SpectralGrid,
-    dealiased_product,
     from_half,
-    gradient_coeffs,
-    pad_spectrum,
     project_coeffs,
     to_half,
-    truncate_spectrum,
     zero_nyquist,
 )
 
@@ -105,6 +101,75 @@ def _rfft_spatial(arr: np.ndarray, dim: int, h: int,
     else:
         np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     return out
+
+
+class FineLattice:
+    """The factor-2 zero-padded lattice on the rfft layout, with its buffers.
+
+    Products of Nyquist-free coarse fields formed on this lattice are exact
+    for quadratic and cubic terms.  The coarse band |m| < h sits in the
+    blocks that pair the band rows of the fine and the coarse axes; the
+    unpaired m = n/2 mode is outside it, so inputs must be Nyquist-free.
+    Holds `rows` rows of padded input and samples and `out_rows` rows of
+    forward output; the forward never writes into the pad buffer, whose
+    columns >= h must stay zero.
+    """
+
+    def __init__(self, grid: SpectralGrid, rows: int, out_rows: int = 0):
+        d, n = grid.dim, grid.n
+        self.dim = d
+        self.nf = nf = 2 * n
+        self.h = h = n // 2
+        half_shape = (nf,) * (d - 1) + (nf // 2 + 1,)
+        cols = slice(0, h)
+        pairs = list(zip(_band_rows(nf, h), _band_rows(n, h)))
+        self._blocks = []   # (fine index, coarse index) of each band block
+        for combo in itertools.product(pairs, repeat=d - 1):
+            fine, coarse = zip(*combo)
+            self._blocks.append(((slice(None), *fine, cols),
+                                 (slice(None), *coarse, cols)))
+        # the rows outside the band of each leading axis, in the columns < h
+        # that the in-place inverse passes overwrite
+        mid = slice(h, nf - h + 1)
+        self._gaps = [(slice(None),) * (1 + a) + (mid,)
+                      + (slice(None),) * (d - 2 - a) + (cols,)
+                      for a in range(d - 1)]
+        self._pad = np.zeros((rows,) + half_shape, np.complex128)
+        self._phys = np.empty((rows,) + (nf,) * d)
+        self._fwd = np.empty((out_rows,) + half_shape, np.complex128)
+
+    def samples(self, *halves: np.ndarray) -> np.ndarray:
+        """Physical samples of the stacked coarse half-spectra `halves`
+        (each (rows_i,) + grid.half_shape, Nyquist-free), shape
+        (sum rows_i, nf^dim).
+
+        Returns a view into a buffer the lattice owns; the next `samples`
+        call overwrites it.
+        """
+        rows = sum(len(half) for half in halves)
+        buf = self._pad[:rows]
+        for gap in self._gaps:
+            buf[gap] = 0.0
+        start = 0
+        for half in halves:
+            dst = buf[start:start + len(half)]
+            for fine, coarse in self._blocks:
+                dst[fine] = half[coarse]
+            start += len(half)
+        phys = self._phys[:rows]
+        _irfft_spatial(buf, self.nf, self.dim, self.h, out=phys)
+        return phys.reshape(rows, -1)
+
+    def band(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Coarse band of the transform of fine samples `phys` (rows,
+        nf^dim) into the half-spectrum `out`; the Nyquist slots of `out`
+        are not written."""
+        rows = len(phys)
+        fwd = _rfft_spatial(phys.reshape((rows,) + (self.nf,) * self.dim),
+                            self.dim, self.h, self._fwd[:rows])
+        for fine, coarse in self._blocks:
+            out[coarse] = fwd[fine]
+        return out
 
 
 class BlowUpError(RuntimeError):
@@ -295,36 +360,17 @@ class Stepper:
         self.f3 = self.dt * (4.0 * _phi(z, 3) - _phi(z, 2))
         self.imex_div = 1.0 / (1.0 + self.dt * lin)
 
-        # fine (factor-2) lattice for dealiased products.  The transforms
-        # write into these buffers, so a step allocates no FFT outputs.  The
-        # coarse band |m| < h sits in the blocks that pair the band rows of
-        # the fine and the coarse axes (the Nyquist row and column stay zero).
-        self.nf = 2 * n
-        self.fine_half_shape = (self.nf,) * (d - 1) + (self.nf // 2 + 1,)
-        self.n_fine = self.nf**d
-        h = self._h = n // 2
-        cols = slice(0, h)
-        rows = list(zip(_band_rows(self.nf, h), _band_rows(n, h)))
-        self._blocks = []   # (fine index, coarse index) of each band block
-        for combo in itertools.product(rows, repeat=d - 1):
-            fine, coarse = zip(*combo)
-            self._blocks.append(((slice(None), *fine, cols),
-                                 (slice(None), *coarse, cols)))
-        mid = slice(h, self.nf - h + 1)
-        self._gaps = [(slice(None),) * (1 + a) + (mid,)
-                      + (slice(None),) * (d - 2 - a) + (cols,)
-                      for a in range(d - 1)]
-        # a linearized stepper samples u on the fine lattice (`fine_physical`)
-        # but forms no products: no curl rows, no product buffers
-        nrows = d if self.linearized else d + (1 if d == 2 else 3)
-        self._pad_buf = np.zeros((nrows,) + self.fine_half_shape, np.complex128)
-        self._phys = np.empty((nrows,) + (self.nf,) * d)
-        self._phys_flat = self._phys.reshape(nrows, self.n_fine)
-        if not self.linearized:
-            self._G_fine = np.empty((d,) + self.fine_half_shape, np.complex128)
+        # dealiased products on the fine lattice: u and curl u in, G out.  A
+        # linearized stepper samples u there (`fine_physical`) but forms no
+        # products: no curl rows, no product buffers.  The Nyquist slots of
+        # _G_half stay zero.
+        if self.linearized:
+            self._lattice = FineLattice(grid, d)
+        else:
+            self._lattice = FineLattice(grid, d + (1 if d == 2 else 3), d)
             self._G_half = np.zeros((d,) + self.half_shape, np.complex128)
             self._G_flat = self._G_half.reshape(d, M)
-            self._Gp = np.empty((d, self.n_fine))
+            self._Gp = np.empty((d, (2 * n)**d))
         self._quad = np.ascontiguousarray(system.quad_coeffs)
         self._has_quad = system.has_quadratic and not self.linearized
 
@@ -346,7 +392,8 @@ class Stepper:
 
     def physical(self, uh_flat: np.ndarray) -> np.ndarray:
         half = uh_flat.reshape((self.grid.dim,) + self.half_shape)
-        return _irfft_spatial(half.copy(), self.grid.n, self.grid.dim, self._h)
+        return _irfft_spatial(half.copy(), self.grid.n, self.grid.dim,
+                              self.grid.n // 2)
 
     # -- dealiased products on the fine lattice ------------------------------
 
@@ -360,51 +407,25 @@ class Stepper:
             1j * (kd[0] * uh[1] - kd[1] * uh[0]),
         ])
 
-    def _pad(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Zero-pad the coarse half-spectrum src into the fine buffer dst.
-
-        The in-place inverse passes fill only the first h columns of dst;
-        the columns above stay zero from construction.  Here the rows of
-        those columns outside the coarse band are zeroed again and the band
-        is copied in.
-        """
-        for gap in self._gaps:
-            dst[gap] = 0.0
-        for fine, coarse in self._blocks:
-            dst[fine] = src[coarse]
-
-    def _truncate_blocks(self, fine: np.ndarray) -> None:
-        """Copy the coarse band of the fine-lattice result into _G_half."""
-        for fine_ix, coarse_ix in self._blocks:
-            self._G_half[coarse_ix] = fine[fine_ix]
-
     def fine_physical(self, uh_flat: np.ndarray) -> np.ndarray:
         """Physical samples of u on the factor-2 lattice, shape (dim, nf^dim).
 
         Returns a view into a buffer the Stepper owns; the next `rhs`,
         `step` or `fine_physical` call overwrites it.
         """
-        d = self.grid.dim
-        buf = self._pad_buf[:d]
-        self._pad(uh_flat.reshape((d,) + self.half_shape), buf)
-        _irfft_spatial(buf, self.nf, d, self._h, out=self._phys[:d])
-        return self._phys_flat[:d]
+        return self._lattice.samples(
+            uh_flat.reshape((self.grid.dim,) + self.half_shape))
 
     def _nonlinear_G(self, uh_flat: np.ndarray) -> np.ndarray:
         """Transforms of lam0*(u.grad)u + beta|u|^2 u - N(u), coarse band."""
         d = self.grid.dim
         p = self.system.params
         uh = uh_flat.reshape((d,) + self.half_shape)
-        self._pad(uh, self._pad_buf[:d])
-        self._pad(self._curl_half(uh), self._pad_buf[d:])
-        _irfft_spatial(self._pad_buf, self.nf, d, self._h, out=self._phys)
-        flat = self._phys_flat
+        fine = self._lattice.samples(uh, self._curl_half(uh))
         products = _kernels.products_2d if d == 2 else _kernels.products_3d
-        products(flat[:d], flat[d:], p.lambda0, p.beta, self._quad,
+        products(fine[:d], fine[d:], p.lambda0, p.beta, self._quad,
                  self._has_quad, self._Gp)
-        _rfft_spatial(self._Gp.reshape((d,) + (self.nf,) * d), d, self._h,
-                      self._G_fine)
-        self._truncate_blocks(self._G_fine)
+        self._lattice.band(self._Gp, self._G_half)
         return self._G_flat
 
     # -- tendency and steps ---------------------------------------------------
@@ -716,6 +737,19 @@ class PressureFields:
     p: np.ndarray | None        # physical pressure q + lambda1 |v|^2
 
 
+def _u_grad_samples(grid: SpectralGrid, coeffs: np.ndarray, out_rows: int = 0
+                    ) -> tuple[FineLattice, np.ndarray, np.ndarray]:
+    """Factor-2 lattice samples of u, shape (dim, nf^dim), and of grad u,
+    gf[a, i] = d_a u_i, from full-lattice coefficients (Nyquist dropped),
+    both from one inverse on a new lattice that is returned with them."""
+    d = grid.dim
+    uh = zero_nyquist(grid, to_half(grid, coeffs))
+    grads = 1j * grid.k_deriv_half[:, None] * uh
+    lattice = FineLattice(grid, d + d * d, out_rows)
+    fine = lattice.samples(uh, grads.reshape((d * d,) + grid.half_shape))
+    return lattice, fine[:d], fine[d:].reshape(d, d, -1)
+
+
 def recover_pressure(state: SolverState, with_physical_pressure: bool = True
                      ) -> PressureFields:
     """grad q = -(I-P)[lam0 (u.grad)u + (M + beta|u|^2)u - N(u)].
@@ -726,40 +760,22 @@ def recover_pressure(state: SolverState, with_physical_pressure: bool = True
     grid, system = state.grid, state.system
     p = system.params
     d = grid.dim
-    axes = tuple(range(1, d + 1))
-    uhat = zero_nyquist(grid, state.u_hat.coeffs.copy())
-    nf = 2 * grid.n
+    lattice, uf, gf = _u_grad_samples(grid, state.u_hat.coeffs, d)
+    s = np.einsum("im,im->m", uf, uf)
+    bracket = p.lambda0 * np.einsum("am,aim->im", uf, gf) + system.M @ uf \
+        + p.beta * s * uf - np.einsum("jki,jm,km->im", system.quad_coeffs, uf, uf)
+    B = lattice.band(bracket, np.zeros((d,) + grid.half_shape, np.complex128))
 
-    grads = gradient_coeffs(grid, uhat).reshape((d * d,) + grid.shape)
-    stacked = np.concatenate([uhat, grads])
-    fine = np.real(np.fft.ifftn(pad_spectrum(grid, stacked, nf),
-                                axes=tuple(range(1, d + 1)), norm="forward"))
-    uf = fine[:d]
-    gf = fine[d:].reshape((d, d) + (nf,) * d)  # gf[a, i] = d_a u_i
-    adv = np.einsum("a...,ai...->i...", uf, gf)
-    s = np.sum(uf * uf, axis=0)
-    bracket = p.lambda0 * adv + np.einsum("ij,j...->i...", system.M, uf) \
-        + p.beta * s * uf - np.einsum("jki,j...,k...->i...", system.quad_coeffs, uf, uf)
-    Bhat = truncate_spectrum(grid, np.fft.fftn(bracket, axes=axes, norm="forward"))
-    zero_nyquist(grid, Bhat)
-    gradq_hat = -(Bhat - project_coeffs(grid, Bhat))
-
-    ksq = grid.ksq.copy()
-    zero = ksq == 0.0
-    ksq[zero] = 1.0
-    q_hat = -1j * np.einsum("a...,a...->...", grid.k, gradq_hat) / ksq
-    q_hat = np.where(zero, 0.0, q_hat)
-
-    grad_q = np.real(np.fft.ifftn(gradq_hat, axes=axes, norm="forward"))
-    q = np.real(np.fft.ifftn(q_hat, norm="forward"))
-
-    p_phys = None
+    # grad q = -(I-P)B = -k (k.B)/|k|^2, so q = i (k.B)/|k|^2 (zero at k = 0)
+    k = grid.k_half
+    kB = np.einsum("a...,a...->...", k, B) / np.where(
+        grid.ksq_half == 0.0, 1.0, grid.ksq_half)
+    halves = [-k * kB, 1j * kB[None]]
     if with_physical_pressure:
-        u_phys = np.real(np.fft.ifftn(uhat, axes=axes, norm="forward"))
-        v = u_phys + system.V.reshape((d,) + (1,) * d)
-        vsq_hat = np.zeros(grid.shape, np.complex128)
-        for c in range(d):
-            vsq_hat += dealiased_product(grid, [v[c], v[c]])
-        vsq = np.real(np.fft.ifftn(vsq_hat, norm="forward"))
-        p_phys = q + p.lambda1 * vsq
-    return PressureFields(grad_q=grad_q, q=q, p=p_phys)
+        v = uf + system.V[:, None]
+        halves.append(lattice.band(np.einsum("im,im->m", v, v)[None],
+                                   np.zeros_like(B[:1])))
+    phys = _irfft_spatial(np.concatenate(halves), grid.n, d, grid.n // 2)
+    q = phys[d]
+    p_phys = q + p.lambda1 * phys[d + 1] if with_physical_pressure else None
+    return PressureFields(grad_q=phys[:d], q=q, p=p_phys)

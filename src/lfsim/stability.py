@@ -40,6 +40,7 @@ __all__ = [
     "unstable_band",
     "classify_disordered",
     "classify_ordered",
+    "lattice_growth_rates",
     "lattice_max_growth",
     "PhaseDiagram",
     "phase_diagram",
@@ -274,28 +275,33 @@ def classify_ordered(params: ModelParams) -> StabilityReport:
                            band=band, note=note)
 
 
+def lattice_growth_rates(system: TransformedSystem, grid: SpectralGrid
+                         ) -> np.ndarray:
+    """Growth rate of every wavevector of the grid's lattice, grid.shape."""
+    p = system.params
+    ksq = grid.ksq
+    scalar = p.gamma2 * ksq**2 + p.gamma0 * ksq
+    if system.scalar_m is not None:
+        return -(scalar + system.scalar_m)
+    if grid.dim == 2:
+        # restricted M eigenvalue: 2*beta*(V . khat_perp)^2,
+        # khat_perp = (-k2, k1)/|k|
+        knorm = np.sqrt(np.where(ksq > 0, ksq, 1.0))
+        vdot = (system.V[0] * (-grid.k[1]) + system.V[1] * grid.k[0]) / knorm
+        mu = np.where(ksq > 0, 2.0 * p.beta * vdot**2, 0.0)
+    else:
+        # 3D: some x perp {V, k} always exists, so the min eigenvalue is 0
+        mu = np.zeros_like(ksq)
+    return -(scalar + mu)
+
+
 def lattice_max_growth(system: TransformedSystem, grid: SpectralGrid
                        ) -> tuple[float, np.ndarray]:
     """Max growth rate over the grid's wavevector lattice and its argmax.
 
     Used for experiment design; classifications always use the continuum.
     """
-    p = system.params
-    ksq = grid.ksq
-    scalar = p.gamma2 * ksq**2 + p.gamma0 * ksq
-    if system.scalar_m is not None:
-        rates = -(scalar + system.scalar_m)
-    else:
-        if grid.dim == 2:
-            # restricted M eigenvalue: 2*beta*(V . khat_perp)^2,
-            # khat_perp = (-k2, k1)/|k|
-            knorm = np.sqrt(np.where(ksq > 0, ksq, 1.0))
-            vdot = (system.V[0] * (-grid.k[1]) + system.V[1] * grid.k[0]) / knorm
-            mu = np.where(ksq > 0, 2.0 * p.beta * vdot**2, 0.0)
-        else:
-            # 3D: some x perp {V, k} always exists, so the min eigenvalue is 0
-            mu = np.zeros_like(ksq)
-        rates = -(scalar + mu)
+    rates = lattice_growth_rates(system, grid)
     idx = np.unravel_index(int(np.argmax(rates)), grid.shape)
     kvec = grid.k[(slice(None),) + idx]
     return float(rates[idx]), np.asarray(kvec, dtype=float)

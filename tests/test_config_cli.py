@@ -257,7 +257,19 @@ phase.resolution = 9
         assert main(["run", os.path.join(CONFIGS, "ordered_instability.cfg"),
                      "--out", str(out), "--override", "solver.t_end=0.5"]) == 3
         assert "needs t_end >= 11.54" in capsys.readouterr().err
-        assert not any(files for _, _, files in os.walk(out))
+        assert not out.exists()
+
+    def test_contractivity_with_negative_gamma0_rejected_before_stepping(
+            self, tmp_path, capsys, monkeypatch):
+        def no_stepper(*args, **kwargs):
+            raise AssertionError("a Stepper was built")
+
+        monkeypatch.setattr(Stepper, "__init__", no_stepper)
+        out = tmp_path / "o"
+        assert main(["run", os.path.join(CONFIGS, "ordered_contractivity.cfg"),
+                     "--out", str(out), "--override", "params.gamma0=-1"]) == 3
+        assert "contractivity requires gamma0 >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["ordered_instability.cfg",
                                       "disordered_instability.cfg"])

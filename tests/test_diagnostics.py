@@ -157,19 +157,46 @@ class TestDecayBound:
 
 
 class TestStructuralWitnesses:
-    def test_advection_skew(self, grid32):
-        u = random_solenoidal_field(grid32, 0.5, 0.6, 12)
-        from lfsim.spectral import grad_norm_sq, inverse
-        scale = (math.sqrt(l2_norm_sq(u)) * math.sqrt(grad_norm_sq(u))
-                 * np.max(np.abs(inverse(u))))
-        for V in (None, np.array([0.7, -0.3])):
-            val = advection_skew_inner(grid32, u, V)
-            assert abs(val) <= 1e-10 * scale
+    GRIDS = [(2, 32), (3, 8)]
 
-    def test_quartic_gradient_nonnegative(self, grid32):
-        for seed in range(5):
-            u = random_solenoidal_field(grid32, 0.4, 0.6, seed)
-            assert quartic_gradient_inner(grid32, u) >= -1e-10
+    def test_advection_skew(self):
+        from lfsim.spectral import grad_norm_sq, inverse
+        for dim, n in self.GRIDS:
+            grid = SpectralGrid(dim, n, 20.0 * np.pi)
+            u = random_solenoidal_field(grid, 0.5, 0.6, 12)
+            scale = (math.sqrt(l2_norm_sq(u)) * math.sqrt(grad_norm_sq(u))
+                     * np.max(np.abs(inverse(u))))
+            for V in (None, np.array([0.7, -0.3, 0.2][:dim])):
+                val = advection_skew_inner(grid, u, V)
+                assert abs(val) <= 1e-10 * scale, (grid, V)
+
+    def test_quartic_gradient_nonnegative(self):
+        for dim, n in self.GRIDS:
+            grid = SpectralGrid(dim, n, 20.0 * np.pi)
+            for seed in range(5):
+                u = random_solenoidal_field(grid, 0.4, 0.6, seed)
+                assert quartic_gradient_inner(grid, u) >= -1e-10, (grid, seed)
+
+    def test_no_transform_of_the_full_fine_lattice(self, monkeypatch):
+        # the witnesses and the pressure recovery pad through the pruned
+        # half-spectrum engine, never through a full (2n)^dim complex array
+        from lfsim.integrate import recover_pressure
+        shapes = []
+        for name in ("fftn", "ifftn"):
+            def wrapper(a, *args, _fn=getattr(np.fft, name), **kw):
+                shapes.append(np.shape(a))
+                return _fn(a, *args, **kw)
+            monkeypatch.setattr(np.fft, name, wrapper)
+        for dim, n in self.GRIDS:
+            grid = SpectralGrid(dim, n, 20.0 * np.pi)
+            sys = make_ordered_system(params(alpha=-1.0, lambda1=0.3, dim=dim))
+            u = random_solenoidal_field(grid, 0.4, 0.6, 7)
+            shapes.clear()
+            recover_pressure(SolverState(0.0, u, sys, grid))
+            advection_skew_inner(grid, u)
+            quartic_gradient_inner(grid, u)
+            fine = (2 * n,) * dim
+            assert not [s for s in shapes if s[-dim:] == fine], shapes
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,9 @@ import pytest
 from lfsim.model import ModelParams, make_disordered_system, make_ordered_system
 from lfsim.spectral import (SpectralField, SpectralGrid, forward, inverse,
                             project_coeffs, zero_nyquist)
-from lfsim.integrate import (BlowUpError, SolverConfig, SolverState, Stepper,
-                             _irfft_spatial, _phi, _rfft_spatial, amp_label,
+from lfsim.integrate import (BlowUpError, FineLattice, SolverConfig,
+                             SolverState, Stepper, _irfft_spatial, _phi,
+                             _rfft_spatial, amp_label,
                              nonlinear_rhs, random_solenoidal_field,
                              recover_pressure, run, single_mode_field, step)
 from lfsim.stability import growth_rate
@@ -427,14 +428,17 @@ class TestPressure:
         assert np.max(np.abs(out.q)) == 0.0
 
     def test_gradient_is_curl_free(self, grid32):
-        sys = make_ordered_system(params(alpha=-1.0, lambda1=0.3))
-        u0 = random_solenoidal_field(grid32, 0.1, 0.6, 31)
-        state = SolverState(0.0, u0, sys, grid32)
-        out = recover_pressure(state)
-        gq = np.fft.fftn(out.grad_q, axes=(1, 2), norm="forward")
-        curl = grid32.k_deriv[0] * gq[1] - grid32.k_deriv[1] * gq[0]
-        assert np.max(np.abs(curl)) <= 1e-12 * max(
-            1.0, float(np.max(np.abs(gq))))
+        from lfsim.spectral import curl_coeffs
+        for grid in (grid32, SpectralGrid(3, 8, 20.0 * np.pi)):
+            d = grid.dim
+            sys = make_ordered_system(params(alpha=-1.0, lambda1=0.3, dim=d))
+            u0 = random_solenoidal_field(grid, 0.1, 0.6, 31)
+            out = recover_pressure(SolverState(0.0, u0, sys, grid))
+            gq = np.fft.fftn(out.grad_q, axes=tuple(range(1, d + 1)),
+                             norm="forward")
+            curl = curl_coeffs(grid, gq)
+            assert np.max(np.abs(curl)) <= 1e-12 * max(
+                1.0, float(np.max(np.abs(gq)))), grid
 
     def test_single_transverse_mode_has_no_pressure(self, grid32):
         # Mu is solenoidal for scalar M and a transverse plane wave does not
@@ -633,3 +637,62 @@ class TestPrunedTransforms:
             + 2.5 * nf ** (dim - 1)
         unpruned = 4 * (2 * dim + dim) * lines * nf * math.log2(nf)
         assert sum(flops) <= 0.65 * unpruned, sum(flops) / unpruned
+
+
+def _real_half_spectrum(grid, rows, seed):
+    """Half-spectrum of `rows` random real fields, Nyquist zeroed, with the
+    full-lattice coefficients."""
+    rng = np.random.default_rng(seed)
+    axes = tuple(range(1, grid.dim + 1))
+    full = zero_nyquist(grid, np.fft.fftn(
+        rng.standard_normal((rows,) + grid.shape), axes=axes, norm="forward"))
+    return full[..., : grid.n // 2 + 1].copy(), full
+
+
+class TestFineLattice:
+    """The one fine-lattice engine against the full complex lattice route
+    (`pad_spectrum`/`truncate_spectrum`), which splits no mode on
+    Nyquist-free input."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_samples_match_padded_full_lattice(self, dim, n):
+        from lfsim.spectral import pad_spectrum
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        a_half, a = _real_half_spectrum(grid, dim, 1)
+        b_half, b = _real_half_spectrum(grid, dim * dim, 2)
+        got = FineLattice(grid, dim + dim * dim).samples(a_half, b_half)
+        axes = tuple(range(1, dim + 1))
+        expect = np.real(np.fft.ifftn(
+            pad_spectrum(grid, np.concatenate([a, b]), 2 * n), axes=axes,
+            norm="forward"))
+        assert got.shape == (dim + dim * dim, (2 * n) ** dim)
+        assert np.max(np.abs(got - expect.reshape(got.shape))) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_band_matches_truncated_full_lattice(self, dim, n):
+        from lfsim.spectral import truncate_spectrum
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        rng = np.random.default_rng(3)
+        phys = rng.standard_normal((dim,) + (2 * n,) * dim)
+        out = np.zeros((dim,) + grid.half_shape, np.complex128)
+        FineLattice(grid, 0, dim).band(phys.reshape(dim, -1), out)
+        axes = tuple(range(1, dim + 1))
+        expect = truncate_spectrum(grid, np.fft.fftn(phys, axes=axes,
+                                                     norm="forward"))
+        band = np.broadcast_to(_band_mask(dim, n, n // 2), out.shape)
+        assert np.max(np.abs(out[band] - expect[..., : n // 2 + 1][band])) \
+            <= 1e-13
+        assert np.all(out[~band] == 0.0)
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_reuse_across_row_counts_matches_fresh(self, dim, n):
+        # the inverse passes leave the pad rows dirty wherever they wrote;
+        # `samples` must re-zero the gaps of the rows it uses
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        a_half, _ = _real_half_spectrum(grid, dim, 4)
+        b_half, _ = _real_half_spectrum(grid, dim * dim, 5)
+        u_half, _ = _real_half_spectrum(grid, dim, 6)
+        lattice = FineLattice(grid, dim + dim * dim)
+        lattice.samples(a_half, b_half)
+        got = lattice.samples(u_half)
+        assert np.array_equal(got, FineLattice(grid, dim).samples(u_half))
