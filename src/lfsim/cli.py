@@ -71,9 +71,8 @@ def _params_from_args(args):
 
 
 def _cmd_run(args) -> int:
-    from .config import ParseError, ValidationError, load_config
+    from .config import load_config
     from .experiments import run_experiment
-    from .integrate import BlowUpError
 
     overrides = {}
     for item in args.override:
@@ -87,17 +86,7 @@ def _cmd_run(args) -> int:
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        report = run_experiment(cfg, out_dir=args.out)
-    except BlowUpError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+    report = run_experiment(cfg, out_dir=args.out)
     for line in report.lines():
         print(line)
     for name, path in sorted(report.files.items()):
@@ -107,13 +96,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_classify(args) -> int:
     from .stability import classify_disordered, classify_ordered
-    try:
-        params = _params_from_args(args)
-        report = (classify_ordered(params) if args.ordered
-                  else classify_disordered(params))
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+    params = _params_from_args(args)
+    report = (classify_ordered(params) if args.ordered
+              else classify_disordered(params))
     print(json.dumps(report.to_dict()))
     return 0
 
@@ -124,28 +109,18 @@ def _cmd_dispersion(args) -> int:
     from .spectral import SpectralGrid
     from .stability import growth_rate
 
-    try:
-        params = _params_from_args(args)
-        grid = SpectralGrid(params.dim, args.n, args.box_length)
-        system = (make_ordered_system(params) if args.ordered
-                  else make_disordered_system(params))
-        cfg = (SolverConfig(dt=args.dt, t_end=args.t_end) if args.measure
-               else None)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+    params = _params_from_args(args)
+    grid = SpectralGrid(params.dim, args.n, args.box_length)
+    system = (make_ordered_system(params) if args.ordered
+              else make_disordered_system(params))
     modes = [tuple((m * grid.dk if a == 0 else 0.0) for a in range(params.dim))
              for m in range(1, min(args.modes, grid.n // 2 - 1) + 1)]
     measured = {}
     if args.measure:
-        from .diagnostics import fit_growth
-        from .experiments import _seed_modes
-        from .integrate import amp_label, run
-        initial = _seed_modes(grid, system, modes, 1e-4)
-        traj = run(initial, system, grid, cfg, linearized=True,
-                   tracked_wavevectors=modes)
-        for k in modes:
-            measured[k] = fit_growth(traj.times, traj.series[amp_label(k)]).rate
+        from .experiments import _measure_rates
+        cfg = SolverConfig(dt=args.dt, t_end=args.t_end)
+        fits, _ = _measure_rates(grid, system, modes, 1e-4, cfg)
+        measured = {k: fit.rate for k, fit in fits.items()}
     header = f"{'|k|^2':>12}  {'predicted':>14}"
     if measured:
         header += f"  {'measured':>14}  {'rel_err':>10}"
@@ -162,10 +137,18 @@ def _cmd_dispersion(args) -> int:
 
 
 def main(argv=None) -> int:
+    from .integrate import BlowUpError
     args = build_parser().parse_args(argv)
     cmd = {"run": _cmd_run, "classify": _cmd_classify,
            "dispersion": _cmd_dispersion}[args.command]
-    return cmd(args)
+    try:
+        return cmd(args)
+    except BlowUpError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

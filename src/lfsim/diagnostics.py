@@ -24,18 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, StateKind, TransformedSystem
-from .integrate import FineLattice, SolverState, Trajectory, _u_grad_samples
-from .spectral import (
-    SpectralField,
-    SpectralGrid,
-    grad_norm_sq,
-    l2_norm_sq,
-    l4_norm_4,
-    lap_norm_sq,
-    to_half,
-    zero_nyquist,
-)
+from .model import ModelParams, StateKind
+from .integrate import (FineLattice, SolverState, Stepper, Trajectory,
+                        _SeriesRecorder, _u_grad_samples)
+from .spectral import SpectralField, SpectralGrid, to_half, zero_nyquist
 
 __all__ = [
     "EnergyBudget",
@@ -55,6 +47,8 @@ __all__ = [
 ]
 
 DECAY_TOLERANCE_FACTOR = 1.0 + 1e-6
+_FD4_SAMPLES = 5    # the fewest samples `fd4_derivative` differences
+_FIT_SAMPLES = 10   # the fewest samples `fit_growth` fits
 
 
 class NonPositiveAmplitudeError(ValueError):
@@ -88,44 +82,51 @@ class EnergyBudget:
 def energy_budget(state: SolverState) -> EnergyBudget:
     """Instantaneous budget terms of a single state.
 
-    The residual needs a time series and is NaN here; see `budget_series`.
+    Measured, like the run series and both identity residuals, on the
+    Nyquist-free half-spectrum of the state (its unpaired m = n/2 modes
+    dropped), by the same per-sample computation as `run`.  The residual
+    needs a time series and is NaN here; see `budget_series`.
     """
-    p = state.system.params
-    f = state.u_hat
-    m_form = _m_form(f, state.system)
-    proj = _ordered_projection(f, state.system)
-    return EnergyBudget(
-        t=state.t,
-        kinetic=0.5 * l2_norm_sq(f),
-        dissipation_bilap=p.gamma2 * lap_norm_sq(f),
-        dissipation_lap=p.gamma0 * grad_norm_sq(f),
-        landau_linear=m_form,
-        landau_quartic=p.beta * l4_norm_4(f),
-        ordered_projection=proj,
-        residual=math.nan,
-    )
+    # dt only sets step coefficients that are never used here
+    stepper = Stepper(state.system, state.grid, dt=1e-9, linearized=True)
+    recorder = _SeriesRecorder(stepper, ())
+    recorder.sample(state.t, stepper.from_state(state.u_hat))
+    times, series = recorder.columns()
+    return _budgets(state.system.params, times, series, [math.nan])[0]
 
 
-def _m_form(field: SpectralField, system: TransformedSystem) -> float:
-    Mu = np.einsum("ij,j...->i...", system.M, field.coeffs)
-    return field.grid.volume * float(
-        np.real(np.sum(np.conj(field.coeffs) * Mu)))
+def _budgets(p: ModelParams, times, series: dict[str, np.ndarray],
+             residual) -> list[EnergyBudget]:
+    """`EnergyBudget` rows from sampled series and per-sample residuals."""
+    fields = (times, 0.5 * series["l2_norm_sq"],
+              p.gamma2 * series["lap_norm_sq"],
+              p.gamma0 * series["grad_norm_sq"], series["m_form"],
+              p.beta * series["l4_norm_4"],
+              series["ordered_proj_sq"] * 2.0 * p.beta, residual)
+    return [EnergyBudget(*map(float, row)) for row in zip(*fields)]
 
 
-def _ordered_projection(field: SpectralField, system: TransformedSystem) -> float:
-    if not np.any(system.V):
-        return 0.0
-    vdot = np.einsum("a,a...->...", system.V, field.coeffs)
-    return 2.0 * system.params.beta * field.grid.volume * float(
-        np.sum(np.abs(vdot) ** 2))
+def _identity_terms(traj: Trajectory) -> list[np.ndarray]:
+    """The active terms of the L2 identity at each sample, in summation
+    order: gamma2||Lap u||^2, gamma0||grad u||^2, int u.Mu, beta||u||_4^4,
+    -int u.N(u), -int u.f.  A linearized run integrates neither the quartic
+    nor the quadratic term, so both leave its identity."""
+    p = traj.system.params
+    s = traj.series
+    terms = [p.gamma2 * s["lap_norm_sq"], p.gamma0 * s["grad_norm_sq"],
+             s["m_form"]]
+    if not traj.linearized:
+        terms += [p.beta * s["l4_norm_4"], -s["n_inner"]]
+    return terms + [-s["f_inner"]]
 
 
 def fd4_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """4th-order finite-difference d/dt of a uniformly sampled series."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(t) < 5:
-        raise ValueError("need at least 5 samples for 4th-order differencing")
+    if len(t) < _FD4_SAMPLES:
+        raise ValueError(f"need at least {_FD4_SAMPLES} samples for 4th-order "
+                         "differencing")
     h = t[1] - t[0]
     if np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(abs(h), 1e-300):
         raise ValueError("series must be uniformly sampled")
@@ -148,26 +149,9 @@ def budget_series(traj: Trajectory) -> list[EnergyBudget]:
     in linearized runs) are excluded from the residual; the reported budget
     fields themselves are always the plain quantities.
     """
-    p = traj.system.params
-    s = traj.series
-    kinetic = 0.5 * s["l2_norm_sq"]
-    dkdt = fd4_derivative(traj.times, kinetic)
-    bilap = p.gamma2 * s["lap_norm_sq"]
-    lap = p.gamma0 * s["grad_norm_sq"]
-    m_form = s["m_form"]
-    quartic = p.beta * s["l4_norm_4"]
-    active_quartic = np.zeros_like(quartic) if traj.linearized else quartic
-    residual = np.abs(dkdt + bilap + lap + m_form + active_quartic
-                      - s["n_inner"] - s["f_inner"])
-    out = []
-    for i, t in enumerate(traj.times):
-        out.append(EnergyBudget(
-            t=float(t), kinetic=float(kinetic[i]),
-            dissipation_bilap=float(bilap[i]), dissipation_lap=float(lap[i]),
-            landau_linear=float(m_form[i]), landau_quartic=float(quartic[i]),
-            ordered_projection=float(s["ordered_proj_sq"][i] * 2.0 * p.beta),
-            residual=float(residual[i])))
-    return out
+    dkdt = fd4_derivative(traj.times, 0.5 * traj.series["l2_norm_sq"])
+    residual = np.abs(sum(_identity_terms(traj), dkdt))
+    return _budgets(traj.system.params, traj.times, traj.series, residual)
 
 
 def integrated_identity_residual(traj: Trajectory) -> float:
@@ -175,18 +159,12 @@ def integrated_identity_residual(traj: Trajectory) -> float:
 
     Trapezoidal quadrature on the diagnostic cadence:
     ||u(T)||^2 + 2*int(gamma2||Lap u||^2 + gamma0||grad u||^2 + int u.Mu
-    + [beta||u||_4^4 - int u.N(u) - int u.f when integrated]) = ||u(0)||^2.
+    + [beta||u||_4^4 - int u.N(u) when integrated] - int u.f) = ||u(0)||^2.
     """
-    p = traj.system.params
-    s = traj.series
-    integrand = (p.gamma2 * s["lap_norm_sq"] + p.gamma0 * s["grad_norm_sq"]
-                 + s["m_form"])
-    if not traj.linearized:
-        integrand = integrand + p.beta * s["l4_norm_4"] - s["n_inner"]
-    integrand = integrand - s["f_inner"]
-    total = np.trapezoid(integrand, traj.times)
-    defect = abs(s["l2_norm_sq"][-1] + 2.0 * total - s["l2_norm_sq"][0])
-    return float(defect / s["l2_norm_sq"][0])
+    first, *rest = _identity_terms(traj)
+    total = np.trapezoid(sum(rest, first), traj.times)
+    l2 = traj.series["l2_norm_sq"]
+    return float(abs(l2[-1] + 2.0 * total - l2[0]) / l2[0])
 
 
 # --------------------------------------------------------------------------
@@ -210,9 +188,9 @@ def fit_growth(times: np.ndarray, amplitudes: np.ndarray,
     if window is not None:
         sel = (times >= window[0]) & (times <= window[1])
         times, amplitudes = times[sel], amplitudes[sel]
-    if len(times) < 10:
+    if len(times) < _FIT_SAMPLES:
         raise WindowTooShortError(
-            f"growth fit needs >= 10 samples, got {len(times)}")
+            f"growth fit needs >= {_FIT_SAMPLES} samples, got {len(times)}")
     if np.any(amplitudes <= 0):
         raise NonPositiveAmplitudeError(
             "amplitudes must be positive throughout the fit window")

@@ -13,14 +13,15 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import ExperimentConfig, ExperimentKind
-from .diagnostics import (budget_series, check_decay_bound, fit_growth,
+from .diagnostics import (_FD4_SAMPLES, _FIT_SAMPLES, GrowthFit,
+                          budget_series, check_decay_bound, fit_growth,
                           integrated_identity_residual)
-from .integrate import (SolverConfig, Trajectory, amp_label, run,
+from .integrate import (BlowUpError, SolverConfig, Trajectory, amp_label, run,
                         random_solenoidal_field, single_mode_field)
 from .model import StateKind, TransformedSystem
 from .spectral import SpectralGrid, write_snapshot
@@ -84,7 +85,7 @@ class ExperimentReport:
 
 def write_diagnostics_csv(path, traj: Trajectory) -> None:
     """Diagnostic series with the energy-budget residual filled per sample."""
-    if len(traj.times) >= 5:
+    if len(traj.times) >= _FD4_SAMPLES:
         residual = np.array([b.residual for b in budget_series(traj)])
     else:
         residual = np.full(len(traj.times), math.nan)
@@ -174,11 +175,61 @@ def _linear_window(times, amps, a0: float) -> tuple[float, float]:
     above_hi = np.nonzero(amps > hi)[0]
     end = above_hi[0] if len(above_hi) else len(amps)
     sel = np.nonzero(amps[:end] >= lo)[0]
-    if len(sel) < 10:
+    if len(sel) < _FIT_SAMPLES:
         raise ValueError(
             "no usable linear-regime window: the tracked mode never grew "
-            f"through [{lo:.3g}, {hi:.3g}] with >= 10 samples")
+            f"through [{lo:.3g}, {hi:.3g}] with >= {_FIT_SAMPLES} samples")
     return float(times[sel[0]]), float(times[min(end - 1, sel[-1])])
+
+
+def _require_samples(solver: SolverConfig, needed: int, use: str) -> None:
+    """Reject a run whose diagnostics cadence gives fewer than `needed`
+    samples, before any work.  `run` samples t = 0, every diagnostics
+    interval and the end."""
+    nsteps = round(solver.t_end / solver.dt)
+    every = max(1, round(solver.effective_diag_interval / solver.dt))
+    count = 1 - (-nsteps // every)
+    if count < needed:
+        raise ValueError(
+            f"t_end={solver.t_end:g} with diagnostics every "
+            f"{solver.effective_diag_interval:g} gives {count} samples; "
+            f"{use} needs at least {needed}")
+
+
+def _run_and_record(out: str | None, initial, system: TransformedSystem,
+                    grid: SpectralGrid, solver: SolverConfig, **kwargs
+                    ) -> tuple[Trajectory, dict[str, str]]:
+    """`run` with its diagnostics CSV written into `out` (created here);
+    returns the trajectory and the files written.  A run that blows up
+    writes the samples taken before the blow-up, then re-raises.  Without
+    `out` nothing is written."""
+    if out is None:
+        return run(initial, system, grid, solver, **kwargs), {}
+    os.makedirs(out, exist_ok=True)
+    files = {"diagnostics": os.path.join(out, "diagnostics.csv")}
+    try:
+        traj = run(initial, system, grid, solver, **kwargs)
+    except BlowUpError as exc:
+        write_diagnostics_csv(files["diagnostics"], exc.trajectory)
+        exc.args = (f"{exc}; diagnostics written to {files['diagnostics']}",)
+        raise
+    write_diagnostics_csv(files["diagnostics"], traj)
+    return traj, files
+
+
+def _measure_rates(grid: SpectralGrid, system: TransformedSystem,
+                   modes: list[tuple[float, ...]], amplitude: float,
+                   solver: SolverConfig, out: str | None = None
+                   ) -> tuple[dict[tuple[float, ...], GrowthFit], dict[str, str]]:
+    """Seed `modes` at `amplitude`, run linearized and fit each mode's growth
+    over the whole run; see `_run_and_record` for `out` and the files."""
+    _require_samples(solver, _FIT_SAMPLES, "a growth fit")
+    initial = _seed_modes(grid, system, modes, amplitude)
+    traj, files = _run_and_record(out, initial, system, grid, solver,
+                                  linearized=True, tracked_wavevectors=modes)
+    fits = {k: fit_growth(traj.times, traj.series[amp_label(k)], wavevector=k)
+            for k in modes}
+    return fits, files
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +237,6 @@ def _linear_window(times, amps, a0: float) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    os.makedirs(out, exist_ok=True)
     grid = cfg.make_grid()
     system = cfg.make_system()
     tracked = cfg.tracked_wavevectors
@@ -194,14 +244,13 @@ def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
         dk = grid.dk
         tracked = [tuple((m * dk if a == 0 else 0.0) for a in range(grid.dim))
                    for m in (1, 2, 3, 4, 5, 6)]
-    initial = _seed_modes(grid, system, tracked, cfg.amplitude)
-    traj = run(initial, system, grid, cfg.solver, linearized=True,
-               tracked_wavevectors=tracked)
+    fits, files = _measure_rates(grid, system, tracked, cfg.amplitude,
+                                 cfg.solver, out)
     rows = []
     worst = 0.0
     for k in tracked:
         predicted = growth_rate(system, np.asarray(k))
-        fit = fit_growth(traj.times, traj.series[amp_label(k)], wavevector=k)
+        fit = fits[k]
         rel = abs(fit.rate - predicted) / max(abs(predicted), 1e-12)
         worst = max(worst, rel)
         rows.append({"k": k, "ksq": float(np.dot(k, k)),
@@ -209,10 +258,8 @@ def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
                      "measured_rate": "%.17g" % fit.rate,
                      "rel_error": "%.6g" % rel,
                      "r_squared": "%.12g" % fit.r_squared})
-    files = {"rates": os.path.join(out, "rates.csv"),
-             "diagnostics": os.path.join(out, "diagnostics.csv")}
+    files["rates"] = os.path.join(out, "rates.csv")
     write_dispersion_csv(files["rates"], rows)
-    write_diagnostics_csv(files["diagnostics"], traj)
     checks = [_check("max_rate_rel_error", worst, LINEARIZED_RATE_TOL)]
     return _finish(cfg, out, checks, files)
 
@@ -244,18 +291,16 @@ def _run_phase_diagram(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 
 def _run_nonlinear_decay(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    os.makedirs(out, exist_ok=True)
+    _require_samples(cfg.solver, _FD4_SAMPLES, "the energy residual")
     grid = cfg.make_grid()
     system = cfg.make_system()
     initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
                                       cfg.solver.seed)
-    traj = run(initial, system, grid, cfg.solver,
-               tracked_wavevectors=cfg.tracked_wavevectors)
+    traj, files = _run_and_record(out, initial, system, grid, cfg.solver,
+                                  tracked_wavevectors=cfg.tracked_wavevectors)
     report = check_decay_bound(traj.times, traj.series["l2_norm_sq"],
                                cfg.params, system.kind)
     res = _max_energy_residual(traj)
-    files = {"diagnostics": os.path.join(out, "diagnostics.csv")}
-    write_diagnostics_csv(files["diagnostics"], traj)
     checks = [_check("decay_margin", report.margin, 0.0, ">="),
               _check("max_energy_residual", res, ENERGY_RESIDUAL_TOL)]
     note = [f"envelope rate on ||u||^2: {report.rate:.6g}"]
@@ -271,7 +316,8 @@ def _check_window_reachable(k, rate: float, solver: SolverConfig) -> None:
     """Reject a run whose fastest tracked mode cannot reach the fit window.
 
     Growing at `rate` from a0, the mode crosses LINEAR_WINDOW[0] * a0 at
-    ln(LINEAR_WINDOW[0]) / rate, and the fit needs 10 samples from there.
+    ln(LINEAR_WINDOW[0]) / rate, and the fit needs _FIT_SAMPLES samples from
+    there.
     """
     label = "(" + ", ".join("%g" % c for c in k) + ")"
     if rate <= 0.0:
@@ -279,7 +325,7 @@ def _check_window_reachable(k, rate: float, solver: SolverConfig) -> None:
                          f"growth rate {rate:.6g} <= 0, so it never grows "
                          "through the linear-regime fit window")
     needed = (math.log(LINEAR_WINDOW[0]) / rate
-              + 9.0 * solver.effective_diag_interval)
+              + (_FIT_SAMPLES - 1) * solver.effective_diag_interval)
     if solver.t_end < needed:
         raise ValueError(
             f"t_end={solver.t_end:g} is too short for the linear-regime fit: "
@@ -295,14 +341,12 @@ def _run_instability(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     best = max(tracked, key=lambda k: predictions[k])
     predicted = predictions[best]
     _check_window_reachable(best, predicted, cfg.solver)
-    os.makedirs(out, exist_ok=True)
 
     initial = _seed_modes(grid, system, tracked, cfg.amplitude)
-    traj = run(initial, system, grid, cfg.solver, tracked_wavevectors=tracked)
-    files = {"diagnostics": os.path.join(out, "diagnostics.csv"),
-             "rates": os.path.join(out, "rates.csv"),
-             "final_snapshot": os.path.join(out, "final.lfsnap")}
-    write_diagnostics_csv(files["diagnostics"], traj)
+    traj, files = _run_and_record(out, initial, system, grid, cfg.solver,
+                                  tracked_wavevectors=tracked)
+    files["rates"] = os.path.join(out, "rates.csv")
+    files["final_snapshot"] = os.path.join(out, "final.lfsnap")
     amps = traj.series[amp_label(best)]
     a0 = amps[0]
     try:
@@ -344,45 +388,38 @@ def _run_contractivity(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     if cfg.params.gamma0 < 0:
         raise ValueError("contractivity requires gamma0 >= 0 (the ordered "
                          "state is exponentially unstable for gamma0 < 0)")
-    os.makedirs(out, exist_ok=True)
     grid = cfg.make_grid()
     system = cfg.make_system()
     solver = cfg.solver
     if solver.diagnostics_interval is None:
         # trapezoidal identity quadrature wants the finest cadence
-        solver = SolverConfig(solver.dt, solver.t_end, solver.scheme,
-                              solver.snapshot_interval, solver.dt, solver.seed)
+        solver = replace(solver, diagnostics_interval=solver.dt)
     initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
                                       solver.seed)
-    traj = run(initial, system, grid, solver, linearized=True,
-               tracked_wavevectors=cfg.tracked_wavevectors)
+    traj, files = _run_and_record(out, initial, system, grid, solver,
+                                  linearized=True,
+                                  tracked_wavevectors=cfg.tracked_wavevectors)
     l2 = traj.series["l2_norm_sq"]
     growth = float(np.max(np.diff(l2)) / l2[0]) if len(l2) > 1 else 0.0
     identity = integrated_identity_residual(traj)
-    files = {"diagnostics": os.path.join(out, "diagnostics.csv")}
-    write_diagnostics_csv(files["diagnostics"], traj)
     checks = [_check("max_l2_increase_rel", growth, MONOTONE_SLACK),
               _check("integrated_identity_residual", identity, IDENTITY_TOL)]
     return _finish(cfg, out, checks, files)
 
 
 def _run_free(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    os.makedirs(out, exist_ok=True)
     grid = cfg.make_grid()
     system = cfg.make_system()
     solver = cfg.solver
     if solver.snapshot_interval is None:
         # about five snapshots, on the step cadence
         every = max(1, round(solver.t_end / solver.dt / 5.0))
-        solver = SolverConfig(solver.dt, solver.t_end, solver.scheme,
-                              every * solver.dt, solver.diagnostics_interval,
-                              solver.seed)
+        solver = replace(solver, snapshot_interval=every * solver.dt)
     initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
                                       solver.seed)
-    traj = run(initial, system, grid, solver, collect_snapshots=True,
-               tracked_wavevectors=cfg.tracked_wavevectors)
-    files = {"diagnostics": os.path.join(out, "diagnostics.csv")}
-    write_diagnostics_csv(files["diagnostics"], traj)
+    traj, files = _run_and_record(out, initial, system, grid, solver,
+                                  collect_snapshots=True,
+                                  tracked_wavevectors=cfg.tracked_wavevectors)
     for t, snap in zip(traj.snapshot_times, traj.snapshots):
         name = f"snap_{t:012.6f}.lfsnap"
         files[name] = os.path.join(out, name)

@@ -180,13 +180,15 @@ class BlowUpError(RuntimeError):
     failure (dt or N too coarse), never a model failure.
     """
 
-    def __init__(self, t: float, last_state: "SolverState | None" = None):
+    def __init__(self, t: float, last_state: "SolverState | None" = None,
+                 trajectory: "Trajectory | None" = None):
         super().__init__(
             f"solution lost finiteness at t={t:.6g}; the model is globally "
             "wellposed, so this is a numerical-resolution failure - reduce dt "
             "or increase the grid resolution")
         self.t = t
         self.last_state = last_state
+        self.trajectory = trajectory   # from `run`: the samples taken so far
 
 
 def _is_multiple(a: float, b: float) -> bool:
@@ -262,9 +264,6 @@ class Trajectory:
     snapshot_times: list[float] = field(default_factory=list)
     snapshots: list[np.ndarray] = field(default_factory=list)
     final: SolverState | None = None
-
-    def amp_label(self, k: Sequence[float]) -> str:
-        return amp_label(k)
 
 
 def amp_label(k: Sequence[float]) -> str:
@@ -522,14 +521,18 @@ def step(state: SolverState, config: SolverConfig, *, linearized: bool = False,
 # --------------------------------------------------------------------------
 
 class _SeriesRecorder:
-    """Accumulates the diagnostic series from half-spectrum states."""
+    """Accumulates the diagnostic series from half-spectrum states.
 
-    def __init__(self, stepper: Stepper, tracked: Sequence[Sequence[float]],
-                 linearized: bool):
+    `sample` is the one place the L2 budget terms of a state are computed:
+    the run series, `diagnostics.energy_budget` and both identity residuals
+    all take them from it.  Quartic and quadratic terms are sampled on the
+    Stepper's fine lattice; a linearized Stepper leaves out int u.N(u).
+    """
+
+    def __init__(self, stepper: Stepper, tracked: Sequence[Sequence[float]]):
         grid = stepper.grid
         self.stepper = stepper
         self.grid = grid
-        self.linearized = linearized
         self.vol = grid.volume
         self.w = grid.parseval_weight_half.reshape(-1)
         self.wksq = self.w * stepper.ksq_flat
@@ -537,13 +540,10 @@ class _SeriesRecorder:
         self.V = stepper.system.V
         self.has_V = bool(np.any(self.V))
         self.quad = stepper.system.quad_coeffs
-        self.has_quad = stepper.system.has_quadratic and not linearized
+        self.has_quad = stepper.system.has_quadratic and not stepper.linearized
         self.tracked = [tuple(float(c) for c in k) for k in tracked]
         self.amp_idx = [self._half_index(k) for k in self.tracked]
-        self.rows: dict[str, list[float]] = {key: [] for key in (
-            ["t", "l2_norm_sq", "l4_norm_4", "grad_norm_sq", "lap_norm_sq",
-             "div_residual", "m_form", "ordered_proj_sq", "n_inner", "f_inner"]
-            + [amp_label(k) for k in self.tracked])}
+        self.rows: list[dict[str, float]] = []
 
     def _half_index(self, k) -> tuple[int, ...]:
         m = [int(round(c / self.grid.dk)) for c in k]
@@ -555,12 +555,7 @@ class _SeriesRecorder:
     def sample(self, t: float, uh_flat: np.ndarray, forcing_half=None) -> None:
         st = self.stepper
         a2 = np.sum(np.abs(uh_flat) ** 2, axis=0)
-        l2 = self.vol * float(np.dot(self.w, a2))
-        grad = self.vol * float(np.dot(self.wksq, a2))
-        lap = self.vol * float(np.dot(self.wk4, a2))
         Mu = st.Mmat @ uh_flat
-        m_form = self.vol * float(np.dot(self.w, np.real(
-            np.sum(np.conj(uh_flat) * Mu, axis=0))))
         if self.has_V:
             vdot = np.einsum("a,am->m", self.V, uh_flat)
             proj = self.vol * float(np.dot(self.w, np.abs(vdot) ** 2))
@@ -568,12 +563,10 @@ class _SeriesRecorder:
             proj = 0.0
         div = np.abs(np.einsum("am,am->m", st.k_flat, uh_flat))
         denom = float(np.max(np.sqrt(a2)))
-        div_res = float(np.max(div) / denom) if denom > 0 else 0.0
 
         fine = st.fine_physical(uh_flat)
         s = np.einsum("im,im->m", fine, fine)
         s *= s
-        l4 = self.vol * float(np.mean(s))
         if self.has_quad:
             Narr = np.einsum("jki,jm,km->im", self.quad, fine, fine)
             n_inner = self.vol * float(np.mean(np.sum(fine * Narr, axis=0)))
@@ -584,22 +577,30 @@ class _SeriesRecorder:
                 np.sum(np.conj(uh_flat) * forcing_half, axis=0))))
         else:
             f_inner = 0.0
-
-        r = self.rows
-        r["t"].append(t)
-        r["l2_norm_sq"].append(l2)
-        r["l4_norm_4"].append(l4)
-        r["grad_norm_sq"].append(grad)
-        r["lap_norm_sq"].append(lap)
-        r["div_residual"].append(div_res)
-        r["m_form"].append(m_form)
-        r["ordered_proj_sq"].append(proj)
-        r["n_inner"].append(n_inner)
-        r["f_inner"].append(f_inner)
+        row = {
+            "t": t,
+            "l2_norm_sq": self.vol * float(np.dot(self.w, a2)),
+            "l4_norm_4": self.vol * float(np.mean(s)),
+            "grad_norm_sq": self.vol * float(np.dot(self.wksq, a2)),
+            "lap_norm_sq": self.vol * float(np.dot(self.wk4, a2)),
+            "div_residual": float(np.max(div) / denom) if denom > 0 else 0.0,
+            "m_form": self.vol * float(np.dot(self.w, np.real(
+                np.sum(np.conj(uh_flat) * Mu, axis=0)))),
+            "ordered_proj_sq": proj,
+            "n_inner": n_inner,
+            "f_inner": f_inner,
+        }
         uh = uh_flat.reshape((self.grid.dim,) + self.grid.half_shape)
         for k, idx in zip(self.tracked, self.amp_idx):
-            amp = float(np.sqrt(np.sum(np.abs(uh[(slice(None),) + idx]) ** 2)))
-            r[amp_label(k)].append(amp)
+            row[amp_label(k)] = float(
+                np.sqrt(np.sum(np.abs(uh[(slice(None),) + idx]) ** 2)))
+        self.rows.append(row)
+
+    def columns(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The sample times and one array per series, in sampling order."""
+        cols = {key: np.asarray([row[key] for row in self.rows])
+                for key in self.rows[0]}
+        return cols.pop("t"), cols
 
 
 def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
@@ -610,14 +611,15 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
 
     The initial field must be solenoidal (it is re-projected to clean off
     roundoff); forcing, when given, is projected as well.  Deterministic for
-    fixed inputs.  Raises BlowUpError carrying the last finite state.
+    fixed inputs.  Raises BlowUpError carrying the last finite state and the
+    trajectory sampled up to it.
     """
     if initial.divergence_residual() > 1e-8:
         raise ValueError("initial data is not solenoidal")
     stepper = Stepper(system, grid, config.dt, config.scheme,
                       linearized=linearized, forcing=forcing)
     uh = stepper.from_state(leray_initial(initial))
-    recorder = _SeriesRecorder(stepper, tracked_wavevectors, linearized)
+    recorder = _SeriesRecorder(stepper, tracked_wavevectors)
 
     nsteps = int(round(config.t_end / config.dt))
     diag_every = max(1, int(round(config.effective_diag_interval / config.dt)))
@@ -626,8 +628,7 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
         snap_every = max(1, int(round(config.snapshot_interval / config.dt)))
 
     traj = Trajectory(grid=grid, system=system, config=config,
-                      linearized=linearized,
-                      tracked=[tuple(float(c) for c in k) for k in tracked_wavevectors])
+                      linearized=linearized, tracked=recorder.tracked)
 
     def maybe_forcing(t):
         return stepper._forcing_half(t) if forcing is not None else None
@@ -647,7 +648,7 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
         if not np.all(np.isfinite(new.view(np.float64))):
             last = SolverState(t, stepper.to_state(uh), system, grid)
             _finalize(traj, recorder, last)
-            raise BlowUpError(t + config.dt, last)
+            raise BlowUpError(t + config.dt, last, traj)
         # two alternating output buffers: `new` stays valid through the next step
         uh = new
         t = (i + 1) * config.dt
@@ -663,9 +664,7 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
 
 
 def _finalize(traj: Trajectory, recorder: _SeriesRecorder, final: SolverState):
-    rows = recorder.rows
-    traj.times = np.asarray(rows.pop("t"))
-    traj.series = {key: np.asarray(vals) for key, vals in rows.items()}
+    traj.times, traj.series = recorder.columns()
     traj.final = final
 
 

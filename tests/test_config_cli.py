@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -308,6 +309,63 @@ solver.diagnostics_interval = 0.01
         assert "no usable linear-regime window" in capsys.readouterr().err
         path = out / "disordered_instability" / "diagnostics.csv"
         assert sum(1 for _ in open(path)) == 1 + 21
+
+    @pytest.mark.parametrize("name,t_end,needed", [
+        ("nonlinear_decay.cfg", "0.03", "the energy residual needs at least 5"),
+        ("dispersion.cfg", "0.05", "a growth fit needs at least 10")])
+    def test_too_few_samples_rejected_before_stepping(
+            self, tmp_path, capsys, monkeypatch, name, t_end, needed):
+        def no_stepper(*args, **kwargs):
+            raise AssertionError("a Stepper was built")
+
+        monkeypatch.setattr(Stepper, "__init__", no_stepper)
+        out = tmp_path / "o"
+        assert main(["run", os.path.join(CONFIGS, name), "--out", str(out),
+                     "--override", f"solver.t_end={t_end}",
+                     "--override", "solver.diagnostics_interval=0.01"]) == 3
+        assert needed in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dispersion_measure_too_few_samples_rejected_before_stepping(
+            self, capsys, monkeypatch):
+        def no_stepper(*args, **kwargs):
+            raise AssertionError("a Stepper was built")
+
+        monkeypatch.setattr(Stepper, "__init__", no_stepper)
+        code = main(["dispersion", "--gamma0", "-1", "--alpha", "0.1",
+                     "--measure", "--t-end", "0.05", "--dt", "0.01"])
+        assert code == 3
+        assert "gives 2 samples" in capsys.readouterr().err
+
+    def test_exactly_five_samples_still_run(self, tmp_path, capsys):
+        assert main(["run", os.path.join(CONFIGS, "nonlinear_decay.cfg"),
+                     "--out", str(tmp_path / "o"),
+                     "--override", "solver.t_end=0.04",
+                     "--override", "solver.diagnostics_interval=0.01"]) == 0
+        path = tmp_path / "o" / "nonlinear_decay" / "diagnostics.csv"
+        assert sum(1 for _ in open(path)) == 1 + 5
+
+    def test_blow_up_writes_the_samples_taken_before_it(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "o"
+        with pytest.warns(RuntimeWarning):
+            code = main(["run", os.path.join(CONFIGS, "free_run.cfg"),
+                         "--out", str(out),
+                         "--override", "solver.dt=0.5",
+                         "--override", "solver.t_end=50",
+                         "--override", "solver.diagnostics_interval=0.5",
+                         "--override", "perturbation.amplitude=10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        t_blow = float(err.split("lost finiteness at t=")[1].split(";")[0])
+        path = out / "free_run" / "diagnostics.csv"
+        assert str(path) in err
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        times = [float(row[0]) for row in rows[1:]]
+        # one sample every 0.5 from t = 0 up to the last finite state
+        assert times == [0.5 * i for i in range(round(t_blow / 0.5))]
+        assert len(times) >= 2
 
     def test_free_run_default_snapshots_on_step_cadence(self, tmp_path):
         # 12 steps: t_end / 5 is no whole number of steps, so the default

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from lfsim.model import ModelParams, StateKind, make_disordered_system, \
     make_ordered_system
-from lfsim.spectral import SpectralGrid, forward, l2_norm_sq
+from lfsim.spectral import SpectralGrid, forward, l2_norm_sq, zero_nyquist
 from lfsim.integrate import (SolverConfig, SolverState, run,
                              random_solenoidal_field, single_mode_field)
 from lfsim.diagnostics import (DECAY_TOLERANCE_FACTOR, NonPositiveAmplitudeError,
@@ -73,6 +74,37 @@ class TestEnergyBudget:
         expect = 2.0 * p.beta * vsq * 2.0 * kin
         assert abs(b2.ordered_projection - expect) <= 1e-12 * expect
         assert abs(b2.landau_linear - b2.ordered_projection) <= 1e-12 * expect
+
+
+    @pytest.mark.parametrize("dim,n,ordered", [(2, 32, True), (3, 8, False)])
+    def test_equals_the_last_sample_of_the_run(self, dim, n, ordered):
+        # one per-state computation: the budget of the final state is the
+        # run's last sample, bit for bit
+        if ordered:
+            sys = make_ordered_system(params(alpha=-1.0, gamma0=-0.5, dim=dim))
+        else:
+            sys = make_disordered_system(params(alpha=0.5, gamma0=1.0, dim=dim))
+        grid = SpectralGrid(dim, n, 20.0 * np.pi if dim == 2 else 2.0 * np.pi)
+        u0 = random_solenoidal_field(grid, 0.1, 0.5 if dim == 2 else 2.0, 3)
+        cfg = SolverConfig(dt=1e-2, t_end=0.5, diagnostics_interval=0.1)
+        traj = run(u0, sys, grid, cfg)
+        got = energy_budget(traj.final)
+        want = budget_series(traj)[-1]
+        for name in ("kinetic", "dissipation_bilap", "dissipation_lap",
+                     "landau_linear", "landau_quartic", "ordered_projection"):
+            assert getattr(got, name) == getattr(want, name), name
+
+    def test_nyquist_modes_are_not_measured(self, grid32):
+        sys = make_ordered_system(params(alpha=-1.0, beta=2.0), [1.0, 0.0])
+        rng = np.random.default_rng(5)
+        f = forward(grid32, rng.standard_normal((2, 32, 32)))
+        assert np.any(f.coeffs[:, 16, :]) and np.any(f.coeffs[:, :, 16])
+        clean = f.copy()
+        zero_nyquist(grid32, clean.coeffs)
+        got = dataclasses.astuple(energy_budget(SolverState(0.5, f, sys, grid32)))
+        want = dataclasses.astuple(
+            energy_budget(SolverState(0.5, clean, sys, grid32)))
+        assert got[:-1] == want[:-1]
 
 
 class TestFd4:
