@@ -16,10 +16,12 @@ __all__ = ["leray", "stage_combine", "etdrk4_final", "assemble_rhs",
 
 
 def leray(u, k, ksq):
-    """In place: u -= k (k.u)/|k|^2, skipping the k = 0 mode."""
-    safe = np.where(ksq > 0.0, ksq, 1.0)
+    """In place: u -= k (k.u)/|k|^2, skipping the k = 0 mode.  A complex
+    k, as the `Tendency` holds it, spares a cast of k on every call."""
     kdotu = np.einsum("am,am->m", k, u)
-    u -= k * (np.where(ksq > 0.0, kdotu, 0.0) / safe)
+    c = np.where(ksq > 0.0, kdotu, 0.0) / np.where(ksq > 0.0, ksq, 1.0)
+    for ka, ua in zip(k, u):
+        ua -= ka * c
     return u
 
 

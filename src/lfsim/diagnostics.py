@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, StateKind
-from .integrate import (FineLattice, SolverState, Stepper, Trajectory,
-                        _SeriesRecorder, _u_grad_samples)
+from .integrate import (FineLattice, SolverState, Tendency, Trajectory,
+                        _SeriesRecorder)
 from .spectral import SpectralField, SpectralGrid, to_half, zero_nyquist
 
 __all__ = [
@@ -87,10 +87,9 @@ def energy_budget(state: SolverState) -> EnergyBudget:
     dropped), by the same per-sample computation as `run`.  The residual
     needs a time series and is NaN here; see `budget_series`.
     """
-    # dt only sets step coefficients that are never used here
-    stepper = Stepper(state.system, state.grid, dt=1e-9, linearized=True)
-    recorder = _SeriesRecorder(stepper, ())
-    recorder.sample(state.t, stepper.from_state(state.u_hat))
+    tendency = Tendency(state.system, state.grid, linearized=True)
+    recorder = _SeriesRecorder(tendency, ())
+    recorder.sample(state.t, tendency.from_state(state.u_hat))
     times, series = recorder.columns()
     return _budgets(state.system.params, times, series, [math.nan])[0]
 
@@ -254,8 +253,13 @@ def advection_skew_inner(grid: SpectralGrid, field: SpectralField,
                          V: np.ndarray | None = None) -> float:
     """<((u+V).grad)u, u> on the dealiased lattice; zero up to roundoff
     for solenoidal u (this is what removes advection from the budget)."""
-    V = np.zeros(grid.dim) if V is None else np.asarray(V, dtype=float)
-    _, uf, gf = _u_grad_samples(grid, field.coeffs)
+    d = grid.dim
+    V = np.zeros(d) if V is None else np.asarray(V, dtype=float)
+    uh = zero_nyquist(grid, to_half(grid, field.coeffs))
+    grads = 1j * grid.k_deriv_half[:, None] * uh   # [a, i]: d_a u_i
+    fine = FineLattice(grid, d + d * d).samples(
+        uh, grads.reshape((d * d,) + grid.half_shape))
+    uf, gf = fine[:d], fine[d:].reshape(d, d, -1)
     w = np.einsum("am,aim->im", uf + V[:, None], gf)
     return grid.volume * float(np.mean(np.sum(w * uf, axis=0)))
 

@@ -1,21 +1,22 @@
 """Time integration of the transformed system in Fourier space.
 
-The stiff diagonal part Gamma2|k|^4 + Gamma0|k|^2 is treated exactly through
-the ETDRK4 integrating factor (Cox & Matthews 2002, with the coefficient
-evaluation of Kassam & Trefethen 2005: Taylor series near z = 0, direct
-formulas elsewhere).  Everything else is explicit: the zeroth-order matrix M,
-the constant drift i*lambda0*(V.k), the dealiased quadratic/cubic products,
-and the optional forcing.  Every tendency is Leray-projected, and the state
-is re-projected after each step, so solenoidality holds to roundoff.
+A `Tendency` is the explicit, Leray-projected part of the right-hand side:
+the zeroth-order matrix M, the drift i*lambda0*(V.k), the dealiased
+quadratic/cubic products and the optional forcing; one-state callers build
+only that.  A `Stepper` is a `Tendency` plus its step coefficients: the stiff
+diagonal Gamma2|k|^4 + Gamma0|k|^2 is treated exactly through the ETDRK4
+integrating factor (Cox & Matthews 2002; Kassam & Trefethen 2005: Taylor
+series near z = 0, direct formulas elsewhere), or by IMEX Euler for
+cross-checks, and the state is re-projected after each step.  `run` stops at
+the first non-finite state or diagnostic sample.
 
 Products are evaluated on a factor-2 zero-padded lattice (exact for both
 quadratic and cubic terms).  Quadratic advection is computed in rotational
 form -u x (curl u); its Leray projection equals that of the convective form
-exactly under these padded products.  States evolve in the Nyquist-free band
-(the unpaired m = N/2 slot stays zero), which removes the sign ambiguity of
-odd derivatives on that mode.
-
-A first-order IMEX Euler scheme is included for cross-checks.
+exactly under these padded products, and `recover_pressure` adds back the
+difference, the gradient of lambda0 |u|^2/2.  States evolve in the
+Nyquist-free band (the unpaired m = N/2 slot stays zero), which removes the
+sign ambiguity of odd derivatives on that mode.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     from_half,
+    leray_project,
     project_coeffs,
     to_half,
     zero_nyquist,
@@ -173,7 +175,7 @@ class FineLattice:
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite coefficients encountered.
+    """Non-finite coefficients or diagnostics encountered.
 
     The continuous model has global-in-time solutions for any parameters with
     gamma2, beta > 0, so a blow-up always indicates a numerical-resolution
@@ -303,80 +305,53 @@ def _phi(z: np.ndarray, j: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Stepper
+# Tendency and Stepper
 # --------------------------------------------------------------------------
 
-class Stepper:
-    """ETDRK4 / IMEX-Euler stepper operating on half-spectrum flat arrays.
+class Tendency:
+    """The explicit tendency, with its fine lattice and buffers, on the rfft
+    half-spectrum flattened to (dim, n_modes); `to_state`/`from_state`
+    convert to the public full-lattice SpectralField."""
 
-    The internal state layout is the rfft half-spectrum flattened to
-    (dim, n_modes); `to_state`/`from_state` convert to the public
-    full-lattice SpectralField.
-    """
-
-    def __init__(self, system: TransformedSystem, grid: SpectralGrid, dt: float,
-                 scheme: str = "etdrk4", linearized: bool = False,
+    def __init__(self, system: TransformedSystem, grid: SpectralGrid,
+                 linearized: bool = False,
                  forcing: Callable[[float], SpectralField] | None = None):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
         if system.params.dim != grid.dim:
             raise ValueError("system and grid dimensions disagree")
         self.system = system
         self.grid = grid
-        self.dt = float(dt)
-        self.scheme = scheme
         self.linearized = bool(linearized)
         self.forcing = forcing
 
         p = system.params
         d = grid.dim
-        n = grid.n
         self.half_shape = grid.half_shape
         self.n_modes = int(np.prod(self.half_shape))
         M = self.n_modes
 
-        self.k_flat = np.ascontiguousarray(grid.k_half.reshape(d, M))
+        # complex, as every product with the complex states casts it anyway
+        self.k_flat = grid.k_half.reshape(d, M).astype(np.complex128)
         self.ksq_flat = np.ascontiguousarray(grid.ksq_half.reshape(M))
         kd_flat = grid.k_deriv_half.reshape(d, M)
         self.kv = np.ascontiguousarray(
             p.lambda0 * np.einsum("a,am->m", system.V, kd_flat))
         self.Mmat = np.ascontiguousarray(system.M)
 
-        lin = p.gamma2 * self.ksq_flat**2 + p.gamma0 * self.ksq_flat
-        max_band_growth = float(max(0.0, np.max(-lin)))
-        if self.dt * max_band_growth > 0.1:
-            warnings.warn(
-                f"dt * max linear growth = {self.dt * max_band_growth:.3g} "
-                "> 0.1; the integrating factor amplifies band modes strongly "
-                "per step - consider a smaller dt", RuntimeWarning,
-                stacklevel=2)
-        z = -self.dt * lin
-        self.E = np.exp(z)
-        self.E2 = np.exp(0.5 * z)
-        self.Q = self.dt * 0.5 * _phi(0.5 * z, 1)
-        self.f1 = self.dt * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3))
-        self.f2 = self.dt * (_phi(z, 2) - 2.0 * _phi(z, 3))
-        self.f3 = self.dt * (4.0 * _phi(z, 3) - _phi(z, 2))
-        self.imex_div = 1.0 / (1.0 + self.dt * lin)
-
         # dealiased products on the fine lattice: u and curl u in, G out.  A
-        # linearized stepper samples u there (`fine_physical`) but forms no
+        # linearized tendency samples u there (`fine_physical`) but forms no
         # products: no curl rows, no product buffers.  The Nyquist slots of
         # _G_half stay zero.
         if self.linearized:
             self._lattice = FineLattice(grid, d)
         else:
-            self._lattice = FineLattice(grid, d + (1 if d == 2 else 3), d)
+            curl_rows = 1 if d == 2 else 3
+            self._lattice = FineLattice(grid, d + curl_rows, d)
+            self._curl = np.empty((curl_rows,) + self.half_shape, np.complex128)
             self._G_half = np.zeros((d,) + self.half_shape, np.complex128)
             self._G_flat = self._G_half.reshape(d, M)
-            self._Gp = np.empty((d, (2 * n)**d))
+            self._Gp = np.empty((d, (2 * grid.n)**d))
         self._quad = np.ascontiguousarray(system.quad_coeffs)
         self._has_quad = system.has_quadratic and not self.linearized
-
-        self._rhs_bufs = [np.empty((d, M), np.complex128) for _ in range(4)]
-        self._stage_bufs = [np.empty((d, M), np.complex128) for _ in range(3)]
-        self._out_bufs = [np.empty((d, M), np.complex128) for _ in range(2)]
-        self._out_ix = 0
 
     # -- state conversion ---------------------------------------------------
 
@@ -398,18 +373,17 @@ class Stepper:
 
     def _curl_half(self, uh: np.ndarray) -> np.ndarray:
         kd = self.grid.k_deriv_half
-        if self.grid.dim == 2:
-            return (1j * (kd[0] * uh[1] - kd[1] * uh[0]))[None]
-        return np.stack([
-            1j * (kd[1] * uh[2] - kd[2] * uh[1]),
-            1j * (kd[2] * uh[0] - kd[0] * uh[2]),
-            1j * (kd[0] * uh[1] - kd[1] * uh[0]),
-        ])
+        pairs = [(0, 1)] if self.grid.dim == 2 else [(1, 2), (2, 0), (0, 1)]
+        for row, (a, b) in zip(self._curl, pairs):
+            np.multiply(kd[a], uh[b], out=row)
+            row -= kd[b] * uh[a]
+        self._curl *= 1j
+        return self._curl
 
     def fine_physical(self, uh_flat: np.ndarray) -> np.ndarray:
         """Physical samples of u on the factor-2 lattice, shape (dim, nf^dim).
 
-        Returns a view into a buffer the Stepper owns; the next `rhs`,
+        Returns a view into a buffer the tendency owns; the next `rhs`,
         `step` or `fine_physical` call overwrites it.
         """
         return self._lattice.samples(
@@ -427,7 +401,7 @@ class Stepper:
         self._lattice.band(self._Gp, self._G_half)
         return self._G_flat
 
-    # -- tendency and steps ---------------------------------------------------
+    # -- tendency -------------------------------------------------------------
 
     def rhs(self, uh_flat: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """Explicit tendency -P[lam0 (u.grad)u + M u + beta|u|^2 u - N(u)]
@@ -445,15 +419,54 @@ class Stepper:
         coeffs = zero_nyquist(self.grid, project_coeffs(self.grid, coeffs))
         return to_half(self.grid, coeffs).reshape(self.grid.dim, self.n_modes)
 
+
+class Stepper(Tendency):
+    """A `Tendency` with its ETDRK4 / IMEX-Euler step coefficients."""
+
+    def __init__(self, system: TransformedSystem, grid: SpectralGrid, dt: float,
+                 scheme: str = "etdrk4", linearized: bool = False,
+                 forcing: Callable[[float], SpectralField] | None = None):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        super().__init__(system, grid, linearized, forcing)
+        self.dt = float(dt)
+        self.scheme = scheme
+
+        p = system.params
+        lin = p.gamma2 * self.ksq_flat**2 + p.gamma0 * self.ksq_flat
+        max_band_growth = float(max(0.0, np.max(-lin)))
+        if self.dt * max_band_growth > 0.1:
+            warnings.warn(
+                f"dt * max linear growth = {self.dt * max_band_growth:.3g} "
+                "> 0.1; the integrating factor amplifies band modes strongly "
+                "per step - consider a smaller dt", RuntimeWarning,
+                stacklevel=2)
+        z = -self.dt * lin
+        self.E = np.exp(z)
+        self.E2 = np.exp(0.5 * z)
+        self.Q = self.dt * 0.5 * _phi(0.5 * z, 1)
+        self.f1 = self.dt * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3))
+        self.f2 = self.dt * (_phi(z, 2) - 2.0 * _phi(z, 3))
+        self.f3 = self.dt * (4.0 * _phi(z, 3) - _phi(z, 2))
+        self.imex_div = 1.0 / (1.0 + self.dt * lin)
+
+        shape = (grid.dim, self.n_modes)
+        self._rhs_bufs = [np.empty(shape, np.complex128) for _ in range(4)]
+        self._stage_bufs = [np.empty(shape, np.complex128) for _ in range(3)]
+        self._out_bufs = [np.empty(shape, np.complex128) for _ in range(2)]
+        self._out_ix = 0
+
     def step(self, uh_flat: np.ndarray, t: float) -> np.ndarray:
+        out = self._out_bufs[self._out_ix]
+        self._out_ix ^= 1
         if self.scheme == "etdrk4":
-            out = self._step_etdrk4(uh_flat, t)
+            self._step_etdrk4(uh_flat, t, out)
         else:
-            out = self._step_imex(uh_flat, t)
+            self._step_imex(uh_flat, t, out)
         _kernels.leray(out, self.k_flat, self.ksq_flat)
         return out
 
-    def _step_etdrk4(self, u: np.ndarray, t: float) -> np.ndarray:
+    def _step_etdrk4(self, u: np.ndarray, t: float, out: np.ndarray) -> None:
         h = self.dt
         N0, Na, Nb, Nc = self._rhs_bufs
         A, B, C = self._stage_bufs
@@ -465,19 +478,12 @@ class Stepper:
         np.subtract(2.0 * Nb, N0, out=Nc)  # Nc reused as scratch for 2*Nb - N0
         _kernels.stage_combine(self.E2, A, self.Q, Nc, C)
         self.rhs(C, t + h, Nc)
-        out = self._out_bufs[self._out_ix]
-        self._out_ix ^= 1
         _kernels.etdrk4_final(self.E, u, self.f1, N0, self.f2, Na, Nb,
                               self.f3, Nc, out)
-        return out
 
-    def _step_imex(self, u: np.ndarray, t: float) -> np.ndarray:
-        N0 = self._rhs_bufs[0]
-        self.rhs(u, t, N0)
-        out = self._out_bufs[self._out_ix]
-        self._out_ix ^= 1
+    def _step_imex(self, u: np.ndarray, t: float, out: np.ndarray) -> None:
+        N0 = self.rhs(u, t, self._rhs_bufs[0])
         np.multiply(self.imex_div, u + self.dt * N0, out=out)
-        return out
 
 
 def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
@@ -493,13 +499,9 @@ def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
     """
     if not np.all(np.isfinite(state.u_hat.coeffs.view(np.float64))):
         raise BlowUpError(state.t, state)
-    # dt is irrelevant for the tendency itself; keep it tiny so the
-    # coefficient precomputation never trips the step-size warning
-    stepper = Stepper(state.system, state.grid, dt=1e-9, linearized=linearized,
-                      forcing=forcing)
-    uh = stepper.from_state(state.u_hat)
-    out = stepper.rhs(uh, state.t, stepper._rhs_bufs[0])
-    return stepper.to_state(out)
+    tendency = Tendency(state.system, state.grid, linearized, forcing)
+    uh = tendency.from_state(state.u_hat)
+    return tendency.to_state(tendency.rhs(uh, state.t, np.empty_like(uh)))
 
 
 def step(state: SolverState, config: SolverConfig, *, linearized: bool = False,
@@ -526,21 +528,18 @@ class _SeriesRecorder:
     `sample` is the one place the L2 budget terms of a state are computed:
     the run series, `diagnostics.energy_budget` and both identity residuals
     all take them from it.  Quartic and quadratic terms are sampled on the
-    Stepper's fine lattice; a linearized Stepper leaves out int u.N(u).
+    tendency's fine lattice; a linearized tendency leaves out int u.N(u).
     """
 
-    def __init__(self, stepper: Stepper, tracked: Sequence[Sequence[float]]):
-        grid = stepper.grid
-        self.stepper = stepper
+    def __init__(self, tendency: Tendency, tracked: Sequence[Sequence[float]]):
+        grid = tendency.grid
+        self.tendency = tendency
         self.grid = grid
         self.vol = grid.volume
         self.w = grid.parseval_weight_half.reshape(-1)
-        self.wksq = self.w * stepper.ksq_flat
-        self.wk4 = self.wksq * stepper.ksq_flat
-        self.V = stepper.system.V
-        self.has_V = bool(np.any(self.V))
-        self.quad = stepper.system.quad_coeffs
-        self.has_quad = stepper.system.has_quadratic and not stepper.linearized
+        self.wksq = self.w * tendency.ksq_flat
+        self.wk4 = self.wksq * tendency.ksq_flat
+        self.V = tendency.system.V
         self.tracked = [tuple(float(c) for c in k) for k in tracked]
         self.amp_idx = [self._half_index(k) for k in self.tracked]
         self.rows: list[dict[str, float]] = []
@@ -552,11 +551,12 @@ class _SeriesRecorder:
             m = [-c for c in m]  # conjugate partner, same amplitude
         return tuple(mi % self.grid.n for mi in m[:-1]) + (m[-1],)
 
-    def sample(self, t: float, uh_flat: np.ndarray, forcing_half=None) -> None:
-        st = self.stepper
+    def sample(self, t: float, uh_flat: np.ndarray) -> bool:
+        """Record the row of the state at time t; True if it is all finite."""
+        st = self.tendency
         a2 = np.sum(np.abs(uh_flat) ** 2, axis=0)
         Mu = st.Mmat @ uh_flat
-        if self.has_V:
+        if np.any(self.V):
             vdot = np.einsum("a,am->m", self.V, uh_flat)
             proj = self.vol * float(np.dot(self.w, np.abs(vdot) ** 2))
         else:
@@ -567,14 +567,14 @@ class _SeriesRecorder:
         fine = st.fine_physical(uh_flat)
         s = np.einsum("im,im->m", fine, fine)
         s *= s
-        if self.has_quad:
-            Narr = np.einsum("jki,jm,km->im", self.quad, fine, fine)
+        if st._has_quad:
+            Narr = np.einsum("jki,jm,km->im", st._quad, fine, fine)
             n_inner = self.vol * float(np.mean(np.sum(fine * Narr, axis=0)))
         else:
             n_inner = 0.0
-        if forcing_half is not None:
+        if st.forcing is not None:
             f_inner = self.vol * float(np.dot(self.w, np.real(
-                np.sum(np.conj(uh_flat) * forcing_half, axis=0))))
+                np.sum(np.conj(uh_flat) * st._forcing_half(t), axis=0))))
         else:
             f_inner = 0.0
         row = {
@@ -595,9 +595,12 @@ class _SeriesRecorder:
             row[amp_label(k)] = float(
                 np.sqrt(np.sum(np.abs(uh[(slice(None),) + idx]) ** 2)))
         self.rows.append(row)
+        return all(map(math.isfinite, row.values()))
 
     def columns(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """The sample times and one array per series, in sampling order."""
+        if not self.rows:
+            return np.empty(0), {}
         cols = {key: np.asarray([row[key] for row in self.rows])
                 for key in self.rows[0]}
         return cols.pop("t"), cols
@@ -611,14 +614,15 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
 
     The initial field must be solenoidal (it is re-projected to clean off
     roundoff); forcing, when given, is projected as well.  Deterministic for
-    fixed inputs.  Raises BlowUpError carrying the last finite state and the
-    trajectory sampled up to it.
+    fixed inputs.  A step to non-finite coefficients, or a sample with a
+    non-finite value (not recorded), raises BlowUpError carrying the last
+    state with finite coefficients and the trajectory sampled up to it.
     """
     if initial.divergence_residual() > 1e-8:
         raise ValueError("initial data is not solenoidal")
     stepper = Stepper(system, grid, config.dt, config.scheme,
                       linearized=linearized, forcing=forcing)
-    uh = stepper.from_state(leray_initial(initial))
+    uh = stepper.from_state(leray_project(initial))
     recorder = _SeriesRecorder(stepper, tracked_wavevectors)
 
     nsteps = int(round(config.t_end / config.dt))
@@ -630,49 +634,42 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
     traj = Trajectory(grid=grid, system=system, config=config,
                       linearized=linearized, tracked=recorder.tracked)
 
-    def maybe_forcing(t):
-        return stepper._forcing_half(t) if forcing is not None else None
+    def finalize(t, uh_flat):
+        traj.final = SolverState(t, stepper.to_state(uh_flat), system, grid)
+        traj.times, traj.series = recorder.columns()
+        return traj
+
+    def blow_up(t_fail, t, uh_flat):
+        raise BlowUpError(t_fail, finalize(t, uh_flat).final, traj)
+
+    def sample(t, uh_flat):
+        if not recorder.sample(t, uh_flat):
+            recorder.rows.pop()   # a non-finite sample is not recorded
+            blow_up(t, t, uh_flat)
 
     def snapshot(t, uh_flat):
         traj.snapshot_times.append(t)
         traj.snapshots.append(stepper.physical(uh_flat))
 
-    recorder.sample(0.0, uh, maybe_forcing(0.0))
-    if collect_snapshots and snap_every is not None:
-        snapshot(0.0, uh)
+    # overflow on the way to a blow-up is caught by the finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample(0.0, uh)
+        if collect_snapshots and snap_every is not None:
+            snapshot(0.0, uh)
+        for i in range(nsteps):
+            t = i * config.dt
+            new = stepper.step(uh, t)
+            if not np.all(np.isfinite(new.view(np.float64))):
+                blow_up(t + config.dt, t, uh)
+            uh = new   # one of two alternating buffers: valid for a step
+            t = (i + 1) * config.dt
+            if (i + 1) % diag_every == 0 or (i + 1) == nsteps:
+                sample(t, uh)
+            if collect_snapshots and snap_every is not None and (
+                    (i + 1) % snap_every == 0 or (i + 1) == nsteps):
+                snapshot(t, uh)
 
-    t = 0.0
-    for i in range(nsteps):
-        t = i * config.dt
-        new = stepper.step(uh, t)
-        if not np.all(np.isfinite(new.view(np.float64))):
-            last = SolverState(t, stepper.to_state(uh), system, grid)
-            _finalize(traj, recorder, last)
-            raise BlowUpError(t + config.dt, last, traj)
-        # two alternating output buffers: `new` stays valid through the next step
-        uh = new
-        t = (i + 1) * config.dt
-        if (i + 1) % diag_every == 0 or (i + 1) == nsteps:
-            recorder.sample(t, uh, maybe_forcing(t))
-        if collect_snapshots and snap_every is not None and (
-                (i + 1) % snap_every == 0 or (i + 1) == nsteps):
-            snapshot(t, uh)
-
-    final = SolverState(nsteps * config.dt, stepper.to_state(uh), system, grid)
-    _finalize(traj, recorder, final)
-    return traj
-
-
-def _finalize(traj: Trajectory, recorder: _SeriesRecorder, final: SolverState):
-    traj.times, traj.series = recorder.columns()
-    traj.final = final
-
-
-def leray_initial(field: SpectralField) -> SpectralField:
-    out = field.copy()
-    out.coeffs = project_coeffs(out.grid, out.coeffs)
-    zero_nyquist(out.grid, out.coeffs)
-    return out
+    return finalize(nsteps * config.dt, uh)
 
 
 # --------------------------------------------------------------------------
@@ -736,45 +733,37 @@ class PressureFields:
     p: np.ndarray | None        # physical pressure q + lambda1 |v|^2
 
 
-def _u_grad_samples(grid: SpectralGrid, coeffs: np.ndarray, out_rows: int = 0
-                    ) -> tuple[FineLattice, np.ndarray, np.ndarray]:
-    """Factor-2 lattice samples of u, shape (dim, nf^dim), and of grad u,
-    gf[a, i] = d_a u_i, from full-lattice coefficients (Nyquist dropped),
-    both from one inverse on a new lattice that is returned with them."""
-    d = grid.dim
-    uh = zero_nyquist(grid, to_half(grid, coeffs))
-    grads = 1j * grid.k_deriv_half[:, None] * uh
-    lattice = FineLattice(grid, d + d * d, out_rows)
-    fine = lattice.samples(uh, grads.reshape((d * d,) + grid.half_shape))
-    return lattice, fine[:d], fine[d:].reshape(d, d, -1)
-
-
 def recover_pressure(state: SolverState, with_physical_pressure: bool = True
                      ) -> PressureFields:
     """grad q = -(I-P)[lam0 (u.grad)u + (M + beta|u|^2)u - N(u)].
 
-    Products are dealiased on the factor-2 lattice; q is gauge-fixed to mean
-    zero, and p = q + lambda1 |v|^2 with v = u + V when requested.
+    The bracket is the tendency's, with rotational advection; since
+    (u.grad)u = grad(|u|^2/2) - u x curl u, q = q_rot - lam0 |u|^2/2.  q has
+    mean zero, and p = q + lambda1 |v|^2 with v = u + V when requested.
     """
     grid, system = state.grid, state.system
     p = system.params
     d = grid.dim
-    lattice, uf, gf = _u_grad_samples(grid, state.u_hat.coeffs, d)
-    s = np.einsum("im,im->m", uf, uf)
-    bracket = p.lambda0 * np.einsum("am,aim->im", uf, gf) + system.M @ uf \
-        + p.beta * s * uf - np.einsum("jki,jm,km->im", system.quad_coeffs, uf, uf)
-    B = lattice.band(bracket, np.zeros((d,) + grid.half_shape, np.complex128))
+    tendency = Tendency(system, grid)
+    uh = tendency.from_state(state.u_hat)
+    B = (tendency._nonlinear_G(uh) + tendency.Mmat @ uh).reshape(
+        (d,) + grid.half_shape)
 
-    # grad q = -(I-P)B = -k (k.B)/|k|^2, so q = i (k.B)/|k|^2 (zero at k = 0)
-    k = grid.k_half
-    kB = np.einsum("a...,a...->...", k, B) / np.where(
-        grid.ksq_half == 0.0, 1.0, grid.ksq_half)
-    halves = [-k * kB, 1j * kB[None]]
+    uf = tendency.fine_physical(uh)
+    squares = [0.5 * np.einsum("im,im->m", uf, uf)]
     if with_physical_pressure:
         v = uf + system.V[:, None]
-        halves.append(lattice.band(np.einsum("im,im->m", v, v)[None],
-                                   np.zeros_like(B[:1])))
-    phys = _irfft_spatial(np.concatenate(halves), grid.n, d, grid.n // 2)
+        squares.append(np.einsum("im,im->m", v, v))
+    S = tendency._lattice.band(np.stack(squares),
+                               np.zeros_like(B[:len(squares)]))
+    S[(0,) * (d + 1)] = 0.0   # the mean of |u|^2/2 is no gradient
+
+    # q_rot = i (k.B)/|k|^2 solves grad q_rot = -(I-P)B (zero at k = 0)
+    k = grid.k_half
+    q = 1j * np.einsum("a...,a...->...", k, B) / np.where(
+        grid.ksq_half == 0.0, 1.0, grid.ksq_half) - p.lambda0 * S[0]
+    phys = _irfft_spatial(np.concatenate([1j * k * q, q[None], S[1:]]),
+                          grid.n, d, grid.n // 2)
     q = phys[d]
     p_phys = q + p.lambda1 * phys[d + 1] if with_physical_pressure else None
     return PressureFields(grad_q=phys[:d], q=q, p=p_phys)

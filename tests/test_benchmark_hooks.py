@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,3 +46,8 @@ def test_launcher_runs_the_workload(tmp_path, traced):
     assert "RESULT ordered_contractivity: PASS" in proc.stdout
     assert (tmp_path / "marks.json").exists()
     assert (tmp_path / "spans.npz").exists() == traced
+    if traced:
+        # the Stepper's inherited tendency methods are traced on the Stepper
+        names = set(np.load(tmp_path / "spans.npz")["names"])
+        assert {"integrate.stepper_init", "integrate.rhs",
+                "integrate.fine_physical"} <= names

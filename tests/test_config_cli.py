@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -345,27 +346,41 @@ solver.diagnostics_interval = 0.01
         path = tmp_path / "o" / "nonlinear_decay" / "diagnostics.csv"
         assert sum(1 for _ in open(path)) == 1 + 5
 
+    @pytest.mark.parametrize("amplitude,t_blow", [("10", 0.5), ("1", 1.5)],
+                             ids=["amplitude10", "amplitude1"])
     def test_blow_up_writes_the_samples_taken_before_it(self, tmp_path,
-                                                          capsys):
+                                                          capsys, amplitude,
+                                                          t_blow):
+        # at amplitude 10 the state at t = 0.5 is finite but its L4 norm
+        # overflows; at amplitude 1 the step to t = 1.5 overflows
         out = tmp_path / "o"
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["run", os.path.join(CONFIGS, "free_run.cfg"),
                          "--out", str(out),
                          "--override", "solver.dt=0.5",
                          "--override", "solver.t_end=50",
                          "--override", "solver.diagnostics_interval=0.5",
-                         "--override", "perturbation.amplitude=10"])
+                         "--override", f"perturbation.amplitude={amplitude}"])
         assert code == 2
+        messages = [str(w.message) for w in caught]
+        assert any("dt * max linear growth" in m for m in messages)
+        assert not [m for m in messages
+                    if "overflow" in m or "invalid value" in m], messages
         err = capsys.readouterr().err
-        t_blow = float(err.split("lost finiteness at t=")[1].split(";")[0])
+        assert float(err.split("lost finiteness at t=")[1].split(";")[0]) \
+            == t_blow
         path = out / "free_run" / "diagnostics.csv"
         assert str(path) in err
         with open(path) as fh:
-            rows = list(csv.reader(fh))
-        times = [float(row[0]) for row in rows[1:]]
-        # one sample every 0.5 from t = 0 up to the last finite state
+            header, *rows = list(csv.reader(fh))
+        times = [float(row[0]) for row in rows]
+        # one sample every 0.5 from t = 0 up to the last finite sample
         assert times == [0.5 * i for i in range(round(t_blow / 0.5))]
-        assert len(times) >= 2
+        measured = [i for i, name in enumerate(header)
+                    if name != "energy_residual"]
+        assert all(math.isfinite(float(row[i]))
+                   for row in rows for i in measured)
 
     def test_free_run_default_snapshots_on_step_cadence(self, tmp_path):
         # 12 steps: t_end / 5 is no whole number of steps, so the default

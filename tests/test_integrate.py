@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from lfsim.model import ModelParams, make_disordered_system, make_ordered_system
+from lfsim import integrate
 from lfsim.spectral import (SpectralField, SpectralGrid, forward, inverse,
-                            project_coeffs, zero_nyquist)
+                            project_coeffs, to_half, zero_nyquist)
 from lfsim.integrate import (BlowUpError, FineLattice, SolverConfig,
                              SolverState, Stepper, _irfft_spatial, _phi,
                              _rfft_spatial, amp_label,
                              nonlinear_rhs, random_solenoidal_field,
                              recover_pressure, run, single_mode_field, step)
 from lfsim.stability import growth_rate
-from lfsim.diagnostics import fit_growth
+from lfsim.diagnostics import energy_budget, fit_growth
 
 
 def params(**kw):
@@ -172,6 +173,15 @@ class TestStructuralInvariants:
         with pytest.raises(BlowUpError, match="resolution"):
             run(u0, sys, grid32, SolverConfig(dt=1.0, t_end=5.0))
 
+    def test_non_finite_first_sample_is_a_blow_up(self, grid32):
+        # finite coefficients whose squares overflow: no sample is recorded
+        sys = make_disordered_system(params())
+        u0 = single_mode_field(grid32, [0.5, 0.0], [0.0, 1.0], 1e160)
+        with pytest.raises(BlowUpError) as err:
+            run(u0, sys, grid32, SolverConfig(dt=1e-3, t_end=1e-2))
+        assert err.value.t == 0.0 and err.value.last_state.t == 0.0
+        assert len(err.value.trajectory.times) == 0
+
     def test_initial_must_be_solenoidal(self, grid32):
         bad = np.zeros((2, 32, 32), complex)
         idx = grid32.mode_index([0.5, 0.0])
@@ -279,6 +289,32 @@ class TestNonlinearRhs:
         with pytest.raises(BlowUpError):
             nonlinear_rhs(SolverState(0.0, SpectralField(grid32, bad),
                                       sys, grid32))
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+    def test_equals_stepper_rhs(self, dim, n, linearized):
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        sys = make_ordered_system(params(alpha=-1.0, dim=dim))
+        u0 = random_solenoidal_field(grid, 0.3, 0.6, 5)
+        stepper = Stepper(sys, grid, dt=1e-3, linearized=linearized)
+        uh = stepper.from_state(u0)
+        expect = stepper.to_state(stepper.rhs(uh, 0.0, np.empty_like(uh)))
+        got = nonlinear_rhs(SolverState(0.0, u0, sys, grid),
+                            linearized=linearized)
+        assert np.array_equal(got.coeffs, expect.coeffs)
+
+    def test_one_state_callers_build_no_step_coefficients(self, grid32,
+                                                          monkeypatch):
+        def phi(z, j):
+            raise AssertionError("phi functions evaluated")
+        monkeypatch.setattr(integrate, "_phi", phi)
+        sys = make_ordered_system(params(alpha=-1.0, lambda1=0.3))
+        state = SolverState(0.0, random_solenoidal_field(grid32, 0.3, 0.6, 5),
+                            sys, grid32)
+        energy_budget(state)
+        nonlinear_rhs(state)
+        nonlinear_rhs(state, linearized=True)
+        recover_pressure(state)
 
 
 class TestLinearFidelity:
@@ -418,7 +454,51 @@ class TestSolverConfig:
         SolverConfig(dt=5e-3, t_end=2.0, snapshot_interval=10.0)
 
 
+def _convective_pressure(state):
+    """Reference grad q and q: grad q = -(I-P)B with the bracket in
+    convective form, B = lam0 (u.grad)u + M u + beta|u|^2 u - N(u), formed
+    from u and grad u (gf[a, i] = d_a u_i) sampled on the factor-2 lattice;
+    q has mean zero."""
+    grid, system = state.grid, state.system
+    p = system.params
+    d = grid.dim
+    uh = zero_nyquist(grid, to_half(grid, state.u_hat.coeffs))
+    grads = 1j * grid.k_deriv_half[:, None] * uh
+    lattice = FineLattice(grid, d + d * d, d)
+    fine = lattice.samples(uh, grads.reshape((d * d,) + grid.half_shape))
+    uf, gf = fine[:d], fine[d:].reshape(d, d, -1)
+    s = np.einsum("im,im->m", uf, uf)
+    bracket = p.lambda0 * np.einsum("am,aim->im", uf, gf) + system.M @ uf \
+        + p.beta * s * uf \
+        - np.einsum("jki,jm,km->im", system.quad_coeffs, uf, uf)
+    B = lattice.band(bracket, np.zeros((d,) + grid.half_shape, np.complex128))
+    k = grid.k_half
+    kB = np.einsum("a...,a...->...", k, B) / np.where(
+        grid.ksq_half == 0.0, 1.0, grid.ksq_half)
+    phys = _irfft_spatial(np.concatenate([-k * kB, 1j * kB[None]]), grid.n,
+                          d, grid.n // 2)
+    return phys[:d], phys[d]
+
+
 class TestPressure:
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+    def test_matches_convective_reference(self, dim, n):
+        # the rotational bracket plus lam0 |u|^2/2 is the convective one
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        ordered = make_ordered_system(params(alpha=-1.0, lambda0=1.3,
+                                             lambda1=0.3, dim=dim))
+        assert ordered.has_quadratic
+        for sys in (ordered, make_disordered_system(
+                params(alpha=0.4, lambda0=0.7, dim=dim))):
+            for amp in (0.05, 1.0):
+                state = SolverState(0.0, random_solenoidal_field(
+                    grid, amp, 0.6, 11), sys, grid)
+                out = recover_pressure(state)
+                for got, ref in zip((out.grad_q, out.q),
+                                    _convective_pressure(state)):
+                    scale = max(1.0, float(np.max(np.abs(ref))))
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
     def test_zero_state(self, grid32):
         sys = make_disordered_system(params())
         state = SolverState(0.0, SpectralField(
@@ -491,7 +571,11 @@ class TestStepAllocations:
     """
 
     @pytest.mark.parametrize("dim,n,ordered,limit_kb", [
-        (2, 64, True, 939 / 2), (3, 16, False, 3374 / 2)])
+        (2, 64, True, 939 / 2), (3, 16, False, 3374 / 2),
+        # with the curl stacked into a new array and the real k cast to
+        # complex in every Leray projection, this step peaked at 348 KB;
+        # the products' two fine-lattice scratch rows take 256 KB of it
+        (2, 64, True, 300)])
     def test_transient_peak(self, dim, n, ordered, limit_kb):
         import tracemalloc
         p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
@@ -530,6 +614,28 @@ class TestStepAllocations:
         finally:
             tracemalloc.stop()
         assert (peak - before) / 1024 < 6828 / 2
+
+    @pytest.mark.parametrize("call,limit_kb", [
+        # a whole Stepper, with its step coefficients and stage buffers,
+        # took these calls to 3502 KB and 6613 KB (3D n = 16)
+        (energy_budget, 3000), (nonlinear_rhs, 6200)],
+        ids=["energy_budget", "nonlinear_rhs"])
+    def test_one_state_peak(self, call, limit_kb):
+        import tracemalloc
+        grid = SpectralGrid(3, 16, 20.0 * np.pi)
+        sys = make_ordered_system(params(dim=3, alpha=-0.5))
+        state = SolverState(0.0, random_solenoidal_field(grid, 0.05, 0.5, 3),
+                            sys, grid)
+        call(state)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            call(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / 1024 < limit_kb
 
 
 def _irfft_unpruned(arr, n_out, dim):
