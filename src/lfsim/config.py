@@ -10,8 +10,9 @@ Vectors are comma-separated components; lists of vectors are
 whitespace-separated: `tracked_wavevectors = 0.5,0 0.7,0`.
 
 Defaults (recorded here as the single source of truth): 2D, n=64, L=20*pi,
-dt=1e-3, scheme etdrk4, perturbation amplitude 1e-4, spectrum scale 0.5,
-seed 12345, lambda0=1, lambda1=0, beta=1, gamma2=1.
+dt=1e-3, perturbation amplitude 1e-4, spectrum scale 0.5, seed 12345,
+lambda0=1, lambda1=0, beta=1, gamma2=1; no snapshots (`free_run`: about five
+per run) unless `solver.snapshot_interval` is set.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ DEFAULTS: dict[str, Any] = {
     "grid.box_length": 20.0 * math.pi,
     "solver.dt": 1e-3,
     "solver.t_end": None,        # per-experiment default
-    "solver.scheme": "etdrk4",
     "solver.snapshot_interval": None,
     "solver.diagnostics_interval": None,
     "solver.seed": 12345,
@@ -112,7 +112,7 @@ _FLOAT_KEYS = {
     "phase.alpha_max",
 }
 _INT_KEYS = {"params.dim", "grid.n_per_axis", "solver.seed", "phase.resolution"}
-_STR_KEYS = {"experiment", "output_dir", "state.kind", "solver.scheme"}
+_STR_KEYS = {"experiment", "output_dir", "state.kind"}
 _VEC_KEYS = {"state.direction"}
 _VECLIST_KEYS = {"perturbation.tracked_wavevectors"}
 _KNOWN_KEYS = (_FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _VEC_KEYS
@@ -263,7 +263,6 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
     try:
         solver = SolverConfig(
             dt=get("solver.dt"), t_end=float(t_end),
-            scheme=str(get("solver.scheme")).strip().lower(),
             snapshot_interval=get("solver.snapshot_interval"),
             diagnostics_interval=get("solver.diagnostics_interval"),
             seed=get("solver.seed"))

@@ -1,10 +1,10 @@
 """Canned experiment suite: dispersion checks, phase diagrams, decay
 certificates, instability demonstrations, contractivity, free runs.
 
-Every experiment writes a diagnostics CSV (and its own result tables) into
-the output directory and returns an ExperimentReport whose checks each cite
-a number present in the emitted files.  Runs are deterministic for a fixed
-config (including the seed).
+Every experiment writes a diagnostics CSV, the snapshots its solver config
+asks for and its own result tables into the output directory, and returns
+an ExperimentReport whose checks each cite a number present in the emitted
+files.  Runs are deterministic for a fixed config (including the seed).
 """
 
 from __future__ import annotations
@@ -184,11 +184,8 @@ def _linear_window(times, amps, a0: float) -> tuple[float, float]:
 
 def _require_samples(solver: SolverConfig, needed: int, use: str) -> None:
     """Reject a run whose diagnostics cadence gives fewer than `needed`
-    samples, before any work.  `run` samples t = 0, every diagnostics
-    interval and the end."""
-    nsteps = round(solver.t_end / solver.dt)
-    every = max(1, round(solver.effective_diag_interval / solver.dt))
-    count = 1 - (-nsteps // every)
+    samples, before any work."""
+    count = len(solver.sample_steps)
     if count < needed:
         raise ValueError(
             f"t_end={solver.t_end:g} with diagnostics every "
@@ -199,21 +196,29 @@ def _require_samples(solver: SolverConfig, needed: int, use: str) -> None:
 def _run_and_record(out: str | None, initial, system: TransformedSystem,
                     grid: SpectralGrid, solver: SolverConfig, **kwargs
                     ) -> tuple[Trajectory, dict[str, str]]:
-    """`run` with its diagnostics CSV written into `out` (created here);
-    returns the trajectory and the files written.  A run that blows up
-    writes the samples taken before the blow-up, then re-raises.  Without
-    `out` nothing is written."""
+    """`run` with its diagnostics CSV and snapshots written into `out`
+    (created here); returns the trajectory and the files written.  A run
+    that blows up writes what it sampled before the blow-up, then
+    re-raises.  Without `out` nothing is written."""
     if out is None:
         return run(initial, system, grid, solver, **kwargs), {}
     os.makedirs(out, exist_ok=True)
     files = {"diagnostics": os.path.join(out, "diagnostics.csv")}
+
+    def write(traj):
+        write_diagnostics_csv(files["diagnostics"], traj)
+        for t, snap in zip(traj.snapshot_times, traj.snapshots):
+            name = f"snap_{t:012.6f}.lfsnap"
+            files[name] = os.path.join(out, name)
+            write_snapshot(files[name], grid, snap, t)
+
     try:
         traj = run(initial, system, grid, solver, **kwargs)
     except BlowUpError as exc:
-        write_diagnostics_csv(files["diagnostics"], exc.trajectory)
+        write(exc.trajectory)
         exc.args = (f"{exc}; diagnostics written to {files['diagnostics']}",)
         raise
-    write_diagnostics_csv(files["diagnostics"], traj)
+    write(traj)
     return traj, files
 
 
@@ -413,17 +418,12 @@ def _run_free(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     solver = cfg.solver
     if solver.snapshot_interval is None:
         # about five snapshots, on the step cadence
-        every = max(1, round(solver.t_end / solver.dt / 5.0))
+        every = max(1, round(solver.nsteps / 5))
         solver = replace(solver, snapshot_interval=every * solver.dt)
     initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
                                       solver.seed)
     traj, files = _run_and_record(out, initial, system, grid, solver,
-                                  collect_snapshots=True,
                                   tracked_wavevectors=cfg.tracked_wavevectors)
-    for t, snap in zip(traj.snapshot_times, traj.snapshots):
-        name = f"snap_{t:012.6f}.lfsnap"
-        files[name] = os.path.join(out, name)
-        write_snapshot(files[name], grid, snap, t)
     kinetic_final = 0.5 * traj.series["l2_norm_sq"][-1]
     checks = [_check("final_kinetic_finite", kinetic_final, float(np.inf))]
     return _finish(cfg, out, checks, files)

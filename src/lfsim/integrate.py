@@ -6,9 +6,10 @@ quadratic/cubic products and the optional forcing; one-state callers build
 only that.  A `Stepper` is a `Tendency` plus its step coefficients: the stiff
 diagonal Gamma2|k|^4 + Gamma0|k|^2 is treated exactly through the ETDRK4
 integrating factor (Cox & Matthews 2002; Kassam & Trefethen 2005: Taylor
-series near z = 0, direct formulas elsewhere), or by IMEX Euler for
-cross-checks, and the state is re-projected after each step.  `run` stops at
-the first non-finite state or diagnostic sample.
+series near z = 0, direct formulas elsewhere), and the state is re-projected
+after each step.  `SolverConfig` owns the step cadence: `run` samples and
+snapshots on its `sample_steps`/`snapshot_steps`, and stops at the first
+non-finite state or diagnostic sample.
 
 Products are evaluated on a factor-2 zero-padded lattice (exact for both
 quadratic and cubic terms).  Quadratic advection is computed in rotational
@@ -55,9 +56,6 @@ __all__ = [
     "recover_pressure",
     "PressureFields",
 ]
-
-SCHEMES = ("etdrk4", "imex_euler")
-
 
 def _band_rows(size: int, h: int) -> tuple[slice, slice]:
     """Rows of a spectral axis of `size` points that hold the band |m| < h."""
@@ -205,7 +203,6 @@ def _is_multiple(a: float, b: float) -> bool:
 class SolverConfig:
     dt: float
     t_end: float
-    scheme: str = "etdrk4"
     snapshot_interval: float | None = None
     diagnostics_interval: float | None = None  # defaults to 10*dt
     seed: int = 12345
@@ -217,8 +214,6 @@ class SolverConfig:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not _is_multiple(self.t_end, self.dt):
             raise ValueError(f"t_end={self.t_end} is not a multiple of "
                              f"dt={self.dt}")
@@ -242,6 +237,26 @@ class SolverConfig:
     def effective_diag_interval(self) -> float:
         return self.diagnostics_interval if self.diagnostics_interval is not None \
             else 10.0 * self.dt
+
+    @property
+    def nsteps(self) -> int:
+        return round(self.t_end / self.dt)
+
+    def _cadence(self, interval: float | None) -> tuple[int, ...]:
+        if interval is None:
+            return ()
+        every = max(1, round(interval / self.dt))
+        return (*range(0, self.nsteps, every), self.nsteps)
+
+    @property
+    def sample_steps(self) -> tuple[int, ...]:
+        """The steps at which `run` samples: step 0, every whole diagnostics
+        interval and the last step.  `snapshot_steps` likewise, or none."""
+        return self._cadence(self.effective_diag_interval)
+
+    @property
+    def snapshot_steps(self) -> tuple[int, ...]:
+        return self._cadence(self.snapshot_interval)
 
 
 @dataclass
@@ -421,16 +436,13 @@ class Tendency:
 
 
 class Stepper(Tendency):
-    """A `Tendency` with its ETDRK4 / IMEX-Euler step coefficients."""
+    """A `Tendency` with its ETDRK4 step coefficients."""
 
     def __init__(self, system: TransformedSystem, grid: SpectralGrid, dt: float,
-                 scheme: str = "etdrk4", linearized: bool = False,
+                 linearized: bool = False,
                  forcing: Callable[[float], SpectralField] | None = None):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
         super().__init__(system, grid, linearized, forcing)
         self.dt = float(dt)
-        self.scheme = scheme
 
         p = system.params
         lin = p.gamma2 * self.ksq_flat**2 + p.gamma0 * self.ksq_flat
@@ -448,7 +460,6 @@ class Stepper(Tendency):
         self.f1 = self.dt * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3))
         self.f2 = self.dt * (_phi(z, 2) - 2.0 * _phi(z, 3))
         self.f3 = self.dt * (4.0 * _phi(z, 3) - _phi(z, 2))
-        self.imex_div = 1.0 / (1.0 + self.dt * lin)
 
         shape = (grid.dim, self.n_modes)
         self._rhs_bufs = [np.empty(shape, np.complex128) for _ in range(4)]
@@ -456,17 +467,11 @@ class Stepper(Tendency):
         self._out_bufs = [np.empty(shape, np.complex128) for _ in range(2)]
         self._out_ix = 0
 
-    def step(self, uh_flat: np.ndarray, t: float) -> np.ndarray:
+    def step(self, u: np.ndarray, t: float) -> np.ndarray:
+        """One ETDRK4 step from u at time t, Leray-projected, into one of
+        two buffers the stepper owns in turn."""
         out = self._out_bufs[self._out_ix]
         self._out_ix ^= 1
-        if self.scheme == "etdrk4":
-            self._step_etdrk4(uh_flat, t, out)
-        else:
-            self._step_imex(uh_flat, t, out)
-        _kernels.leray(out, self.k_flat, self.ksq_flat)
-        return out
-
-    def _step_etdrk4(self, u: np.ndarray, t: float, out: np.ndarray) -> None:
         h = self.dt
         N0, Na, Nb, Nc = self._rhs_bufs
         A, B, C = self._stage_bufs
@@ -480,10 +485,8 @@ class Stepper(Tendency):
         self.rhs(C, t + h, Nc)
         _kernels.etdrk4_final(self.E, u, self.f1, N0, self.f2, Na, Nb,
                               self.f3, Nc, out)
-
-    def _step_imex(self, u: np.ndarray, t: float, out: np.ndarray) -> None:
-        N0 = self.rhs(u, t, self._rhs_bufs[0])
-        np.multiply(self.imex_div, u + self.dt * N0, out=out)
+        _kernels.leray(out, self.k_flat, self.ksq_flat)
+        return out
 
 
 def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
@@ -506,9 +509,9 @@ def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
 
 def step(state: SolverState, config: SolverConfig, *, linearized: bool = False,
          forcing=None) -> SolverState:
-    """Advance one step of the configured scheme (one-off convenience;
-    use `run` for loops, which reuses the precomputed coefficients)."""
-    stepper = Stepper(state.system, state.grid, config.dt, config.scheme,
+    """Advance one ETDRK4 step (one-off convenience; use `run` for loops,
+    which reuses the precomputed coefficients)."""
+    stepper = Stepper(state.system, state.grid, config.dt,
                       linearized=linearized, forcing=forcing)
     uh = stepper.from_state(state.u_hat)
     out = stepper.step(uh, state.t)
@@ -608,9 +611,10 @@ class _SeriesRecorder:
 
 def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
         config: SolverConfig, *, forcing: Callable[[float], SpectralField] | None = None,
-        linearized: bool = False, tracked_wavevectors: Sequence[Sequence[float]] = (),
-        collect_snapshots: bool = False) -> Trajectory:
-    """Integrate to t_end, sampling diagnostics at the configured cadence.
+        linearized: bool = False, tracked_wavevectors: Sequence[Sequence[float]] = ()
+        ) -> Trajectory:
+    """Integrate to t_end, sampling diagnostics on `config.sample_steps` and
+    taking physical snapshots on `config.snapshot_steps`.
 
     The initial field must be solenoidal (it is re-projected to clean off
     roundoff); forcing, when given, is projected as well.  Deterministic for
@@ -618,18 +622,16 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
     non-finite value (not recorded), raises BlowUpError carrying the last
     state with finite coefficients and the trajectory sampled up to it.
     """
-    if initial.divergence_residual() > 1e-8:
+    # fails closed: a nan residual is rejected too
+    if not initial.divergence_residual() <= 1e-8:
         raise ValueError("initial data is not solenoidal")
-    stepper = Stepper(system, grid, config.dt, config.scheme,
+    stepper = Stepper(system, grid, config.dt,
                       linearized=linearized, forcing=forcing)
     uh = stepper.from_state(leray_project(initial))
     recorder = _SeriesRecorder(stepper, tracked_wavevectors)
-
-    nsteps = int(round(config.t_end / config.dt))
-    diag_every = max(1, int(round(config.effective_diag_interval / config.dt)))
-    snap_every = None
-    if config.snapshot_interval is not None:
-        snap_every = max(1, int(round(config.snapshot_interval / config.dt)))
+    nsteps = config.nsteps
+    sample_steps = set(config.sample_steps)
+    snapshot_steps = set(config.snapshot_steps)
 
     traj = Trajectory(grid=grid, system=system, config=config,
                       linearized=linearized, tracked=recorder.tracked)
@@ -647,27 +649,24 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
             recorder.rows.pop()   # a non-finite sample is not recorded
             blow_up(t, t, uh_flat)
 
-    def snapshot(t, uh_flat):
-        traj.snapshot_times.append(t)
-        traj.snapshots.append(stepper.physical(uh_flat))
+    def record(i, uh_flat):
+        t = i * config.dt
+        if i in sample_steps:
+            sample(t, uh_flat)
+        if i in snapshot_steps:
+            traj.snapshot_times.append(t)
+            traj.snapshots.append(stepper.physical(uh_flat))
 
     # overflow on the way to a blow-up is caught by the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        sample(0.0, uh)
-        if collect_snapshots and snap_every is not None:
-            snapshot(0.0, uh)
+        record(0, uh)
         for i in range(nsteps):
             t = i * config.dt
             new = stepper.step(uh, t)
             if not np.all(np.isfinite(new.view(np.float64))):
                 blow_up(t + config.dt, t, uh)
             uh = new   # one of two alternating buffers: valid for a step
-            t = (i + 1) * config.dt
-            if (i + 1) % diag_every == 0 or (i + 1) == nsteps:
-                sample(t, uh)
-            if collect_snapshots and snap_every is not None and (
-                    (i + 1) % snap_every == 0 or (i + 1) == nsteps):
-                snapshot(t, uh)
+            record(i + 1, uh)
 
     return finalize(nsteps * config.dt, uh)
 

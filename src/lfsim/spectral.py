@@ -67,7 +67,7 @@ def _mode_numbers(n: int) -> np.ndarray:
 
 
 class SpectralGrid:
-    """Periodic grid bookkeeping: wavevector tables and dealias masks.
+    """Periodic grid bookkeeping: wavevector tables.
 
     Immutable and shareable; all arrays are read-only views.
     """
@@ -99,13 +99,7 @@ class SpectralGrid:
         self.k_deriv = kd
         self.ksq = np.sum(self.k**2, axis=0)
         self.k4 = self.ksq**2
-
-        absm = np.abs(self.mode_numbers)
-        self.dealias_mask_quadratic = np.all(absm <= self.n / 3, axis=0)
-        self.dealias_mask_cubic = np.all(absm <= self.n / 4, axis=0)
-
-        for arr in (self.mode_numbers, self.k, self.k_deriv, self.ksq,
-                    self.k4, self.dealias_mask_quadratic, self.dealias_mask_cubic):
+        for arr in (self.mode_numbers, self.k, self.k_deriv, self.ksq, self.k4):
             arr.setflags(write=False)
 
     # positions of the axis samples: x_i = i*L/n
@@ -202,11 +196,17 @@ class SpectralField:
         return float(np.max(np.abs(mirrored - np.conj(self.coeffs))))
 
     def divergence_residual(self) -> float:
-        """max_k |k . u(k)| / max_k |u(k)|; zero field gives zero."""
-        div = np.sum(self.grid.k * self.coeffs, axis=0)
-        denom = np.max(np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=0)))
-        if denom == 0.0:
+        """max_k |k . u(k)| / max_k |u(k)|; zero field gives zero, and
+        non-finite coefficients give nan.  Scaled by max |coefficient|
+        first, so that squaring cannot overflow."""
+        scale = np.max(np.abs(self.coeffs))
+        if not np.isfinite(scale):
+            return np.nan
+        if scale == 0.0:
             return 0.0
+        c = self.coeffs / scale
+        div = np.sum(self.grid.k * c, axis=0)
+        denom = np.max(np.sqrt(np.sum(np.abs(c) ** 2, axis=0)))
         return float(np.max(np.abs(div)) / denom)
 
     def mode_amplitude(self, k: Sequence[float]) -> float:

@@ -14,6 +14,7 @@ from lfsim.config import (ExperimentKind, ParseError, ValidationError,
                           parse_config)
 from lfsim.integrate import Stepper
 from lfsim.model import StateKind
+from lfsim.spectral import read_snapshot
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
@@ -202,6 +203,19 @@ solver.diagnostics_interval = 0.2
         assert "beta" in capsys.readouterr().err
         assert main(["run", str(tmp_path / "missing.cfg")]) == 3
 
+    @pytest.mark.parametrize("how", ["file", "override"])
+    def test_scheme_key_is_rejected_before_any_work(self, tmp_path, capsys,
+                                                    how):
+        # ETDRK4 is the only integrator; naming one is an unknown key
+        text = QUICK_DISPERSION + ("solver.scheme = etdrk4\n"
+                                   if how == "file" else "")
+        args = ["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]
+        if how == "override":
+            args += ["--override", "solver.scheme=etdrk4"]
+        assert main(args) == 3
+        assert "unknown" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_run_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK_DISPERSION)
         assert main(["run", cfg, "--out", str(tmp_path / "o"),
@@ -346,6 +360,23 @@ solver.diagnostics_interval = 0.01
         path = tmp_path / "o" / "nonlinear_decay" / "diagnostics.csv"
         assert sum(1 for _ in open(path)) == 1 + 5
 
+    def test_snapshot_interval_writes_snapshots(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", os.path.join(CONFIGS, "nonlinear_decay.cfg"),
+                     "--out", str(out),
+                     "--override", "solver.t_end=0.04",
+                     "--override", "solver.diagnostics_interval=0.01",
+                     "--override", "solver.snapshot_interval=0.02"]) == 0
+        names = ["snap_00000.000000.lfsnap", "snap_00000.020000.lfsnap",
+                 "snap_00000.040000.lfsnap"]
+        snaps = sorted(f for f in os.listdir(out / "nonlinear_decay")
+                       if f.endswith(".lfsnap"))
+        assert snaps == names
+        stdout = capsys.readouterr().out
+        assert all(f"WROTE {name}:" in stdout for name in names)
+        physical, meta = read_snapshot(out / "nonlinear_decay" / names[1])
+        assert float(meta["t"]) == 0.02 and physical.shape == (2, 64, 64)
+
     @pytest.mark.parametrize("amplitude,t_blow", [("10", 0.5), ("1", 1.5)],
                              ids=["amplitude10", "amplitude1"])
     def test_blow_up_writes_the_samples_taken_before_it(self, tmp_path,
@@ -381,6 +412,9 @@ solver.diagnostics_interval = 0.01
                     if name != "energy_residual"]
         assert all(math.isfinite(float(row[i]))
                    for row in rows for i in measured)
+        # the default snapshot cadence is every 20 steps: only t = 0 is due
+        assert [f for f in os.listdir(out / "free_run")
+                if f.endswith(".lfsnap")] == ["snap_00000.000000.lfsnap"]
 
     def test_free_run_default_snapshots_on_step_cadence(self, tmp_path):
         # 12 steps: t_end / 5 is no whole number of steps, so the default

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lfsim.integrate import (BlowUpError, FineLattice, SolverConfig,
                              recover_pressure, run, single_mode_field, step)
 from lfsim.stability import growth_rate
 from lfsim.diagnostics import energy_budget, fit_growth
+from lfsim.experiments import _require_samples
 
 
 def params(**kw):
@@ -80,27 +82,6 @@ class TestStepExactness:
             for _ in range(3):
                 uh = stepper.step(uh, 0.0)
             assert np.max(np.abs(uh)) == 0.0
-
-    def test_imex_nonlinear_short_run(self, grid32):
-        sys = make_disordered_system(params())
-        u0 = random_solenoidal_field(grid32, 1e-2, 0.5, 13)
-        cfg = SolverConfig(dt=5e-3, t_end=0.05, scheme="imex_euler")
-        traj = run(u0, sys, grid32, cfg)
-        assert traj.final.u_hat.divergence_residual() <= 1e-12
-        assert np.all(np.isfinite(traj.final.u_hat.coeffs.view(np.float64)))
-
-    def test_imex_linear_decay(self, grid32):
-        p = params(alpha=0.0, gamma0=1.0)
-        sys = make_disordered_system(p)
-        k = np.array([0.4, 0.0])
-        u0 = single_mode_field(grid32, k, [0.0, 1.0], 1.0)
-        stepper = Stepper(sys, grid32, dt=0.1, scheme="imex_euler",
-                          linearized=True)
-        out = stepper.step(stepper.from_state(u0), 0.0)
-        ksq = 0.16
-        expect = 1.0 / (1.0 + 0.1 * (ksq**2 + ksq))
-        amp = 2.0 * np.max(np.abs(out))
-        assert abs(amp - expect) < 1e-14
 
 
 class TestStructuralInvariants:
@@ -190,6 +171,21 @@ class TestStructuralInvariants:
         with pytest.raises(ValueError, match="solenoidal"):
             run(SpectralField(grid32, bad), make_disordered_system(params()),
                 grid32, SolverConfig(dt=1e-3, t_end=1e-2))
+
+    @pytest.mark.parametrize("amplitude", [1e200, math.inf, math.nan],
+                             ids=["1e200", "inf", "nan"])
+    def test_unmeasurable_divergence_is_rejected(self, grid32, amplitude):
+        # u1 = amplitude cos(0.1 x1) has relative divergence 0.1; at 1e200
+        # its squared coefficients overflow, at inf and nan it reads nan
+        bad = np.zeros((2, 32, 32), complex)
+        for k in ([0.1, 0.0], [-0.1, 0.0]):
+            bad[(0,) + grid32.mode_index(k)] = 0.5 * amplitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not solenoidal"):
+                run(SpectralField(grid32, bad),
+                    make_disordered_system(params()), grid32,
+                    SolverConfig(dt=1e-3, t_end=1e-2))
 
 
 @pytest.fixture(scope="module")
@@ -346,8 +342,7 @@ class TestRunLoop:
         u0 = random_solenoidal_field(grid32, 1e-3, 0.5, 1)
         cfg = SolverConfig(dt=1e-2, t_end=0.2, snapshot_interval=0.1,
                            diagnostics_interval=0.05)
-        traj = run(u0, sys, grid32, cfg, collect_snapshots=True,
-                   tracked_wavevectors=[(0.5, 0.5)])
+        traj = run(u0, sys, grid32, cfg, tracked_wavevectors=[(0.5, 0.5)])
         assert np.allclose(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2])
         assert traj.snapshot_times == [0.0, 0.1, 0.2]
         assert set(traj.series) >= {"l2_norm_sq", "l4_norm_4", "grad_norm_sq",
@@ -407,6 +402,12 @@ class TestInitialData:
         assert np.all(f.coeffs[:, 0, 0] == 0.0)
         rms = math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2)))
         assert abs(rms - 0.05) < 1e-12
+
+    def test_huge_random_field_reads_solenoidal(self, grid32):
+        f = random_solenoidal_field(grid32, 1e200, 0.5, 123)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.divergence_residual() <= 1e-12
         phys = inverse(f)
         assert np.max(np.abs(phys.imag if np.iscomplexobj(phys) else 0.0)) == 0.0
 
@@ -432,8 +433,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(dt=0.5, t_end=0.1)
         with pytest.raises(ValueError):
-            SolverConfig(dt=1e-3, t_end=1.0, scheme="rk4")
-        with pytest.raises(ValueError):
             SolverConfig(dt=1e-3, t_end=1.0, diagnostics_interval=1e-4)
 
     @pytest.mark.parametrize("kw", [
@@ -452,6 +451,31 @@ class TestSolverConfig:
         # an interval beyond t_end samples only the start and the end
         SolverConfig(dt=1.0, t_end=5.0)
         SolverConfig(dt=5e-3, t_end=2.0, snapshot_interval=10.0)
+
+    @pytest.mark.parametrize("dt,t_end,diag,snap,samples,snaps", [
+        (1e-2, 0.2, 0.05, 0.1, (0, 5, 10, 15, 20), (0, 10, 20)),
+        # 0.012 / 0.001 and 0.003 / 0.001 are not whole in floating point
+        (1e-3, 0.012, 0.003, None, (0, 3, 6, 9, 12), ()),
+        # a snapshot interval that does not divide t_end still ends on it
+        (1e-2, 0.12, 0.02, 0.05, (0, 2, 4, 6, 8, 10, 12), (0, 5, 10, 12)),
+        # intervals beyond t_end: only the start and the end
+        (1.0, 5.0, None, 10.0, (0, 5), (0, 5))])
+    def test_run_and_sample_count_follow_the_cadence(
+            self, dt, t_end, diag, snap, samples, snaps):
+        cfg = SolverConfig(dt=dt, t_end=t_end, diagnostics_interval=diag,
+                           snapshot_interval=snap)
+        assert cfg.nsteps == samples[-1]
+        assert cfg.sample_steps == samples and cfg.snapshot_steps == snaps
+        grid = SpectralGrid(2, 8, 20.0 * np.pi)
+        sys = make_disordered_system(params(alpha=0.5, gamma0=1.0))
+        u0 = random_solenoidal_field(grid, 1e-3, 0.5, 1)
+        traj = run(u0, sys, grid, cfg, linearized=True)
+        assert list(traj.times) == [i * dt for i in samples]
+        assert traj.snapshot_times == [i * dt for i in snaps]
+        assert len(traj.snapshots) == len(snaps)
+        _require_samples(cfg, len(samples), "the test")
+        with pytest.raises(ValueError, match=f"gives {len(samples)} samples"):
+            _require_samples(cfg, len(samples) + 1, "the test")
 
 
 def _convective_pressure(state):

@@ -45,14 +45,6 @@ class TestGrid:
         assert g.mode_numbers[0, 4, 0] == 4
         assert g.k_deriv[0, 4, 0] == 0.0
 
-    def test_dealias_mask_rule(self):
-        g = SpectralGrid(2, 12, 1.0)
-        m = g.mode_numbers
-        assert np.array_equal(g.dealias_mask_quadratic,
-                              np.all(np.abs(m) <= 12 / 3, axis=0))
-        assert np.array_equal(g.dealias_mask_cubic,
-                              np.all(np.abs(m) <= 12 / 4, axis=0))
-
     def test_mode_index_roundtrip(self, grid16):
         idx = grid16.mode_index([3.0, -2.0])
         assert np.allclose(grid16.k[(slice(None),) + idx], [3.0, -2.0])
