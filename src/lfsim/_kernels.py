@@ -1,18 +1,24 @@
 """Mode-local hot kernels.
 
 All kernels operate on flattened views: spectral arrays are complex128 of
-shape (dim, n_modes) with wavevector tables (dim, n_modes) / (n_modes,),
-physical arrays are float64 of shape (dim, n_points).  FFTs are not handled
-here; these kernels fuse the elementwise passes between transforms and write
-into caller-owned `out` arrays.
+shape (dim, n_modes) with per-mode tables (..., n_modes), physical arrays
+are float64 of shape (dim, n_points).  FFTs are not handled here; these
+kernels fuse the elementwise passes between transforms and write into
+caller-owned `out` arrays.
+
+A step runs `rotate` (slot coefficients to and from Cartesian ones),
+`products_2d`/`products_3d` and the ETDRK4 combines.  `assemble_rhs` and
+`leray` form the Cartesian tendency of `integrate.nonlinear_rhs`; a step no
+longer needs them, because its slot basis carries M, the drift and the
+projection.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["leray", "stage_combine", "etdrk4_final", "assemble_rhs",
-           "products_2d", "products_3d"]
+__all__ = ["leray", "rotate", "stage_combine", "etdrk4_final",
+           "assemble_rhs", "products_2d", "products_3d"]
 
 
 def leray(u, k, ksq):
@@ -25,8 +31,21 @@ def leray(u, k, ksq):
     return u
 
 
+def rotate(Q, a, tmp, out):
+    """out_i = sum_s Q[i, s] a_s per mode: a real (dim, dim, n_modes) basis
+    applied to complex coefficients, one row at a time through the complex
+    scratch row tmp.  Pass Q.transpose(1, 0, 2) for Q^T."""
+    for row, Qrow in zip(out, Q):
+        np.multiply(Qrow[0], a[0], out=row)
+        for q, a_s in zip(Qrow[1:], a[1:]):
+            np.multiply(q, a_s, out=tmp)
+            row += tmp
+    return out
+
+
 def stage_combine(E, u, Q, N, out):
-    """out = E*u + Q*N with per-mode real coefficients E, Q."""
+    """out = E*u + Q*N with per-mode coefficients E, Q (one row, or one per
+    slot)."""
     np.multiply(E, u, out=out)
     out += Q * N
     return out
@@ -55,9 +74,9 @@ def assemble_rhs(G, u, Mmat, k, ksq, kv, out):
     return out
 
 
-def _square_norm(u, tmp):
-    """|u|^2 per point, summed component by component through tmp."""
-    s = u[0] * u[0]
+def _square_norm(u, tmp, s):
+    """|u|^2 per point into s, summed component by component through tmp."""
+    np.multiply(u[0], u[0], out=s)
     for c in u[1:]:
         np.multiply(c, c, out=tmp)
         s += tmp
@@ -72,15 +91,16 @@ def _subtract_quadratic(u, quad, out, tmp):
         row -= tmp
 
 
-def products_2d(u, om, lam0, beta, quad, has_quad, out):
+def products_2d(u, om, lam0, beta, quad, has_quad, out, scratch):
     """Fine-grid tendency products, 2D.
 
     out_i = lam0 * (-u x omega)_i + beta |u|^2 u_i - N_i(u), with the
-    rotational advection (-u x omega) = (-u2*om, u1*om).
+    rotational advection (-u x omega) = (-u2*om, u1*om).  `scratch` is two
+    rows of working space, (2, n_points), overwritten.
     """
     u1, u2, w = u[0], u[1], om[0]
-    tmp = np.empty_like(u1)
-    s = _square_norm(u, tmp)
+    tmp, s = scratch
+    _square_norm(u, tmp, s)
     for row, a, b, sign in ((out[0], u2, u1, -lam0), (out[1], u1, u2, lam0)):
         np.multiply(a, w, out=row)
         row *= sign
@@ -92,10 +112,10 @@ def products_2d(u, om, lam0, beta, quad, has_quad, out):
     return out
 
 
-def products_3d(u, om, lam0, beta, quad, has_quad, out):
+def products_3d(u, om, lam0, beta, quad, has_quad, out, scratch):
     """Fine-grid tendency products, 3D; advection as omega x u = -u x omega."""
-    tmp = np.empty_like(u[0])
-    s = _square_norm(u, tmp)
+    tmp, s = scratch
+    _square_norm(u, tmp, s)
     for i, row in enumerate(out):
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(om[j], u[k], out=row)

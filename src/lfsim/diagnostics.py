@@ -89,7 +89,7 @@ def energy_budget(state: SolverState) -> EnergyBudget:
     """
     tendency = Tendency(state.system, state.grid, linearized=True)
     recorder = _SeriesRecorder(tendency, ())
-    recorder.sample(state.t, tendency.from_state(state.u_hat))
+    recorder.sample(state.t, tendency._half(state.u_hat))
     times, series = recorder.columns()
     return _budgets(state.system.params, times, series, [math.nan])[0]
 

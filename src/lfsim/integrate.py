@@ -1,14 +1,22 @@
 """Time integration of the transformed system in Fourier space.
 
-A `Tendency` is the explicit, Leray-projected part of the right-hand side:
-the zeroth-order matrix M, the drift i*lambda0*(V.k), the dealiased
-quadratic/cubic products and the optional forcing; one-state callers build
-only that.  A `Stepper` is a `Tendency` plus its step coefficients: the stiff
-diagonal Gamma2|k|^4 + Gamma0|k|^2 is treated exactly through the ETDRK4
-integrating factor (Cox & Matthews 2002; Kassam & Trefethen 2005: Taylor
-series near z = 0, direct formulas elsewhere), and the state is re-projected
-after each step.  `SolverConfig` owns the step cadence: `run` samples and
-snapshots on its `sample_steps`/`snapshot_steps`, and stops at the first
+The stepper carries the state as coefficients a(k) in a per-mode real
+orthonormal basis Q(k), d slots per mode (`_slot_basis`).  For k != 0 the
+first d - 1 slots span k-perp and diagonalize P M P there (the Craya-Herring
+frame, Sagaut & Cambon 2008), and the last slot, k/|k|, is held at zero; at
+k = 0 the slots are M's eigenvectors.  The whole linear symbol
+Gamma2|k|^4 + Gamma0|k|^2 + i*lambda0*(V.k) + P M P is diagonal in that basis,
+so the ETDRK4 integrating factor (Cox & Matthews 2002; Kassam & Trefethen
+2005: Taylor series near z = 0, direct formulas elsewhere) treats all of it
+exactly, and the Leray projection is the zero slot.
+
+A `Tendency` is what is left: the dealiased quadratic/cubic products and the
+optional forcing, -Q^T G(Q a) + Q^T f, so a linearized unforced run is exact
+(its tendency is zero and each step is a <- E a).  It also evaluates the
+Cartesian tendency -P[G + M u] - i*lambda0*(V.k)u + P f of `nonlinear_rhs`;
+one-state callers build only a `Tendency`.  A `Stepper` is a `Tendency` plus
+its step coefficients.  `SolverConfig` owns the step cadence: `run` samples
+and snapshots on its `sample_steps`/`snapshot_steps`, and stops at the first
 non-finite state or diagnostic sample.
 
 Products are evaluated on a factor-2 zero-padded lattice (exact for both
@@ -22,6 +30,7 @@ sign ambiguity of odd derivatives on that mode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -36,7 +45,6 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     from_half,
-    leray_project,
     project_coeffs,
     to_half,
     zero_nyquist,
@@ -159,6 +167,14 @@ class FineLattice:
         phys = self._phys[:rows]
         _irfft_spatial(buf, self.nf, self.dim, self.h, out=phys)
         return phys.reshape(rows, -1)
+
+    def idle_rows(self, rows: int) -> np.ndarray:
+        """`rows` real fine-lattice rows, (rows, nf^dim), inside the forward
+        buffer: free for scratch between `samples` and `band`, which
+        overwrites them.  With out_rows = dim >= 2 it holds two rows."""
+        n = self.nf ** self.dim
+        return self._fwd.view(np.float64).reshape(-1)[:rows * n].reshape(
+            rows, n)
 
     def band(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Coarse band of the transform of fine samples `phys` (rows,
@@ -295,12 +311,13 @@ _PHI_TERMS = 14
 
 
 def _phi(z: np.ndarray, j: int) -> np.ndarray:
-    """phi_j(z) = sum_m z^m / (m+j)!, evaluated stably for real z.
+    """phi_j(z) = sum_m z^m / (m+j)!, evaluated stably for real or complex z.
 
     Taylor series below |z| = 0.5 (the Kassam-Trefethen cancellation region),
     expm1-based direct formulas elsewhere.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z)
+    z = z.astype(np.result_type(z, float), copy=False)
     out = np.empty_like(z)
     small = np.abs(z) < 0.5
     zs = z[small]
@@ -323,10 +340,78 @@ def _phi(z: np.ndarray, j: int) -> np.ndarray:
 # Tendency and Stepper
 # --------------------------------------------------------------------------
 
+def _diagonalize_pair(M: np.ndarray, b1: np.ndarray, b2: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Turn the orthonormal pairs (b1, b2), (dim, n_modes) each, by the
+    Jacobi angle that makes M diagonal on their span.  The sign of the turn
+    is taken apart from its size and a zero off-diagonal turns nothing, so
+    an even b1 and an odd b2 stay even and odd bit for bit."""
+    Mb1 = np.einsum("ij,jm->im", M, b1)
+    Mb2 = np.einsum("ij,jm->im", M, b2)
+    off = np.einsum("am,am->m", b1, Mb2)
+    half_angle = 0.5 * np.arctan2(2.0 * np.abs(off),
+                                  np.einsum("am,am->m", b1, Mb1)
+                                  - np.einsum("am,am->m", b2, Mb2))
+    c = np.where(off == 0.0, 1.0, np.cos(half_angle))
+    s = np.where(off == 0.0, 0.0, np.copysign(np.sin(half_angle), off))
+    return c * b1 + s * b2, c * b2 - s * b1
+
+
+def _slot_basis(system: TransformedSystem, k: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The slot basis of every wavevector in k (dim, n_modes) and the linear
+    symbol in it: Q (dim, dim, n_modes), real, orthonormal, one slot per
+    column, and lam (dim, n_modes), complex, with
+
+        Gamma2|k|^4 + Gamma0|k|^2 + i lambda0 (V.k) + P M P = Q diag(lam) Q^T
+
+    on k-perp, and M = Q diag(lam) Q^T at k = 0.  For k != 0 the first
+    dim - 1 slots span k-perp: e_perp in 2D; in 3D the pair P e_j/|P e_j|,
+    k-hat x that (e_j the axis least aligned with k), turned to diagonalize
+    P M P.  The last slot is k-hat, with k-hat's Rayleigh quotient of M as
+    its mu; no state uses it.  Every column is even or odd in k bit for bit,
+    so the +-k pairs of the half layout stay conjugate.
+    """
+    p, M = system.params, system.M
+    scalar = system.scalar_m is not None
+    d, n_modes = k.shape
+    ksq = np.einsum("am,am->m", k, k)
+    zero = ksq == 0.0
+    khat = k / np.sqrt(np.where(zero, 1.0, ksq))
+    Q = np.empty((d, d, n_modes))
+    Q[:, -1] = khat
+    if d == 2:
+        Q[0, 0], Q[1, 0] = -khat[1], khat[0]
+    else:
+        modes = np.arange(n_modes)
+        j = np.argmin(np.abs(khat), axis=0)
+        b1 = -khat * khat[j, modes]
+        b1[j, modes] += 1.0
+        b1 /= np.sqrt(np.einsum("am,am->m", b1, b1))
+        b2 = np.cross(khat, b1, axis=0)
+        if not scalar:
+            b1, b2 = _diagonalize_pair(M, b1, b2)
+        Q[:, 0], Q[:, 1] = b1, b2
+    # at k = 0, M's eigenvectors (the 2D turn spares LAPACK's start-up)
+    if scalar:
+        Q[:, :, zero] = np.eye(d)[:, :, None]
+        mu = np.full((d, n_modes), system.scalar_m)
+    else:
+        Q0 = (np.concatenate(_diagonalize_pair(M, *np.hsplit(np.eye(2), 2)),
+                             axis=1) if d == 2 else np.linalg.eigh(M)[1])
+        Q[:, :, zero] = Q0[:, :, None]
+        mu = np.einsum("ism,ij,jsm->sm", Q, M, Q)
+    drift = p.lambda0 * np.einsum("a,am->m", system.V, k)
+    return Q, p.gamma2 * ksq**2 + p.gamma0 * ksq + mu + 1j * drift
+
+
 class Tendency:
     """The explicit tendency, with its fine lattice and buffers, on the rfft
-    half-spectrum flattened to (dim, n_modes); `to_state`/`from_state`
-    convert to the public full-lattice SpectralField."""
+    half-spectrum flattened to (dim, n_modes).
+
+    The state is slot coefficients a, u = Q a (`cartesian`); `to_state`/
+    `from_state` convert to and from the public full-lattice SpectralField.
+    """
 
     def __init__(self, system: TransformedSystem, grid: SpectralGrid,
                  linearized: bool = False,
@@ -365,23 +450,71 @@ class Tendency:
             self._G_half = np.zeros((d,) + self.half_shape, np.complex128)
             self._G_flat = self._G_half.reshape(d, M)
             self._Gp = np.empty((d, (2 * grid.n)**d))
+            self._scratch = self._lattice.idle_rows(2)
         self._quad = np.ascontiguousarray(system.quad_coeffs)
         self._has_quad = system.has_quadratic and not self.linearized
+        self._row = np.empty(M, np.complex128)   # scratch of `rotate`
 
-    # -- state conversion ---------------------------------------------------
+    # -- slot basis and state conversion ------------------------------------
 
-    def from_state(self, u_hat: SpectralField) -> np.ndarray:
+    @functools.cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(basis, symbol), built on first use: the one-state callers, which
+        work on Cartesian coefficients, never need them."""
+        basis, symbol = _slot_basis(
+            self.system, self.grid.k_half.reshape(self.grid.dim, -1))
+        basis[:, -1, self.ksq_flat > 0.0] = 0.0   # the k-hat slot stays 0
+        if not np.any(symbol.imag) and np.all(symbol == symbol[:1]):
+            symbol = symbol[:1].real
+        return basis, np.ascontiguousarray(symbol)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Q (dim, dim, n_modes) of `_slot_basis`, the k-hat columns of
+        k != 0 zeroed."""
+        return self._slots[0]
+
+    @property
+    def symbol(self) -> np.ndarray:
+        """The linear symbol per slot, (dim, n_modes) complex, or one real
+        row when every slot has the same real symbol (V = 0, M = alpha I)."""
+        return self._slots[1]
+
+    def cartesian(self, a: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """u = Q a: the Cartesian half-spectrum of slot coefficients a."""
+        out = np.empty_like(a) if out is None else out
+        return _kernels.rotate(self.basis, a, self._row, out)
+
+    def _slot_coeffs(self, u: np.ndarray, out: np.ndarray | None = None
+                     ) -> np.ndarray:
+        """a = Q^T u: the slot coefficients of a Cartesian half-spectrum,
+        its gradient part dropped."""
+        out = np.empty_like(u) if out is None else out
+        return _kernels.rotate(self.basis.transpose(1, 0, 2), u, self._row,
+                               out)
+
+    def _half(self, u_hat: SpectralField) -> np.ndarray:
+        """The Cartesian half-spectrum of a field, Nyquist slots zeroed."""
         coeffs = zero_nyquist(self.grid, u_hat.coeffs.copy())
         return np.ascontiguousarray(
             to_half(self.grid, coeffs).reshape(self.grid.dim, self.n_modes))
 
-    def to_state(self, uh_flat: np.ndarray) -> SpectralField:
-        half = uh_flat.reshape((self.grid.dim,) + self.half_shape)
+    def _field(self, u_flat: np.ndarray) -> SpectralField:
+        half = u_flat.reshape((self.grid.dim,) + self.half_shape)
         return SpectralField(self.grid, from_half(self.grid, half))
 
-    def physical(self, uh_flat: np.ndarray) -> np.ndarray:
-        half = uh_flat.reshape((self.grid.dim,) + self.half_shape)
-        return _irfft_spatial(half.copy(), self.grid.n, self.grid.dim,
+    def from_state(self, u_hat: SpectralField) -> np.ndarray:
+        """Slot coefficients Q^T u of a field: its Nyquist slots and its
+        gradient part are dropped."""
+        return self._slot_coeffs(self._half(u_hat))
+
+    def to_state(self, a: np.ndarray) -> SpectralField:
+        return self._field(self.cartesian(a))
+
+    def physical(self, a: np.ndarray) -> np.ndarray:
+        half = self.cartesian(a).reshape((self.grid.dim,) + self.half_shape)
+        return _irfft_spatial(half, self.grid.n, self.grid.dim,
                               self.grid.n // 2)
 
     # -- dealiased products on the fine lattice ------------------------------
@@ -396,7 +529,8 @@ class Tendency:
         return self._curl
 
     def fine_physical(self, uh_flat: np.ndarray) -> np.ndarray:
-        """Physical samples of u on the factor-2 lattice, shape (dim, nf^dim).
+        """Physical samples of the Cartesian u on the factor-2 lattice,
+        shape (dim, nf^dim).
 
         Returns a view into a buffer the tendency owns; the next `rhs`,
         `step` or `fine_physical` call overwrites it.
@@ -405,25 +539,41 @@ class Tendency:
             uh_flat.reshape((self.grid.dim,) + self.half_shape))
 
     def _nonlinear_G(self, uh_flat: np.ndarray) -> np.ndarray:
-        """Transforms of lam0*(u.grad)u + beta|u|^2 u - N(u), coarse band."""
+        """Transforms of lam0*(u.grad)u + beta|u|^2 u - N(u), coarse band,
+        of the Cartesian u; u may sit in the returned buffer, which is read
+        before it is written."""
         d = self.grid.dim
         p = self.system.params
         uh = uh_flat.reshape((d,) + self.half_shape)
         fine = self._lattice.samples(uh, self._curl_half(uh))
         products = _kernels.products_2d if d == 2 else _kernels.products_3d
         products(fine[:d], fine[d:], p.lambda0, p.beta, self._quad,
-                 self._has_quad, self._Gp)
+                 self._has_quad, self._Gp, self._scratch)
         self._lattice.band(self._Gp, self._G_half)
         return self._G_flat
 
     # -- tendency -------------------------------------------------------------
 
-    def rhs(self, uh_flat: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-        """Explicit tendency -P[lam0 (u.grad)u + M u + beta|u|^2 u - N(u)]
-        - i lam0 (V.k) u + P f."""
-        G = 0.0 if self.linearized else self._nonlinear_G(uh_flat)
-        _kernels.assemble_rhs(G, uh_flat, self.Mmat, self.k_flat,
-                              self.ksq_flat, self.kv, out)
+    def rhs(self, a: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """Tendency of the slot coefficients a outside the integrating
+        factor: -Q^T G(Q a) + Q^T f, zero in the k-hat slots."""
+        if self.linearized:
+            out.fill(0.0)
+        else:
+            G = self._nonlinear_G(self.cartesian(a, out=self._G_flat))
+            np.negative(self._slot_coeffs(G, out), out=out)
+        if self.forcing is not None:
+            out += self._slot_coeffs(self._forcing_half(t))
+        return out
+
+    def cartesian_rhs(self, u: np.ndarray, t: float, out: np.ndarray
+                      ) -> np.ndarray:
+        """The whole explicit tendency of the Cartesian u,
+        -P[lam0 (u.grad)u + M u + beta|u|^2 u - N(u)] - i lam0 (V.k) u + P f
+        (what `nonlinear_rhs` returns)."""
+        G = 0.0 if self.linearized else self._nonlinear_G(u)
+        _kernels.assemble_rhs(G, u, self.Mmat, self.k_flat, self.ksq_flat,
+                              self.kv, out)
         if self.forcing is not None:
             out += self._forcing_half(t)
         return out
@@ -436,7 +586,8 @@ class Tendency:
 
 
 class Stepper(Tendency):
-    """A `Tendency` with its ETDRK4 step coefficients."""
+    """A `Tendency` with its ETDRK4 step coefficients, the integrating
+    factor of the full linear symbol."""
 
     def __init__(self, system: TransformedSystem, grid: SpectralGrid, dt: float,
                  linearized: bool = False,
@@ -444,16 +595,14 @@ class Stepper(Tendency):
         super().__init__(system, grid, linearized, forcing)
         self.dt = float(dt)
 
-        p = system.params
-        lin = p.gamma2 * self.ksq_flat**2 + p.gamma0 * self.ksq_flat
-        max_band_growth = float(max(0.0, np.max(-lin)))
-        if self.dt * max_band_growth > 0.1:
+        max_growth = float(max(0.0, np.max(-self.symbol.real)))
+        if self.dt * max_growth > 0.1:
             warnings.warn(
-                f"dt * max linear growth = {self.dt * max_band_growth:.3g} "
-                "> 0.1; the integrating factor amplifies band modes strongly "
+                f"dt * max linear growth = {self.dt * max_growth:.3g} "
+                "> 0.1; the integrating factor amplifies growing modes strongly "
                 "per step - consider a smaller dt", RuntimeWarning,
                 stacklevel=2)
-        z = -self.dt * lin
+        z = -self.dt * self.symbol
         self.E = np.exp(z)
         self.E2 = np.exp(0.5 * z)
         self.Q = self.dt * 0.5 * _phi(0.5 * z, 1)
@@ -468,8 +617,8 @@ class Stepper(Tendency):
         self._out_ix = 0
 
     def step(self, u: np.ndarray, t: float) -> np.ndarray:
-        """One ETDRK4 step from u at time t, Leray-projected, into one of
-        two buffers the stepper owns in turn."""
+        """One ETDRK4 step of the slot coefficients u from time t, into one
+        of two buffers the stepper owns in turn."""
         out = self._out_bufs[self._out_ix]
         self._out_ix ^= 1
         h = self.dt
@@ -483,10 +632,8 @@ class Stepper(Tendency):
         np.subtract(2.0 * Nb, N0, out=Nc)  # Nc reused as scratch for 2*Nb - N0
         _kernels.stage_combine(self.E2, A, self.Q, Nc, C)
         self.rhs(C, t + h, Nc)
-        _kernels.etdrk4_final(self.E, u, self.f1, N0, self.f2, Na, Nb,
-                              self.f3, Nc, out)
-        _kernels.leray(out, self.k_flat, self.ksq_flat)
-        return out
+        return _kernels.etdrk4_final(self.E, u, self.f1, N0, self.f2, Na, Nb,
+                                     self.f3, Nc, out)
 
 
 def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
@@ -503,8 +650,9 @@ def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
     if not np.all(np.isfinite(state.u_hat.coeffs.view(np.float64))):
         raise BlowUpError(state.t, state)
     tendency = Tendency(state.system, state.grid, linearized, forcing)
-    uh = tendency.from_state(state.u_hat)
-    return tendency.to_state(tendency.rhs(uh, state.t, np.empty_like(uh)))
+    u = tendency._half(state.u_hat)
+    return tendency._field(
+        tendency.cartesian_rhs(u, state.t, np.empty_like(u)))
 
 
 def step(state: SolverState, config: SolverConfig, *, linearized: bool = False,
@@ -526,7 +674,8 @@ def step(state: SolverState, config: SolverConfig, *, linearized: bool = False,
 # --------------------------------------------------------------------------
 
 class _SeriesRecorder:
-    """Accumulates the diagnostic series from half-spectrum states.
+    """Accumulates the diagnostic series from Cartesian half-spectrum
+    states (`Tendency.cartesian` of the slot coefficients).
 
     `sample` is the one place the L2 budget terms of a state are computed:
     the run series, `diagnostics.energy_budget` and both identity residuals
@@ -616,9 +765,9 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
     """Integrate to t_end, sampling diagnostics on `config.sample_steps` and
     taking physical snapshots on `config.snapshot_steps`.
 
-    The initial field must be solenoidal (it is re-projected to clean off
-    roundoff); forcing, when given, is projected as well.  Deterministic for
-    fixed inputs.  A step to non-finite coefficients, or a sample with a
+    The initial field must be solenoidal (its slot coefficients drop the
+    roundoff gradient part); forcing, when given, is projected as well.
+    Deterministic for fixed inputs.  A step to non-finite coefficients, or a sample with a
     non-finite value (not recorded), raises BlowUpError carrying the last
     state with finite coefficients and the trajectory sampled up to it.
     """
@@ -627,7 +776,7 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
         raise ValueError("initial data is not solenoidal")
     stepper = Stepper(system, grid, config.dt,
                       linearized=linearized, forcing=forcing)
-    uh = stepper.from_state(leray_project(initial))
+    uh = stepper.from_state(initial)
     recorder = _SeriesRecorder(stepper, tracked_wavevectors)
     nsteps = config.nsteps
     sample_steps = set(config.sample_steps)
@@ -645,7 +794,7 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
         raise BlowUpError(t_fail, finalize(t, uh_flat).final, traj)
 
     def sample(t, uh_flat):
-        if not recorder.sample(t, uh_flat):
+        if not recorder.sample(t, stepper.cartesian(uh_flat)):
             recorder.rows.pop()   # a non-finite sample is not recorded
             blow_up(t, t, uh_flat)
 
@@ -744,7 +893,7 @@ def recover_pressure(state: SolverState, with_physical_pressure: bool = True
     p = system.params
     d = grid.dim
     tendency = Tendency(system, grid)
-    uh = tendency.from_state(state.u_hat)
+    uh = tendency._half(state.u_hat)
     B = (tendency._nonlinear_G(uh) + tendency.Mmat @ uh).reshape(
         (d,) + grid.half_shape)
 

@@ -14,7 +14,9 @@ no divergence-free field can realize.
 Classifications are evaluated on the continuum criterion (closed form in
 |k|), so box-size artifacts cannot flip them; lattice maxima are reported
 separately for experiment design.  Eigenvalues of the (dim-1)-dimensional
-restricted symbol are computed by closed-form characteristic polynomials.
+restricted symbol are computed in closed form; the full 3x3 M at k = 0 goes
+to LAPACK, because the characteristic-polynomial route loses half the digits
+on the repeated eigenvalue of a polar state's M.
 """
 
 from __future__ import annotations
@@ -144,7 +146,9 @@ def _solenoidal_basis(k: np.ndarray) -> np.ndarray:
 
 
 def _sym_eigs(B: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix of size <= 3, closed form."""
+    """Eigenvalues of a real symmetric matrix of size <= 3: closed form up to
+    2x2, LAPACK for 3x3 (whose trigonometric formula read -8e-9 for the
+    double eigenvalue 0 of 2 beta V V^T)."""
     n = B.shape[0]
     if n == 1:
         return np.array([B[0, 0]])
@@ -152,16 +156,7 @@ def _sym_eigs(B: np.ndarray) -> np.ndarray:
         mean = 0.5 * (B[0, 0] + B[1, 1])
         rad = math.hypot(0.5 * (B[0, 0] - B[1, 1]), B[0, 1])
         return np.array([mean - rad, mean + rad])
-    # trigonometric formula for the symmetric 3x3 case
-    q = np.trace(B) / 3.0
-    C = B - q * np.eye(3)
-    p = math.sqrt(max(np.sum(C * C) / 6.0, 0.0))
-    if p == 0.0:
-        return np.full(3, q)
-    r = np.linalg.det(C / p) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    return q + 2.0 * p * np.cos(phi + 2.0 * np.pi * np.arange(3) / 3.0)
+    return np.linalg.eigvalsh(B)
 
 
 def growth_rate(system: TransformedSystem, k: Sequence[float]) -> float:

@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -50,6 +53,14 @@ class TestPhi:
             for j in (1, 2, 3):
                 got = _phi(np.array([z]), j)[0]
                 assert abs(got - exact(z, j)) <= 1e-11 * abs(exact(z, j))
+        # complex z, as the drift i lam0 (V.k) puts into the symbol
+        for z in (0.4999999j, -0.3 + 0.4j, 0.35 - 0.3535j, 0.3 + 0.4000001j,
+                  -1.0 + 2.5j, 0.1 - 3.0j):
+            e = cmath.exp(z) - 1.0
+            for j, want in ((1, e / z), (2, (e - z) / z**2),
+                            (3, (e - z - 0.5 * z**2) / z**3)):
+                got = _phi(np.array([z]), j)[0]
+                assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_identity_phi1(self):
         z = np.array([-3.0, -0.2, 0.0, 0.3, 2.0])
@@ -59,19 +70,36 @@ class TestPhi:
 
 class TestStepExactness:
     def test_pure_stiff_decay_is_exact(self, grid32):
-        # nonlinearity off, M = 0, V = 0: one step is exactly the
-        # integrating factor exp(-dt (g2 k^4 + g0 k^2))
+        # nonlinearity off: one step is exactly the integrating factor
+        # exp(-dt lam), lam = g2 k^4 + g0 k^2 + i lam0 (V.k) + mu for a
+        # polarization along an eigenvector of P M P (eigenvalue mu): M = 0
+        # and V = 0, then a polar state in 2D and in 3D
         p = params(alpha=0.0, gamma0=0.7, gamma2=1.3)
-        sys = make_disordered_system(p)
-        k = np.array([0.4, 0.3])
-        u0 = single_mode_field(grid32, k, [-0.3, 0.4], 2.0)
-        stepper = Stepper(sys, grid32, dt=0.05, linearized=True)
-        uh = stepper.from_state(u0)
-        out = stepper.step(uh, 0.0)
-        ksq = 0.25
-        factor = math.exp(-0.05 * (1.3 * ksq**2 + 0.7 * ksq))
-        amp = stepper.to_state(out).mode_amplitude(k)
-        assert abs(amp - factor) <= 1e-14 * factor
+        polar = params(alpha=-1.0, gamma0=0.7, gamma2=1.3, lambda0=1.7)
+        grid3 = SpectralGrid(3, 8, 20.0 * np.pi)
+        k3 = np.array([0.3, 0.2, 0.1])
+        pv = np.array([1.0, 0.0, 0.0]) - k3 * (0.3 / 0.14)   # P V, |V| = 1
+        cases = [
+            (make_disordered_system(p), grid32, [0.4, 0.3], [-0.3, 0.4], 0.0),
+            (make_ordered_system(polar), grid32, [0.4, 0.3], [-0.3, 0.4],
+             2.0 * 0.6**2),
+            (make_ordered_system(dataclasses.replace(polar, dim=3)),
+             grid3, k3, pv, 2.0 * float(pv @ pv))]
+        for sys, grid, k, pol, mu in cases:
+            k = np.asarray(k, dtype=float)
+            u0 = single_mode_field(grid, k, pol, 2.0)
+            stepper = Stepper(sys, grid, dt=0.05, linearized=True)
+            uh = stepper.from_state(u0)
+            out = stepper.step(uh, 0.0)
+            ksq = float(k @ k)
+            factor = np.exp(-0.05 * (1.3 * ksq**2 + 0.7 * ksq + mu + 1j
+                                     * sys.params.lambda0 * (sys.V @ k)))
+            got = stepper.to_state(out)
+            amp = got.mode_amplitude(k)
+            assert abs(amp - abs(factor)) <= 1e-14 * abs(factor)
+            idx = (slice(None),) + grid.mode_index(k)
+            assert np.max(np.abs(got.coeffs[idx] - factor * u0.coeffs[idx])) \
+                <= 1e-14 * abs(factor)
 
     def test_zero_is_fixed_point(self, grid32):
         for sys in (make_disordered_system(params()),
@@ -86,18 +114,21 @@ class TestStepExactness:
 
 class TestStructuralInvariants:
     def test_divergence_reality_hermitian_after_steps(self, grid32):
-        sys = make_disordered_system(params())
-        u0 = random_solenoidal_field(grid32, 1e-2, 0.5, 3)
-        stepper = Stepper(sys, grid32, dt=5e-3)
-        uh = stepper.from_state(u0)
-        for i in range(20):
-            uh = stepper.step(uh, i * 5e-3)
-        f = stepper.to_state(uh)
-        assert f.divergence_residual() <= 1e-12
-        assert f.hermitian_residual() <= 1e-13 * np.max(np.abs(f.coeffs))
-        phys = np.fft.ifftn(f.coeffs, axes=(1, 2), norm="forward")
-        assert np.max(np.abs(phys.imag)) <= 1e-12 * max(
-            1.0, float(np.max(np.abs(phys.real))))
+        # the rest state, then the polar state, whose slot basis pairs +-k
+        # on the m = 0 plane of the half layout
+        for sys in (make_disordered_system(params()),
+                    make_ordered_system(params(alpha=-1.0))):
+            u0 = random_solenoidal_field(grid32, 1e-2, 0.5, 3)
+            stepper = Stepper(sys, grid32, dt=5e-3)
+            uh = stepper.from_state(u0)
+            for i in range(20):
+                uh = stepper.step(uh, i * 5e-3)
+            f = stepper.to_state(uh)
+            assert f.divergence_residual() <= 1e-12
+            assert f.hermitian_residual() <= 1e-13 * np.max(np.abs(f.coeffs))
+            phys = np.fft.ifftn(f.coeffs, axes=(1, 2), norm="forward")
+            assert np.max(np.abs(phys.imag)) <= 1e-12 * max(
+                1.0, float(np.max(np.abs(phys.real))))
 
     def test_translation_equivariance(self, grid32):
         sys = make_ordered_system(params(alpha=-1.0, gamma0=-0.5))
@@ -119,7 +150,7 @@ class TestStructuralInvariants:
         sys = make_disordered_system(p)
         u0 = random_solenoidal_field(grid32, 0.3, 0.6, 9)
         stepper = Stepper(sys, grid32, dt=1e-3)
-        uh = stepper.from_state(u0)
+        uh = stepper.cartesian(stepper.from_state(u0))
         G = stepper._nonlinear_G(uh).reshape((2,) + grid32.half_shape)
         from lfsim.spectral import from_half, gradient_coeffs, pad_spectrum, \
             truncate_spectrum
@@ -144,6 +175,13 @@ class TestStructuralInvariants:
         sys = make_disordered_system(params(alpha=0.1, gamma0=-1.0))
         with pytest.warns(RuntimeWarning, match="max linear growth"):
             Stepper(sys, grid32, dt=1.0)
+
+    def test_growth_warning_reads_the_integrating_factor(self, grid32):
+        # no band (gamma0 = 0): the growth 0.5 at k -> 0 comes from
+        # alpha = -0.5 alone, and dt * 0.5 = 0.15 > 0.1
+        sys = make_disordered_system(params(alpha=-0.5, gamma0=0.0))
+        with pytest.warns(RuntimeWarning, match="max linear growth = 0.15"):
+            Stepper(sys, grid32, dt=0.3)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -225,7 +263,7 @@ class TestThreeDimensional:
         sys = make_disordered_system(p)
         u0 = random_solenoidal_field(grid3d, 0.3, 0.5, 23)
         stepper = Stepper(sys, grid3d, dt=1e-3)
-        uh = stepper.from_state(u0)
+        uh = stepper.cartesian(stepper.from_state(u0))
         G = stepper._nonlinear_G(uh).reshape((3,) + grid3d.half_shape)
         G_full = from_half(grid3d, G)
         coeffs = zero_nyquist(grid3d, u0.coeffs.copy())
@@ -293,11 +331,28 @@ class TestNonlinearRhs:
         sys = make_ordered_system(params(alpha=-1.0, dim=dim))
         u0 = random_solenoidal_field(grid, 0.3, 0.6, 5)
         stepper = Stepper(sys, grid, dt=1e-3, linearized=linearized)
-        uh = stepper.from_state(u0)
-        expect = stepper.to_state(stepper.rhs(uh, 0.0, np.empty_like(uh)))
+        uh = stepper._half(u0)
+        expect = stepper._field(
+            stepper.cartesian_rhs(uh, 0.0, np.empty_like(uh)))
         got = nonlinear_rhs(SolverState(0.0, u0, sys, grid),
                             linearized=linearized)
         assert np.array_equal(got.coeffs, expect.coeffs)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+    def test_slot_rhs_is_the_cartesian_tendency_less_the_symbol(self, dim, n):
+        # Q [rhs(a) - (mu + i lam0 (V.k)) a] is the Cartesian tendency of
+        # u = Q a: M, the drift and P moved into the integrating factor
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        sys = make_ordered_system(params(alpha=-1.0, dim=dim))
+        stepper = Stepper(sys, grid, dt=1e-3)
+        a = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.6, 5))
+        p, ksq = sys.params, stepper.ksq_flat
+        moved = stepper.symbol - (p.gamma2 * ksq**2 + p.gamma0 * ksq)
+        got = stepper.cartesian(stepper.rhs(a, 0.0, np.empty_like(a))
+                                - moved * a)
+        u = stepper.cartesian(a)
+        want = stepper.cartesian_rhs(u, 0.0, np.empty_like(u))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_one_state_callers_build_no_step_coefficients(self, grid32,
                                                           monkeypatch):
@@ -596,10 +651,11 @@ class TestStepAllocations:
 
     @pytest.mark.parametrize("dim,n,ordered,limit_kb", [
         (2, 64, True, 939 / 2), (3, 16, False, 3374 / 2),
-        # with the curl stacked into a new array and the real k cast to
-        # complex in every Leray projection, this step peaked at 348 KB;
-        # the products' two fine-lattice scratch rows take 256 KB of it
-        (2, 64, True, 300)])
+        # with two fine-lattice scratch rows allocated in every products
+        # call, these steps peaked at 259 KB and 513 KB; the rows now sit in
+        # the lattice's idle forward buffer, and the steps peak at 199 KB
+        # and 343 KB
+        (2, 64, True, 220), (3, 16, False, 380)])
     def test_transient_peak(self, dim, n, ordered, limit_kb):
         import tracemalloc
         p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
@@ -826,3 +882,68 @@ class TestFineLattice:
         lattice.samples(a_half, b_half)
         got = lattice.samples(u_half)
         assert np.array_equal(got, FineLattice(grid, dim).samples(u_half))
+
+
+class TestSlotBasis:
+    """The slot basis and symbol of the integrating factor, mode by mode,
+    against `stability.symbol_at` and `stability.growth_rate`."""
+
+    SYSTEMS = {
+        "rest": lambda d: make_disordered_system(params(alpha=-0.3, dim=d)),
+        "polar": lambda d: make_ordered_system(params(alpha=-1.0, dim=d)),
+        # V along (1, 2, 2)/3 in 3D: oblique, with k || V on the lattice
+        "polar_oblique": lambda d: make_ordered_system(
+            params(alpha=-0.7, beta=1.3, lambda0=0.6, dim=d),
+            [0.6, 0.8] if d == 2 else [1 / 3, 2 / 3, 2 / 3]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_against_stability(self, dim, n, kind):
+        from lfsim.stability import symbol_at
+        sys = self.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        k = grid.k_half.reshape(dim, -1)
+        Q, lam = integrate._slot_basis(sys, k)
+        eye = np.eye(dim)
+        assert np.max(np.abs(np.einsum("ism,itm->stm", Q, Q)
+                             - eye[:, :, None])) <= 1e-14
+        if kind != "rest":   # the lattice holds modes k || V, k != 0
+            kabs = np.sqrt(np.sum(k * k, axis=0))
+            along = np.abs(sys.V @ k) / np.linalg.norm(sys.V)
+            assert np.count_nonzero((kabs > 0) & (kabs - along <= 1e-12)) >= 2
+        for m in range(k.shape[1]):
+            km = k[:, m]
+            S = symbol_at(sys, km).matrix
+            ksq = float(km @ km)
+            sol = slice(None) if ksq == 0.0 else slice(0, dim - 1)
+            P = eye if ksq == 0.0 else eye - np.outer(km, km) / ksq
+            Qs = Q[:, sol, m]
+            got = (Qs * lam[sol, m]) @ Qs.T
+            assert np.max(np.abs(got - P @ S @ P)) <= 1e-12 * max(
+                1.0, np.max(np.abs(S)))
+            rate = growth_rate(sys, km)
+            assert abs(np.min(lam[sol, m].real) + rate) <= 1e-12 * max(
+                1.0, abs(rate))
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_pairs_on_the_zero_plane(self, dim, n, kind):
+        # +-k both live in the m = 0 plane of the half layout: each column
+        # of Q(-k) is +-Q(k) and lam(-k) = conj(lam(k)), bit for bit
+        sys = self.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        Q, lam = integrate._slot_basis(sys, grid.k_half.reshape(dim, -1))
+        Q = Q.reshape((dim, dim) + grid.half_shape)
+        lam = lam.reshape((dim,) + grid.half_shape)
+        rows = [i for i in range(n) if i != n // 2]   # no partner at n/2
+        checked = 0
+        for idx in itertools.product(rows, repeat=dim - 1):
+            here = idx + (0,)
+            there = tuple((-i) % n for i in idx) + (0,)
+            for s in range(dim):
+                a, b = Q[(slice(None), s) + here], Q[(slice(None), s) + there]
+                assert np.array_equal(a, b) or np.array_equal(a, -b)
+                assert lam[(s,) + there] == np.conj(lam[(s,) + here])
+            checked += 1
+        assert checked == (n - 1) ** (dim - 1)

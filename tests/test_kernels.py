@@ -103,7 +103,9 @@ def test_products_agreement(d, has_quad):
     quad = RNG.standard_normal((d, d, d))
     quad = 0.5 * (quad + np.swapaxes(quad, 0, 1))
     products = _kernels.products_2d if d == 2 else _kernels.products_3d
-    got = products(u, om, lam0, beta, quad, has_quad, np.empty_like(u))
+    # nan-filled scratch rows: a result must never read them before writing
+    got = products(u, om, lam0, beta, quad, has_quad, np.empty_like(u),
+                   np.full((2, m), np.nan))
     for j in range(m):
         # -u x omega, with the 2D vorticity along e3
         u3 = np.append(u[:, j], [0.0] * (3 - d))
@@ -112,3 +114,16 @@ def test_products_agreement(d, has_quad):
         if has_quad:
             want -= [u[:, j] @ quad[:, :, i] @ u[:, j] for i in range(d)]
         assert_close(got[:, j], want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rotate_agreement(d):
+    m = 300
+    Q = RNG.standard_normal((d, d, m))
+    a = complex_array(d, m)
+    got = _kernels.rotate(Q, a, np.empty(m, complex), np.empty_like(a))
+    back = _kernels.rotate(Q.transpose(1, 0, 2), a, np.empty(m, complex),
+                           np.empty_like(a))
+    for j in range(m):
+        assert_close(got[:, j], Q[:, :, j] @ a[:, j])
+        assert_close(back[:, j], Q[:, :, j].T @ a[:, j])
