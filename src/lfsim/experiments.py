@@ -197,28 +197,28 @@ def _run_and_record(out: str | None, initial, system: TransformedSystem,
                     grid: SpectralGrid, solver: SolverConfig, **kwargs
                     ) -> tuple[Trajectory, dict[str, str]]:
     """`run` with its diagnostics CSV and snapshots written into `out`
-    (created here); returns the trajectory and the files written.  A run
-    that blows up writes what it sampled before the blow-up, then
+    (created here); returns the trajectory and the files written.  Each
+    snapshot is written when it is taken, so a run keeps none in memory.  A
+    run that blows up writes what it sampled before the blow-up, then
     re-raises.  Without `out` nothing is written."""
     if out is None:
         return run(initial, system, grid, solver, **kwargs), {}
     os.makedirs(out, exist_ok=True)
     files = {"diagnostics": os.path.join(out, "diagnostics.csv")}
 
-    def write(traj):
-        write_diagnostics_csv(files["diagnostics"], traj)
-        for t, snap in zip(traj.snapshot_times, traj.snapshots):
-            name = f"snap_{t:012.6f}.lfsnap"
-            files[name] = os.path.join(out, name)
-            write_snapshot(files[name], grid, snap, t)
+    def snapshot(t, snap):
+        name = f"snap_{t:012.6f}.lfsnap"
+        files[name] = os.path.join(out, name)
+        write_snapshot(files[name], grid, snap, t)
 
     try:
-        traj = run(initial, system, grid, solver, **kwargs)
+        traj = run(initial, system, grid, solver, on_snapshot=snapshot,
+                   **kwargs)
     except BlowUpError as exc:
-        write(exc.trajectory)
+        write_diagnostics_csv(files["diagnostics"], exc.trajectory)
         exc.args = (f"{exc}; diagnostics written to {files['diagnostics']}",)
         raise
-    write(traj)
+    write_diagnostics_csv(files["diagnostics"], traj)
     return traj, files
 
 

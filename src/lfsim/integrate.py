@@ -285,7 +285,8 @@ class SolverState:
 
 @dataclass
 class Trajectory:
-    """Sampled output of `run`: diagnostic series plus optional snapshots."""
+    """Sampled output of `run`: diagnostic series plus optional snapshots
+    (kept in `snapshots` unless `run` handed them to `on_snapshot`)."""
 
     grid: SpectralGrid
     system: TransformedSystem
@@ -618,9 +619,13 @@ class Stepper(Tendency):
 
     def step(self, u: np.ndarray, t: float) -> np.ndarray:
         """One ETDRK4 step of the slot coefficients u from time t, into one
-        of two buffers the stepper owns in turn."""
+        of two buffers the stepper owns in turn.  With no tendency (a
+        linearized unforced run) the step is the integrating factor alone,
+        exactly: E u, with no stages."""
         out = self._out_bufs[self._out_ix]
         self._out_ix ^= 1
+        if self.linearized and self.forcing is None:
+            return np.multiply(self.E, u, out=out)
         h = self.dt
         N0, Na, Nb, Nc = self._rhs_bufs
         A, B, C = self._stage_bufs
@@ -688,12 +693,17 @@ class _SeriesRecorder:
         self.tendency = tendency
         self.grid = grid
         self.vol = grid.volume
-        self.w = grid.parseval_weight_half.reshape(-1)
-        self.wksq = self.w * tendency.ksq_flat
-        self.wk4 = self.wksq * tendency.ksq_flat
+        # per mode, the weights of ||u||^2, ||grad u||^2 and ||Lap u||^2;
+        # the first also per float of the coefficients (re, im)
+        w = grid.parseval_weight_half.reshape(-1)
+        ksq = tendency.ksq_flat
+        self.weights = np.stack([w, w * ksq, w * ksq * ksq])
+        self.w_float = np.repeat(w, 2)
         self.V = tendency.system.V
         self.tracked = [tuple(float(c) for c in k) for k in tracked]
-        self.amp_idx = [self._half_index(k) for k in self.tracked]
+        self.amp_idx = [np.ravel_multi_index(self._half_index(k),
+                                             grid.half_shape)
+                        for k in self.tracked]
         self.rows: list[dict[str, float]] = []
 
     def _half_index(self, k) -> tuple[int, ...]:
@@ -704,48 +714,70 @@ class _SeriesRecorder:
         return tuple(mi % self.grid.n for mi in m[:-1]) + (m[-1],)
 
     def sample(self, t: float, uh_flat: np.ndarray) -> bool:
-        """Record the row of the state at time t; True if it is all finite."""
-        st = self.tendency
-        a2 = np.sum(np.abs(uh_flat) ** 2, axis=0)
-        Mu = st.Mmat @ uh_flat
-        if np.any(self.V):
-            vdot = np.einsum("a,am->m", self.V, uh_flat)
-            proj = self.vol * float(np.dot(self.w, np.abs(vdot) ** 2))
-        else:
-            proj = 0.0
-        div = np.abs(np.einsum("am,am->m", st.k_flat, uh_flat))
-        denom = float(np.max(np.sqrt(a2)))
+        """Record the row of the state at time t; True if it is all finite.
 
-        fine = st.fine_physical(uh_flat)
-        s = np.einsum("im,im->m", fine, fine)
-        s *= s
-        if st._has_quad:
-            Narr = np.einsum("jki,jm,km->im", st._quad, fine, fine)
-            n_inner = self.vol * float(np.mean(np.sum(fine * Narr, axis=0)))
-        else:
-            n_inner = 0.0
+        Works on the float view of uh_flat, which it does not write, and on
+        the fine lattice's rows in place: it allocates per-mode rows only,
+        and it calls no BLAS, whose helper threads would spin through the
+        steps between samples.
+        """
+        st = self.tendency
+        x = uh_flat.view(np.float64)          # (dim, 2 n_modes): re, im
+        a2 = np.einsum("ip,ip->p", x, x)
+        a2 = a2[0::2] + a2[1::2]              # |u|^2 per mode
+        l2, grad, lap = self.vol * np.einsum("km,m->k", self.weights, a2)
+        div = st.k_flat[0] * uh_flat[0]       # k.u per mode
+        for k, c in zip(st.k_flat[1:], uh_flat[1:]):
+            div += k * c
+        div = div.view(np.float64)
+        div *= div
+        div_sq = float((div[0::2] + div[1::2]).max())
+        denom_sq = float(a2.max())
+        # the weighted Gram matrix vol sum_m w_m Re(conj(u_i) u_j) gives
+        # int u.Mu and ||V.u||^2
+        xw = x * self.w_float
+        gram = self.vol * np.einsum("ip,jp->ij", xw, x)
         if st.forcing is not None:
-            f_inner = self.vol * float(np.dot(self.w, np.real(
-                np.sum(np.conj(uh_flat) * st._forcing_half(t), axis=0))))
+            f = st._forcing_half(t).view(np.float64)
+            f_inner = self.vol * float(np.einsum("ip,ip->", xw, f))
         else:
             f_inner = 0.0
+
+        fine = st.fine_physical(uh_flat)
+        if st._has_quad:
+            # sum_i u_i N_i(u), one component at a time in two idle rows
+            tmp, acc = st._scratch
+            acc.fill(0.0)
+            for i, ui in enumerate(fine):
+                np.einsum("jk,jm,km->m", st._quad[:, :, i], fine, fine,
+                          out=tmp)
+                tmp *= ui
+                acc += tmp
+            n_inner = self.vol * float(acc.mean())
+        else:
+            n_inner = 0.0
+        s = fine[0]                           # |u|^4, in the sample rows
+        s *= s
+        for c in fine[1:]:
+            c *= c
+            s += c
+        s *= s
         row = {
             "t": t,
-            "l2_norm_sq": self.vol * float(np.dot(self.w, a2)),
-            "l4_norm_4": self.vol * float(np.mean(s)),
-            "grad_norm_sq": self.vol * float(np.dot(self.wksq, a2)),
-            "lap_norm_sq": self.vol * float(np.dot(self.wk4, a2)),
-            "div_residual": float(np.max(div) / denom) if denom > 0 else 0.0,
-            "m_form": self.vol * float(np.dot(self.w, np.real(
-                np.sum(np.conj(uh_flat) * Mu, axis=0)))),
-            "ordered_proj_sq": proj,
+            "l2_norm_sq": float(l2),
+            "l4_norm_4": self.vol * float(s.mean()),
+            "grad_norm_sq": float(grad),
+            "lap_norm_sq": float(lap),
+            "div_residual": (math.sqrt(div_sq / denom_sq) if denom_sq > 0
+                             else 0.0),
+            "m_form": float(np.sum(st.Mmat * gram)),
+            "ordered_proj_sq": float(np.einsum("i,ij,j->", self.V, gram,
+                                               self.V)),
             "n_inner": n_inner,
             "f_inner": f_inner,
         }
-        uh = uh_flat.reshape((self.grid.dim,) + self.grid.half_shape)
         for k, idx in zip(self.tracked, self.amp_idx):
-            row[amp_label(k)] = float(
-                np.sqrt(np.sum(np.abs(uh[(slice(None),) + idx]) ** 2)))
+            row[amp_label(k)] = math.sqrt(a2[idx])
         self.rows.append(row)
         return all(map(math.isfinite, row.values()))
 
@@ -760,10 +792,14 @@ class _SeriesRecorder:
 
 def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
         config: SolverConfig, *, forcing: Callable[[float], SpectralField] | None = None,
-        linearized: bool = False, tracked_wavevectors: Sequence[Sequence[float]] = ()
+        linearized: bool = False, tracked_wavevectors: Sequence[Sequence[float]] = (),
+        on_snapshot: Callable[[float, np.ndarray], None] | None = None
         ) -> Trajectory:
     """Integrate to t_end, sampling diagnostics on `config.sample_steps` and
     taking physical snapshots on `config.snapshot_steps`.
+
+    Each snapshot goes to `on_snapshot(t, physical)` as it is taken, when
+    given, and is not kept; otherwise it is kept in `Trajectory.snapshots`.
 
     The initial field must be solenoidal (its slot coefficients drop the
     roundoff gradient part); forcing, when given, is projected as well.
@@ -794,7 +830,9 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
         raise BlowUpError(t_fail, finalize(t, uh_flat).final, traj)
 
     def sample(t, uh_flat):
-        if not recorder.sample(t, stepper.cartesian(uh_flat)):
+        # u goes to a stage buffer, idle between steps
+        u = stepper.cartesian(uh_flat, out=stepper._stage_bufs[0])
+        if not recorder.sample(t, u):
             recorder.rows.pop()   # a non-finite sample is not recorded
             blow_up(t, t, uh_flat)
 
@@ -804,7 +842,11 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
             sample(t, uh_flat)
         if i in snapshot_steps:
             traj.snapshot_times.append(t)
-            traj.snapshots.append(stepper.physical(uh_flat))
+            snap = stepper.physical(uh_flat)
+            if on_snapshot is None:
+                traj.snapshots.append(snap)
+            else:
+                on_snapshot(t, snap)
 
     # overflow on the way to a blow-up is caught by the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):

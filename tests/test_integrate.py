@@ -101,6 +101,47 @@ class TestStepExactness:
             assert np.max(np.abs(got.coeffs[idx] - factor * u0.coeffs[idx])) \
                 <= 1e-14 * abs(factor)
 
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("ordered", [False, True],
+                             ids=["rest", "polar"])
+    def test_zero_tendency_step_is_the_integrating_factor(
+            self, dim, n, ordered, monkeypatch):
+        # linearized and unforced: the step is E a bit for bit, no stages
+        p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
+        sys = make_ordered_system(p) if ordered else make_disordered_system(p)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        stepper = Stepper(sys, grid, dt=0.05, linearized=True)
+        a = stepper.from_state(random_solenoidal_field(grid, 0.05, 0.5, 3))
+
+        def no_rhs(*args, **kwargs):
+            raise AssertionError("a zero tendency was evaluated")
+
+        monkeypatch.setattr(Stepper, "rhs", no_rhs)
+        for i in range(3):   # through both output buffers
+            out = stepper.step(a, i * 0.05)
+            assert np.array_equal(out, stepper.E * a)
+            a = out
+
+    def test_forced_linearized_step_evaluates_the_tendency(self, grid32,
+                                                           monkeypatch):
+        sys = make_disordered_system(params(alpha=0.5))
+        fhat = single_mode_field(grid32, [0.5, 0.0], [0.0, 1.0], 1e-3)
+        stepper = Stepper(sys, grid32, dt=1e-2, linearized=True,
+                          forcing=lambda t: fhat)
+        calls = []
+        rhs = Stepper.rhs
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1])
+            return rhs(self, *args, **kwargs)
+
+        monkeypatch.setattr(Stepper, "rhs", counted)
+        a = stepper.from_state(
+            SpectralField(grid32, np.zeros((2, 32, 32), complex)))
+        out = stepper.step(a, 0.0)
+        assert calls == [0.0, 5e-3, 5e-3, 1e-2]
+        assert np.max(np.abs(out)) > 0.0
+
     def test_zero_is_fixed_point(self, grid32):
         for sys in (make_disordered_system(params()),
                     make_ordered_system(params(alpha=-1.0))):
@@ -448,6 +489,114 @@ class TestRunLoop:
         assert np.max(np.abs(new.u_hat.coeffs - expect.coeffs)) < 1e-16
         assert new.t == pytest.approx(1e-3)
 
+    def test_snapshots_are_handed_to_on_snapshot(self, grid32):
+        sys = make_disordered_system(params())
+        u0 = random_solenoidal_field(grid32, 1e-3, 0.5, 1)
+        cfg = SolverConfig(dt=1e-2, t_end=0.2, snapshot_interval=0.1,
+                           diagnostics_interval=0.05)
+        kept = run(u0, sys, grid32, cfg)
+        handed = []
+        traj = run(u0, sys, grid32, cfg,
+                   on_snapshot=lambda t, snap: handed.append((t, snap)))
+        assert traj.snapshots == []
+        assert traj.snapshot_times == kept.snapshot_times == [0.0, 0.1, 0.2]
+        assert [t for t, _ in handed] == kept.snapshot_times
+        for (_, snap), want in zip(handed, kept.snapshots):
+            assert np.array_equal(snap, want)
+
+
+def _reference_row(stepper, t, u, tracked):
+    """One diagnostic row of the Cartesian half-spectrum u, by the sampler's
+    formulas on complex coefficients, on a fine lattice of its own."""
+    grid, system = stepper.grid, stepper.system
+    vol = grid.volume
+    w = grid.parseval_weight_half.reshape(-1)
+    ksq = stepper.ksq_flat
+    a2 = np.sum(np.abs(u) ** 2, axis=0)
+    Mu = system.M @ u
+    div = np.abs(np.einsum("am,am->m", stepper.k_flat, u))
+    fine = FineLattice(grid, grid.dim).samples(
+        u.reshape((grid.dim,) + grid.half_shape))
+    s = np.einsum("im,im->m", fine, fine) ** 2
+    n_inner = f_inner = 0.0
+    if system.has_quadratic and not stepper.linearized:
+        Narr = np.einsum("jki,jm,km->im", system.quad_coeffs, fine, fine)
+        n_inner = vol * np.mean(np.sum(fine * Narr, axis=0))
+    if stepper.forcing is not None:
+        f_inner = vol * np.dot(w, np.real(np.sum(
+            np.conj(u) * stepper._forcing_half(t), axis=0)))
+    row = {
+        "l2_norm_sq": vol * np.dot(w, a2),
+        "l4_norm_4": vol * np.mean(s),
+        "grad_norm_sq": vol * np.dot(w * ksq, a2),
+        "lap_norm_sq": vol * np.dot(w * ksq**2, a2),
+        "div_residual": np.max(div) / np.max(np.sqrt(a2)),
+        "m_form": vol * np.dot(w, np.real(np.sum(np.conj(u) * Mu, axis=0))),
+        "ordered_proj_sq": vol * np.dot(w, np.abs(system.V @ u) ** 2),
+        "n_inner": n_inner,
+        "f_inner": f_inner,
+    }
+    coeffs = stepper._field(u).coeffs
+    for k in tracked:
+        row[amp_label(k)] = np.sqrt(np.sum(np.abs(
+            coeffs[(slice(None),) + grid.mode_index(k)]) ** 2))
+    return row
+
+
+class TestSampler:
+    """`_SeriesRecorder.sample`, on the float view and the lattice's rows,
+    against the formulas on complex coefficients."""
+
+    @pytest.mark.parametrize("mode", ["linearized", "nonlinear", "forced"])
+    @pytest.mark.parametrize("kind", ["rest", "polar", "polar_oblique"])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_samples_match_the_reference(self, dim, n, kind, mode):
+        sys = TestSlotBasis.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        forcing = None
+        if mode == "forced":
+            f0 = random_solenoidal_field(grid, 0.02, 0.5, 11)
+
+            def forcing(t):
+                return SpectralField(grid, f0.coeffs * np.cos(t))
+
+        linearized = mode != "nonlinear"
+        dk = grid.dk
+        tracked = [(dk,) + (0.0,) * (dim - 1),
+                   (dk,) * (dim - 1) + (-2.0 * dk,)]
+        u0 = random_solenoidal_field(grid, 0.3, 0.5, 3)
+        cfg = SolverConfig(dt=1e-2, t_end=3e-2, diagnostics_interval=1e-2)
+        traj = run(u0, sys, grid, cfg, forcing=forcing,
+                   linearized=linearized, tracked_wavevectors=tracked)
+        stepper = Stepper(sys, grid, cfg.dt, linearized=linearized,
+                          forcing=forcing)
+        a = stepper.from_state(u0)
+        for i, t in enumerate(traj.times):
+            if i:
+                a = stepper.step(a, traj.times[i - 1])
+            u = stepper.cartesian(a)
+            want = _reference_row(stepper, t, u, tracked)
+            assert set(traj.series) == set(want)
+            for key, value in want.items():
+                got = traj.series[key][i]
+                assert abs(got - value) <= 1e-13 * abs(value), (key, i)
+            if kind != "rest":
+                assert want["ordered_proj_sq"] > 0.0
+            if mode == "forced":
+                assert want["f_inner"] != 0.0
+            if mode == "nonlinear" and kind != "rest":
+                assert want["n_inner"] != 0.0
+
+    def test_sample_reads_its_input_only(self):
+        grid = SpectralGrid(2, 16, 20.0 * np.pi)
+        sys = make_ordered_system(params(alpha=-0.5))
+        stepper = Stepper(sys, grid, 1e-2)
+        u = stepper.cartesian(stepper.from_state(
+            random_solenoidal_field(grid, 0.3, 0.5, 3)))
+        before = u.copy()
+        integrate._SeriesRecorder(stepper, ()).sample(0.0, u)
+        assert np.array_equal(u, before)
+
 
 class TestInitialData:
     def test_random_field_properties(self, grid32):
@@ -670,6 +819,35 @@ class TestStepAllocations:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             stepper.step(uh, 2e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / 1024 <= limit_kb
+
+    @pytest.mark.parametrize("dim,n,ordered,linearized,limit_kb", [
+        # on complex coefficients, with |u|^2 rows of its own, M u and a
+        # fine-lattice product row per component, a warmed sample peaked at
+        # 393, 902, 617 and 4226 KB; on the float view and the lattice's
+        # rows it peaks at 118, 119, 165 and 1227 KB (a 3D n = 32 step:
+        # 1897 KB)
+        (2, 64, True, True, 120), (2, 64, True, False, 120),
+        (3, 16, False, False, 166), (3, 32, False, False, 1228)])
+    def test_sample_transient_peak(self, dim, n, ordered, linearized,
+                                   limit_kb):
+        import tracemalloc
+        p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
+        sys = make_ordered_system(p) if ordered else make_disordered_system(p)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        stepper = Stepper(sys, grid, dt=1e-3, linearized=linearized)
+        u = stepper.cartesian(stepper.from_state(
+            random_solenoidal_field(grid, 0.05, 0.5, 3)))
+        recorder = integrate._SeriesRecorder(stepper, ())
+        recorder.sample(0.0, u)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            recorder.sample(0.0, u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -925,6 +1103,24 @@ class TestSlotBasis:
             rate = growth_rate(sys, km)
             assert abs(np.min(lam[sol, m].real) + rate) <= 1e-12 * max(
                 1.0, abs(rate))
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_lattice_growth_rates(self, dim, n, kind):
+        # the closed form of stability.lattice_growth_rates is -min Re lam
+        # over the live slots (the k-hat slot of k != 0 is not one), on
+        # every mode of the full lattice
+        from lfsim.stability import lattice_growth_rates
+        sys = self.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        k = grid.k.reshape(dim, -1)
+        _, lam = integrate._slot_basis(sys, k)
+        live = np.ones(lam.shape, bool)
+        live[-1] = np.sum(k * k, axis=0) == 0.0
+        rates = -np.min(np.where(live, lam.real, np.inf), axis=0)
+        closed = lattice_growth_rates(sys, grid).reshape(-1)
+        assert np.all(np.abs(closed - rates)
+                      <= 1e-12 * np.maximum(1.0, np.abs(rates)))
 
     @pytest.mark.parametrize("kind", sorted(SYSTEMS))
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
