@@ -6,11 +6,13 @@ are float64 of shape (dim, n_points).  FFTs are not handled here; these
 kernels fuse the elementwise passes between transforms and write into
 caller-owned `out` arrays.
 
-A step runs `rotate` (slot coefficients to and from Cartesian ones),
-`products_2d`/`products_3d` and the ETDRK4 combines.  `assemble_rhs` and
-`leray` form the Cartesian tendency of `integrate.nonlinear_rhs`; a step no
-longer needs them, because its slot basis carries M, the drift and the
-projection.
+A step runs `products_2d`/`products_3d` and the ETDRK4 combines.  The
+products take the model's nonlinearity in closed form, from lambda0, beta
+and the steady state's V: there is no generic quadratic tensor.  `rotate`
+turns slot coefficients into Cartesian ones and back for the one-state
+callers and the run's samples.  `assemble_rhs` and `leray` form the
+Cartesian tendency of `integrate.nonlinear_rhs`; a step does not need
+them, because its slot basis carries M, the drift and the projection.
 """
 
 from __future__ import annotations
@@ -74,57 +76,52 @@ def assemble_rhs(G, u, Mmat, k, ksq, kv, out):
     return out
 
 
-def _square_norm(u, tmp, s):
-    """|u|^2 per point into s, summed component by component through tmp."""
-    np.multiply(u[0], u[0], out=s)
-    for c in u[1:]:
-        np.multiply(c, c, out=tmp)
-        s += tmp
-    return s
+def _add_landau(u, beta, V, out, scratch):
+    """out_i += beta|u|^2 (u + V)_i + 2 beta (u.V) u_i.
 
-
-def _subtract_quadratic(u, quad, out, tmp):
-    """out_i -= N_i(u) = sum_jk quad[j, k, i] u_j u_k, one component at a
-    time through the scratch row tmp."""
-    for i, row in enumerate(out):
-        np.einsum("jk,jm,km->m", quad[:, :, i], u, u, out=tmp)
-        row -= tmp
-
-
-def products_2d(u, om, lam0, beta, quad, has_quad, out, scratch):
-    """Fine-grid tendency products, 2D.
-
-    out_i = lam0 * (-u x omega)_i + beta |u|^2 u_i - N_i(u), with the
-    rotational advection (-u x omega) = (-u2*om, u1*om).  `scratch` is two
-    rows of working space, (2, n_points), overwritten.
+    s = beta|u|^2 goes into out along V, then turns into
+    g = s + 2 beta (u.V) and goes in along u; a zero component of V costs
+    no pass, so the rest state (V = 0) adds g u alone.
     """
-    u1, u2, w = u[0], u[1], om[0]
     tmp, s = scratch
-    _square_norm(u, tmp, s)
-    for row, a, b, sign in ((out[0], u2, u1, -lam0), (out[1], u1, u2, lam0)):
-        np.multiply(a, w, out=row)
-        row *= sign
-        np.multiply(s, b, out=tmp)
-        tmp *= beta
+    np.einsum("im,im->m", u, u, out=s)
+    s *= beta
+    live = [(i, v) for i, v in enumerate(V) if v != 0.0]
+    for i, v in live:
+        np.multiply(s, v, out=tmp)
+        out[i] += tmp
+    for i, v in live:
+        np.multiply(u[i], 2.0 * beta * v, out=tmp)
+        s += tmp
+    for row, ui in zip(out, u):
+        np.multiply(s, ui, out=tmp)
         row += tmp
-    if has_quad:
-        _subtract_quadratic(u, quad, out, tmp)
     return out
 
 
-def products_3d(u, om, lam0, beta, quad, has_quad, out, scratch):
-    """Fine-grid tendency products, 3D; advection as omega x u = -u x omega."""
-    tmp, s = scratch
-    _square_norm(u, tmp, s)
+def products_2d(u, om, lam0, beta, V, out, scratch):
+    """Fine-grid tendency products, 2D:
+
+        out = lam0 (-u x omega) + beta|u|^2 (u + V) + 2 beta (u.V) u,
+
+    the advection in rotational form, (-u x omega) = (-u2*om, u1*om), and
+    the cubic term with the polar quadratic one, -N(u) = beta|u|^2 V
+    + 2 beta (u.V) u (`model.make_ordered_system`; V = 0 at rest).
+    `scratch` is two rows of working space, (2, n_points), overwritten.
+    """
+    np.multiply(u[::-1], om, out=out)
+    out *= ((-lam0,), (lam0,))
+    return _add_landau(u, beta, V, out, scratch)
+
+
+def products_3d(u, om, lam0, beta, V, out, scratch):
+    """Fine-grid tendency products, 3D, as `products_2d`; the advection as
+    omega x u = -u x omega."""
+    tmp = scratch[0]
     for i, row in enumerate(out):
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(om[j], u[k], out=row)
         np.multiply(om[k], u[j], out=tmp)
         row -= tmp
         row *= lam0
-        np.multiply(s, u[i], out=tmp)
-        tmp *= beta
-        row += tmp
-    if has_quad:
-        _subtract_quadratic(u, quad, out, tmp)
-    return out
+    return _add_landau(u, beta, V, out, scratch)

@@ -12,12 +12,19 @@ exactly, and the Leray projection is the zero slot.
 
 A `Tendency` is what is left: the dealiased quadratic/cubic products and the
 optional forcing, -Q^T G(Q a) + Q^T f, so a linearized unforced run is exact
-(its tendency is zero and each step is a <- E a).  It also evaluates the
-Cartesian tendency -P[G + M u] - i*lambda0*(V.k)u + P f of `nonlinear_rhs`;
+(its tendency is zero and each step is a <- E a).  In the slot basis the curl
+is a slot map too (i|k| a0 in 2D; i|k| (a0 b2 - a1 b1) in 3D, as
+k-hat x b1 = b2), so u and curl u go from a straight into the fine lattice's
+band, and the products, formed with the sign of the tendency, come back
+through Q^T alone.  The products take the nonlinearity in closed form,
+lambda0 (-u x curl u) + beta|u|^2 (u + V) + 2 beta (u.V) u.  A `Tendency`
+also evaluates the Cartesian tendency -P[G + M u] - i*lambda0*(V.k)u + P f
+of `nonlinear_rhs`, whose products see the solenoidal part of u only;
 one-state callers build only a `Tendency`.  A `Stepper` is a `Tendency` plus
-its step coefficients.  `SolverConfig` owns the step cadence: `run` samples
-and snapshots on its `sample_steps`/`snapshot_steps`, and stops at the first
-non-finite state or diagnostic sample.
+its step coefficients, the stage ones built on its first staged step.
+`SolverConfig` owns the step cadence: `run` samples and snapshots on its
+`sample_steps`/`snapshot_steps`, and stops at the first non-finite state or
+diagnostic sample.
 
 Products are evaluated on a factor-2 zero-padded lattice (exact for both
 quadratic and cubic terms).  Quadratic advection is computed in rotational
@@ -31,7 +38,6 @@ sign ambiguity of odd derivatives on that mode.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -115,12 +121,15 @@ class FineLattice:
     """The factor-2 zero-padded lattice on the rfft layout, with its buffers.
 
     Products of Nyquist-free coarse fields formed on this lattice are exact
-    for quadratic and cubic terms.  The coarse band |m| < h sits in the
-    blocks that pair the band rows of the fine and the coarse axes; the
-    unpaired m = n/2 mode is outside it, so inputs must be Nyquist-free.
-    Holds `rows` rows of padded input and samples and `out_rows` rows of
-    forward output; the forward never writes into the pad buffer, whose
-    columns >= h must stay zero.
+    for quadratic and cubic terms.  The coarse band |m| < h pairs with the
+    same band of the fine lattice, each seen as one view (`coarse_band`,
+    `pad_band`, `fwd_band`): the columns < h and, on each leading axis, the
+    rows 0..h-1 and -h..-1, that axis split in two blocks, so (rows, 2, h,
+    [2, h,] h).  The second block starts at m = -h, outside the band: on a
+    coarse axis that is the Nyquist row, which inputs must hold at zero,
+    and on the fine axis the row it pairs with.  Holds `rows` rows of padded
+    input and samples and `out_rows` rows of forward output; the forward
+    never writes into the pad buffer, whose columns >= h must stay zero.
     """
 
     def __init__(self, grid: SpectralGrid, rows: int, out_rows: int = 0):
@@ -129,22 +138,32 @@ class FineLattice:
         self.nf = nf = 2 * n
         self.h = h = n // 2
         half_shape = (nf,) * (d - 1) + (nf // 2 + 1,)
-        cols = slice(0, h)
-        pairs = list(zip(_band_rows(nf, h), _band_rows(n, h)))
-        self._blocks = []   # (fine index, coarse index) of each band block
-        for combo in itertools.product(pairs, repeat=d - 1):
-            fine, coarse = zip(*combo)
-            self._blocks.append(((slice(None), *fine, cols),
-                                 (slice(None), *coarse, cols)))
+        # the coarse modes outside the band: the m = n/2 slot of each axis
+        self._coarse_gaps = [(slice(None),) * (1 + a) + (h,)
+                             for a in range(d - 1)] + [(..., slice(h, None))]
         # the rows outside the band of each leading axis, in the columns < h
         # that the in-place inverse passes overwrite
         mid = slice(h, nf - h + 1)
         self._gaps = [(slice(None),) * (1 + a) + (mid,)
-                      + (slice(None),) * (d - 2 - a) + (cols,)
+                      + (slice(None),) * (d - 2 - a) + (slice(0, h),)
                       for a in range(d - 1)]
         self._pad = np.zeros((rows,) + half_shape, np.complex128)
         self._phys = np.empty((rows,) + (nf,) * d)
         self._fwd = np.empty((out_rows,) + half_shape, np.complex128)
+        # a fine axis is 4 blocks of h rows, a coarse axis 2: keep the first
+        # and the last
+        pick = ((slice(None),) + (slice(None, None, 3), slice(None)) * (d - 1)
+                + (slice(0, h),))
+        fine = (4, h) * (d - 1) + (nf // 2 + 1,)
+        self.pad_band = self._pad.reshape((rows,) + fine)[pick]
+        self.fwd_band = self._fwd.reshape((out_rows,) + fine)[pick]
+        self._coarse = (2, h) * (d - 1) + (n // 2 + 1,)
+
+    def coarse_band(self, half: np.ndarray) -> np.ndarray:
+        """The band of coarse half-spectra (rows,) + grid.half_shape or
+        (rows, n_modes), as the view that pairs with `pad_band` and
+        `fwd_band`."""
+        return half.reshape((len(half),) + self._coarse)[..., :self.h]
 
     def samples(self, *halves: np.ndarray) -> np.ndarray:
         """Physical samples of the stacked coarse half-spectra `halves`
@@ -154,16 +173,20 @@ class FineLattice:
         Returns a view into a buffer the lattice owns; the next `samples`
         call overwrites it.
         """
-        rows = sum(len(half) for half in halves)
+        start = 0
+        for half in halves:
+            self.pad_band[start:start + len(half)] = self.coarse_band(half)
+            start += len(half)
+        return self.inverse(start)
+
+    def inverse(self, rows: int) -> np.ndarray:
+        """Physical samples of the first `rows` rows of the pad buffer,
+        whose `pad_band` the caller has written from Nyquist-free fields,
+        shape (rows, nf^dim); a view, like that of `samples`.  The rest of
+        the pad buffer is zeroed here."""
         buf = self._pad[:rows]
         for gap in self._gaps:
             buf[gap] = 0.0
-        start = 0
-        for half in halves:
-            dst = buf[start:start + len(half)]
-            for fine, coarse in self._blocks:
-                dst[fine] = half[coarse]
-            start += len(half)
         phys = self._phys[:rows]
         _irfft_spatial(buf, self.nf, self.dim, self.h, out=phys)
         return phys.reshape(rows, -1)
@@ -178,14 +201,23 @@ class FineLattice:
 
     def band(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Coarse band of the transform of fine samples `phys` (rows,
-        nf^dim) into the half-spectrum `out`; the Nyquist slots of `out`
-        are not written."""
+        nf^dim) into the half-spectrum `out`, its Nyquist slots zeroed."""
+        self.forward(phys)
+        self.coarse_band(out)[...] = self.fwd_band[:len(phys)]
+        return self.zero_gaps(out)
+
+    def zero_gaps(self, half: np.ndarray) -> np.ndarray:
+        """Zero the Nyquist slots of the coarse half-spectra `half`."""
+        for gap in self._coarse_gaps:
+            half[gap] = 0.0
+        return half
+
+    def forward(self, phys: np.ndarray) -> np.ndarray:
+        """The transform of fine samples `phys` (rows, nf^dim) in the
+        forward buffer, valid in its `fwd_band` only."""
         rows = len(phys)
-        fwd = _rfft_spatial(phys.reshape((rows,) + (self.nf,) * self.dim),
-                            self.dim, self.h, self._fwd[:rows])
-        for fine, coarse in self._blocks:
-            out[coarse] = fwd[fine]
-        return out
+        return _rfft_spatial(phys.reshape((rows,) + (self.nf,) * self.dim),
+                             self.dim, self.h, self._fwd[:rows])
 
 
 class BlowUpError(RuntimeError):
@@ -412,6 +444,8 @@ class Tendency:
 
     The state is slot coefficients a, u = Q a (`cartesian`); `to_state`/
     `from_state` convert to and from the public full-lattice SpectralField.
+    The products take N(u) from V and beta in the closed form of both steady
+    states (`model.make_ordered_system`; V = 0 at rest).
     """
 
     def __init__(self, system: TransformedSystem, grid: SpectralGrid,
@@ -440,28 +474,20 @@ class Tendency:
 
         # dealiased products on the fine lattice: u and curl u in, G out.  A
         # linearized tendency samples u there (`fine_physical`) but forms no
-        # products: no curl rows, no product buffers.  The Nyquist slots of
-        # _G_half stay zero.
+        # products: no curl rows, no product buffers.
         if self.linearized:
             self._lattice = FineLattice(grid, d)
         else:
-            curl_rows = 1 if d == 2 else 3
-            self._lattice = FineLattice(grid, d + curl_rows, d)
-            self._curl = np.empty((curl_rows,) + self.half_shape, np.complex128)
-            self._G_half = np.zeros((d,) + self.half_shape, np.complex128)
-            self._G_flat = self._G_half.reshape(d, M)
+            self._lattice = FineLattice(grid, d + (1 if d == 2 else 3), d)
             self._Gp = np.empty((d, (2 * grid.n)**d))
             self._scratch = self._lattice.idle_rows(2)
-        self._quad = np.ascontiguousarray(system.quad_coeffs)
-        self._has_quad = system.has_quadratic and not self.linearized
         self._row = np.empty(M, np.complex128)   # scratch of `rotate`
 
     # -- slot basis and state conversion ------------------------------------
 
     @functools.cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(basis, symbol), built on first use: the one-state callers, which
-        work on Cartesian coefficients, never need them."""
+        """(basis, symbol), built on first use."""
         basis, symbol = _slot_basis(
             self.system, self.grid.k_half.reshape(self.grid.dim, -1))
         basis[:, -1, self.ksq_flat > 0.0] = 0.0   # the k-hat slot stays 0
@@ -520,15 +546,6 @@ class Tendency:
 
     # -- dealiased products on the fine lattice ------------------------------
 
-    def _curl_half(self, uh: np.ndarray) -> np.ndarray:
-        kd = self.grid.k_deriv_half
-        pairs = [(0, 1)] if self.grid.dim == 2 else [(1, 2), (2, 0), (0, 1)]
-        for row, (a, b) in zip(self._curl, pairs):
-            np.multiply(kd[a], uh[b], out=row)
-            row -= kd[b] * uh[a]
-        self._curl *= 1j
-        return self._curl
-
     def fine_physical(self, uh_flat: np.ndarray) -> np.ndarray:
         """Physical samples of the Cartesian u on the factor-2 lattice,
         shape (dim, nf^dim).
@@ -539,19 +556,68 @@ class Tendency:
         return self._lattice.samples(
             uh_flat.reshape((self.grid.dim,) + self.half_shape))
 
-    def _nonlinear_G(self, uh_flat: np.ndarray) -> np.ndarray:
-        """Transforms of lam0*(u.grad)u + beta|u|^2 u - N(u), coarse band,
-        of the Cartesian u; u may sit in the returned buffer, which is read
-        before it is written."""
+    @functools.cached_property
+    def _transfers(self) -> tuple:
+        """Q and i|k| on the band (`FineLattice.coarse_band`), dim band-sized
+        complex rows of scratch inside the product buffer, which is idle
+        while the transfers run, and the k-hat column of Q at k = 0."""
+        d = self.grid.dim
+        band = self._lattice.coarse_band
+        basis = band(self.basis.reshape(d * d, -1))
+        ik = band(1j * np.sqrt(self.ksq_flat)[None])[0]
+        idle = self._Gp.view(np.complex128).reshape(-1)
+        return (basis.reshape((d, d) + ik.shape), ik,
+                idle[:d * ik.size].reshape((d,) + ik.shape),
+                self.basis[:, -1, 0].tolist())
+
+    def _fine_u_curl(self, a: np.ndarray) -> np.ndarray:
+        """Samples of u = Q a and curl u on the fine lattice, (dim + 1 or 6,
+        nf^dim), in a buffer the tendency owns.
+
+        Both go from the band of a straight into the pad buffer.  In the
+        slot basis the curl is a slot map: the k-hat slot of k != 0 is zero,
+        and i k x b1 = i|k| b2, i k x b2 = -i|k| b1.
+        """
+        d = self.grid.dim
+        Q, ik, tmp, mean_slot = self._transfers
+        a0, a1 = self._lattice.coarse_band(a)[:2]
+        u, w = self._lattice.pad_band[:d], self._lattice.pad_band[d:]
+        np.multiply(Q[:, 0], a0, out=u)
+        if d == 2:   # u = a0 b1, curl u = i|k| a0
+            np.multiply(ik, a0, out=w[0])
+        else:        # u = a0 b1 + a1 b2, curl u = i|k| (a0 b2 - a1 b1)
+            np.multiply(Q[:, 1], a1, out=tmp)
+            u += tmp
+            np.multiply(Q[:, 1], a0, out=w)
+            np.multiply(Q[:, 0], a1, out=tmp)
+            w -= tmp
+            w *= ik
+        # the k-hat slot of the mean mode, one of M's eigenvectors there
+        mean = a[-1, 0]
+        for i, q in enumerate(mean_slot):
+            u[(i,) + (0,) * (2 * d - 1)] += q * mean
+        return self._lattice.inverse(len(self._lattice._pad))
+
+    def _products(self, a: np.ndarray, sign: float) -> np.ndarray:
+        """sign * [lam0 (-u x curl u) + beta|u|^2 u - N(u)] on the fine
+        lattice, of u = Q a, in a buffer the tendency owns."""
         d = self.grid.dim
         p = self.system.params
-        uh = uh_flat.reshape((d,) + self.half_shape)
-        fine = self._lattice.samples(uh, self._curl_half(uh))
+        fine = self._fine_u_curl(a)
         products = _kernels.products_2d if d == 2 else _kernels.products_3d
-        products(fine[:d], fine[d:], p.lambda0, p.beta, self._quad,
-                 self._has_quad, self._Gp, self._scratch)
-        self._lattice.band(self._Gp, self._G_half)
-        return self._G_flat
+        return products(fine[:d], fine[d:], sign * p.lambda0, sign * p.beta,
+                        self.system.V, self._Gp, self._scratch)
+
+    def _nonlinear_G(self, u: np.ndarray, out: np.ndarray | None = None
+                     ) -> np.ndarray:
+        """Transforms of lam0 (-u x curl u) + beta|u|^2 u - N(u), coarse
+        band, of the solenoidal part Q Q^T u of the Cartesian u, into `out`
+        (not u's buffer) when given."""
+        G = np.empty_like(u) if out is None else out
+        # G holds the slot coefficients until the lattice has read them
+        Gp = self._products(self._slot_coeffs(u, G), 1.0)
+        self._lattice.band(Gp, G.reshape((self.grid.dim,) + self.half_shape))
+        return G
 
     # -- tendency -------------------------------------------------------------
 
@@ -561,8 +627,23 @@ class Tendency:
         if self.linearized:
             out.fill(0.0)
         else:
-            G = self._nonlinear_G(self.cartesian(a, out=self._G_flat))
-            np.negative(self._slot_coeffs(G, out), out=out)
+            # -G is formed on the lattice, so Q^T of its band is the tendency
+            d = self.grid.dim
+            lattice = self._lattice
+            Q, _, tmp, mean_slot = self._transfers
+            lattice.forward(self._products(a, -1.0))
+            G = lattice.fwd_band
+            band = lattice.coarse_band(out)
+            for s in range(d - 1):
+                np.multiply(Q[:, s], G, out=tmp)
+                np.add(tmp[0], tmp[1], out=band[s])
+                for row in tmp[2:]:
+                    band[s] += row
+            lattice.zero_gaps(out.reshape((d,) + self.half_shape))
+            out[-1] = 0.0
+            # the k-hat slot of the mean mode, one of M's eigenvectors there
+            G0 = G[(slice(None),) + (0,) * (2 * d - 1)].tolist()
+            out[-1, 0] = sum(q * g for q, g in zip(mean_slot, G0))
         if self.forcing is not None:
             out += self._slot_coeffs(self._forcing_half(t))
         return out
@@ -571,8 +652,10 @@ class Tendency:
                       ) -> np.ndarray:
         """The whole explicit tendency of the Cartesian u,
         -P[lam0 (u.grad)u + M u + beta|u|^2 u - N(u)] - i lam0 (V.k) u + P f
-        (what `nonlinear_rhs` returns)."""
-        G = 0.0 if self.linearized else self._nonlinear_G(u)
+        (what `nonlinear_rhs` returns); the products see the solenoidal part
+        of u only."""
+        # G sits in out, which assemble_rhs reads before it writes it
+        G = 0.0 if self.linearized else self._nonlinear_G(u, out)
         _kernels.assemble_rhs(G, u, self.Mmat, self.k_flat, self.ksq_flat,
                               self.kv, out)
         if self.forcing is not None:
@@ -603,19 +686,25 @@ class Stepper(Tendency):
                 "> 0.1; the integrating factor amplifies growing modes strongly "
                 "per step - consider a smaller dt", RuntimeWarning,
                 stacklevel=2)
-        z = -self.dt * self.symbol
-        self.E = np.exp(z)
-        self.E2 = np.exp(0.5 * z)
-        self.Q = self.dt * 0.5 * _phi(0.5 * z, 1)
-        self.f1 = self.dt * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3))
-        self.f2 = self.dt * (_phi(z, 2) - 2.0 * _phi(z, 3))
-        self.f3 = self.dt * (4.0 * _phi(z, 3) - _phi(z, 2))
-
+        self.E = np.exp(-self.dt * self.symbol)
         shape = (grid.dim, self.n_modes)
-        self._rhs_bufs = [np.empty(shape, np.complex128) for _ in range(4)]
-        self._stage_bufs = [np.empty(shape, np.complex128) for _ in range(3)]
+        # the first stage buffer, which holds the samples' u between steps
+        self._idle = np.empty(shape, np.complex128)
         self._out_bufs = [np.empty(shape, np.complex128) for _ in range(2)]
         self._out_ix = 0
+
+    @functools.cached_property
+    def _stages(self) -> tuple:
+        """The ETDRK4 stage coefficients (E2, Q, f1, f2, f3), the 4 tendency
+        buffers and the stage buffers, built on the first staged step: a
+        linearized unforced stepper never takes one."""
+        h, z = self.dt, -self.dt * self.symbol
+        coeffs = (np.exp(0.5 * z), h * 0.5 * _phi(0.5 * z, 1),
+                  h * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3)),
+                  h * (_phi(z, 2) - 2.0 * _phi(z, 3)),
+                  h * (4.0 * _phi(z, 3) - _phi(z, 2)))
+        bufs = [np.empty_like(self._idle) for _ in range(6)]
+        return coeffs, bufs[:4], [self._idle] + bufs[4:]
 
     def step(self, u: np.ndarray, t: float) -> np.ndarray:
         """One ETDRK4 step of the slot coefficients u from time t, into one
@@ -627,18 +716,17 @@ class Stepper(Tendency):
         if self.linearized and self.forcing is None:
             return np.multiply(self.E, u, out=out)
         h = self.dt
-        N0, Na, Nb, Nc = self._rhs_bufs
-        A, B, C = self._stage_bufs
+        (E2, Q, f1, f2, f3), (N0, Na, Nb, Nc), (A, B, C) = self._stages
         self.rhs(u, t, N0)
-        _kernels.stage_combine(self.E2, u, self.Q, N0, A)
+        _kernels.stage_combine(E2, u, Q, N0, A)
         self.rhs(A, t + 0.5 * h, Na)
-        _kernels.stage_combine(self.E2, u, self.Q, Na, B)
+        _kernels.stage_combine(E2, u, Q, Na, B)
         self.rhs(B, t + 0.5 * h, Nb)
         np.subtract(2.0 * Nb, N0, out=Nc)  # Nc reused as scratch for 2*Nb - N0
-        _kernels.stage_combine(self.E2, A, self.Q, Nc, C)
+        _kernels.stage_combine(E2, A, Q, Nc, C)
         self.rhs(C, t + h, Nc)
-        return _kernels.etdrk4_final(self.E, u, self.f1, N0, self.f2, Na, Nb,
-                                     self.f3, Nc, out)
+        return _kernels.etdrk4_final(self.E, u, f1, N0, f2, Na, Nb, f3, Nc,
+                                     out)
 
 
 def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
@@ -650,7 +738,9 @@ def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
 
     The stiff diagonal Gamma2|k|^4 + Gamma0|k|^2 is not included (the
     integrating factor handles it); the constant drift enters spectrally as
-    -i lam0 (V.k) u.  Raises BlowUpError on non-finite input.
+    -i lam0 (V.k) u.  The products are formed from the slot coefficients of
+    u, so for a non-solenoidal u they see its solenoidal part only (M u and
+    the drift see all of it).  Raises BlowUpError on non-finite input.
     """
     if not np.all(np.isfinite(state.u_hat.coeffs.view(np.float64))):
         raise BlowUpError(state.t, state)
@@ -685,7 +775,8 @@ class _SeriesRecorder:
     `sample` is the one place the L2 budget terms of a state are computed:
     the run series, `diagnostics.energy_budget` and both identity residuals
     all take them from it.  Quartic and quadratic terms are sampled on the
-    tendency's fine lattice; a linearized tendency leaves out int u.N(u).
+    tendency's fine lattice; a linearized tendency leaves out int u.N(u),
+    which is -3 beta int |u|^2 (u.V) for the polar N.
     """
 
     def __init__(self, tendency: Tendency, tracked: Sequence[Sequence[float]]):
@@ -744,24 +835,19 @@ class _SeriesRecorder:
             f_inner = 0.0
 
         fine = st.fine_physical(uh_flat)
-        if st._has_quad:
-            # sum_i u_i N_i(u), one component at a time in two idle rows
-            tmp, acc = st._scratch
-            acc.fill(0.0)
-            for i, ui in enumerate(fine):
-                np.einsum("jk,jm,km->m", st._quad[:, :, i], fine, fine,
-                          out=tmp)
-                tmp *= ui
-                acc += tmp
-            n_inner = self.vol * float(acc.mean())
-        else:
-            n_inner = 0.0
-        s = fine[0]                           # |u|^4, in the sample rows
+        polar = not st.linearized and self.V.any()
+        if polar:   # u.V, in an idle row, before the sample rows are squared
+            uv = np.einsum("i,im->m", self.V, fine, out=st._scratch[0])
+        s = fine[0]                           # |u|^2, in the sample rows
         s *= s
         for c in fine[1:]:
             c *= c
             s += c
-        s *= s
+        # u.N(u) = -3 beta |u|^2 (u.V)
+        n_inner = (-3.0 * st.system.params.beta * self.vol
+                   * float(np.multiply(uv, s, out=uv).mean()) if polar
+                   else 0.0)
+        s *= s                                # |u|^4
         row = {
             "t": t,
             "l2_norm_sq": float(l2),
@@ -830,8 +916,7 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
         raise BlowUpError(t_fail, finalize(t, uh_flat).final, traj)
 
     def sample(t, uh_flat):
-        # u goes to a stage buffer, idle between steps
-        u = stepper.cartesian(uh_flat, out=stepper._stage_bufs[0])
+        u = stepper.cartesian(uh_flat, out=stepper._idle)
         if not recorder.sample(t, u):
             recorder.rows.pop()   # a non-finite sample is not recorded
             blow_up(t, t, uh_flat)
@@ -929,7 +1014,8 @@ def recover_pressure(state: SolverState, with_physical_pressure: bool = True
 
     The bracket is the tendency's, with rotational advection; since
     (u.grad)u = grad(|u|^2/2) - u x curl u, q = q_rot - lam0 |u|^2/2.  q has
-    mean zero, and p = q + lambda1 |v|^2 with v = u + V when requested.
+    mean zero, and p = q + lambda1 |v|^2 with v = u + V when requested.  As
+    in `nonlinear_rhs`, the products see the solenoidal part of u only.
     """
     grid, system = state.grid, state.system
     p = system.params

@@ -122,6 +122,20 @@ class TestStepExactness:
             assert np.array_equal(out, stepper.E * a)
             a = out
 
+    def test_zero_tendency_stepper_builds_no_stages(self, monkeypatch):
+        # a linearized unforced stepper takes no staged step: it evaluates
+        # no phi function and holds no stage coefficients or buffers
+        def phi(z, j):
+            raise AssertionError("phi functions evaluated")
+        monkeypatch.setattr(integrate, "_phi", phi)
+        grid = SpectralGrid(3, 16, 20.0 * np.pi)
+        sys = make_ordered_system(params(dim=3, alpha=-0.5))
+        stepper = Stepper(sys, grid, dt=0.05, linearized=True)
+        a = stepper.from_state(random_solenoidal_field(grid, 0.05, 0.5, 3))
+        out = stepper.step(a, 0.0)
+        assert np.array_equal(out, stepper.E * a)
+        assert "_stages" not in vars(stepper)
+
     def test_forced_linearized_step_evaluates_the_tendency(self, grid32,
                                                            monkeypatch):
         sys = make_disordered_system(params(alpha=0.5))
@@ -1001,6 +1015,49 @@ class TestPrunedTransforms:
             + 2.5 * nf ** (dim - 1)
         unpruned = 4 * (2 * dim + dim) * lines * nf * math.log2(nf)
         assert sum(flops) <= 0.65 * unpruned, sum(flops) / unpruned
+
+
+class TestFusedTransfers:
+    """The tendency writes u = Q a and curl u into the fine lattice straight
+    from the slot coefficients a: the same samples as the Cartesian route,
+    which forms u, its curl i k x u and their coarse half-spectra first."""
+
+    @pytest.mark.parametrize("kind", ["rest", "polar", "polar_oblique"])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_samples_match_the_cartesian_route(self, dim, n, kind):
+        # in 3D both polar states turn the slot pair by the Jacobi angle
+        sys = TestSlotBasis.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        stepper = Stepper(sys, grid, dt=1e-3)
+        a = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.5, 4))
+        a[:, 0] = np.arange(1.0, dim + 1.0) / 10.0   # every slot of k = 0
+        got = stepper._fine_u_curl(a).copy()
+        u = stepper.cartesian(a).reshape((dim,) + grid.half_shape)
+        kd = grid.k_deriv_half
+        pairs = [(0, 1)] if dim == 2 else [(1, 2), (2, 0), (0, 1)]
+        curl = np.stack([1j * (kd[i] * u[j] - kd[j] * u[i]) for i, j in pairs])
+        want = FineLattice(grid, len(got)).samples(u, curl)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,n,calls", [(2, 16, 4), (3, 8, 8)])
+    def test_rhs_transform_count(self, dim, n, calls, monkeypatch):
+        # one pruned inverse of u and curl u and one truncated forward of G:
+        # ifft, irfft, rfft and fft in 2D; in 3D two band passes more each
+        sys = make_ordered_system(params(dim=dim, alpha=-0.5))
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        stepper = Stepper(sys, grid, dt=1e-3)
+        a = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.5, 4))
+        out = np.empty_like(a)
+        stepper.rhs(a, 0.0, out)
+        names = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn",
+                     "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kw):
+                names.append(_name)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        stepper.rhs(a, 0.0, out)
+        assert len(names) == calls, names
 
 
 def _real_half_spectrum(grid, rows, seed):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from lfsim import _kernels
+from lfsim.model import (ModelParams, make_disordered_system,
+                         make_ordered_system)
 
 RNG = np.random.default_rng(99)
 
@@ -93,26 +95,33 @@ def test_assemble_rhs_agreement(d):
         assert_close(got[:, j], -w - 1j * kv[j] * u[:, j])
 
 
-@pytest.mark.parametrize("d,has_quad", [(2, False), (2, True),
-                                        (3, False), (3, True)])
-def test_products_agreement(d, has_quad):
+@pytest.mark.parametrize("state", ["rest", "polar", "polar_oblique"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_products_agreement(d, state):
     m = 256
     lam0, beta = 1.3, 0.7
+    p = ModelParams(lambda0=lam0, lambda1=0.0, alpha=-0.5, beta=beta,
+                    gamma0=0.0, gamma2=1.0, dim=d)
+    if state == "rest":
+        sys = make_disordered_system(p)
+    else:
+        # V along an axis, or oblique to every axis
+        e = np.eye(d)[0] if state == "polar" else np.arange(1.0, d + 1.0)
+        sys = make_ordered_system(p, e / np.linalg.norm(e))
     u = RNG.standard_normal((d, m))
     om = RNG.standard_normal((1 if d == 2 else 3, m))
-    quad = RNG.standard_normal((d, d, d))
-    quad = 0.5 * (quad + np.swapaxes(quad, 0, 1))
     products = _kernels.products_2d if d == 2 else _kernels.products_3d
     # nan-filled scratch rows: a result must never read them before writing
-    got = products(u, om, lam0, beta, quad, has_quad, np.empty_like(u),
+    got = products(u, om, lam0, beta, sys.V, np.empty_like(u),
                    np.full((2, m), np.nan))
     for j in range(m):
-        # -u x omega, with the 2D vorticity along e3
+        # -u x omega, with the 2D vorticity along e3; the generic quadratic
+        # term of the model's own coefficients
         u3 = np.append(u[:, j], [0.0] * (3 - d))
         om3 = om[:, j] if d == 3 else np.array([0.0, 0.0, om[0, j]])
         want = lam0 * -np.cross(u3, om3)[:d] + beta * np.dot(u3, u3) * u[:, j]
-        if has_quad:
-            want -= [u[:, j] @ quad[:, :, i] @ u[:, j] for i in range(d)]
+        want -= [u[:, j] @ sys.quad_coeffs[:, :, i] @ u[:, j]
+                 for i in range(d)]
         assert_close(got[:, j], want)
 
 
