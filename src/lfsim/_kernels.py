@@ -45,19 +45,19 @@ def rotate(Q, a, tmp, out):
     return out
 
 
-def stage_combine(E, u, Q, N, out):
-    """out = E*u + Q*N with per-mode coefficients E, Q (one row, or one per
-    slot)."""
+def stage_combine(E, u, Q, N, out, tmp):
+    """out = E*u + Q*N, E and Q one row or one per slot, through tmp."""
     np.multiply(E, u, out=out)
-    out += Q * N
+    out += np.multiply(Q, N, out=tmp)
     return out
 
 
-def etdrk4_final(E, u, f1, N0, f2, N1, N2, f3, N3, out):
+def etdrk4_final(E, u, f1, N0, f2x2, N1, N2, f3, N3, out, tmp):
+    """out = E*u + f1*N0 + f2x2*(N1 + N2) + f3*N3, through the scratch tmp."""
     np.multiply(E, u, out=out)
-    out += f1 * N0
-    out += (2.0 * f2) * (N1 + N2)
-    out += f3 * N3
+    out += np.multiply(f1, N0, out=tmp)
+    out += np.multiply(f2x2, np.add(N1, N2, out=tmp), out=tmp)
+    out += np.multiply(f3, N3, out=tmp)
     return out
 
 

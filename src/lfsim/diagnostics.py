@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, StateKind
-from .integrate import (FineLattice, SolverState, Tendency, Trajectory,
-                        _SeriesRecorder)
+from .integrate import SolverState, Tendency, Trajectory, _SeriesRecorder
+from .lattice import FineLattice
 from .spectral import SpectralField, SpectralGrid, to_half, zero_nyquist
 
 __all__ = [
@@ -268,9 +268,10 @@ def quartic_gradient_inner(grid: SpectralGrid, field: SpectralField) -> float:
     """int grad(|u|^2 u) . grad u dx; non-negative (a sum of squares)."""
     d = grid.dim
     uh = zero_nyquist(grid, to_half(grid, field.coeffs))
-    lattice = FineLattice(grid, d, d)
-    uf = lattice.samples(uh)
-    g = lattice.band(uf * np.einsum("im,im->m", uf, uf), np.zeros_like(uh))
+    lattice = FineLattice(grid, d)
+    lattice.products(d, lambda u, out, scratch: np.multiply(   # |u|^2 u
+        u, np.einsum("im,im->m", u, u), out=out), uh)
+    g = lattice.band(np.zeros_like(uh))
     w = grid.parseval_weight_half * np.sum(grid.k_deriv_half**2, axis=0)
     return grid.volume * float(
         np.sum(w * np.real(np.sum(g * np.conj(uh), axis=0))))

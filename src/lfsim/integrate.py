@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
+from .lattice import FineLattice, _irfft_spatial
 from .model import TransformedSystem
 from .spectral import (
     SpectralField,
@@ -70,154 +71,6 @@ __all__ = [
     "recover_pressure",
     "PressureFields",
 ]
-
-def _band_rows(size: int, h: int) -> tuple[slice, slice]:
-    """Rows of a spectral axis of `size` points that hold the band |m| < h."""
-    return slice(0, h), slice(size - h + 1, size)
-
-
-def _irfft_spatial(arr: np.ndarray, n_out: int, dim: int, h: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Band-limited half-spectrum -> real samples, one axis at a time.
-
-    `arr` must be zero outside the band |m| < h: in the columns >= h and,
-    on each leading axis, outside the rows of `_band_rows`.  The leading-axis
-    passes skip the 1-D transforms of all-zero lines (pruned inverse,
-    Bowman & Roberts 2011) and run in place, so `arr` is overwritten in its
-    columns < h.  The real samples go to `out` when given.  numpy's irfftn
-    routes these batched shapes through a slow path; ifft per leading axis
-    and irfft on the last axis is ~4x faster.
-    """
-    cols = arr[..., :h]
-    if dim == 3:
-        for rows in _band_rows(arr.shape[-2], h):
-            band = cols[..., rows, :]
-            np.fft.ifft(band, axis=-3, norm="forward", out=band)
-    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
-    return np.fft.irfft(arr, n=n_out, axis=-1, norm="forward", out=out)
-
-
-def _rfft_spatial(arr: np.ndarray, dim: int, h: int,
-                  out: np.ndarray) -> np.ndarray:
-    """Real samples -> half-spectrum in `out`, valid only in the band |m| < h.
-
-    The leading-axis passes run in place in `out` and compute only the lines
-    that reach the band (truncated forward, see `_irfft_spatial`); outside
-    the band `out` holds partial transforms.
-    """
-    np.fft.rfft(arr, axis=-1, norm="forward", out=out)
-    cols = out[..., :h]
-    if dim == 3:
-        np.fft.fft(cols, axis=-3, norm="forward", out=cols)
-        for rows in _band_rows(out.shape[-3], h):
-            band = cols[..., rows, :, :]
-            np.fft.fft(band, axis=-2, norm="forward", out=band)
-    else:
-        np.fft.fft(cols, axis=-2, norm="forward", out=cols)
-    return out
-
-
-class FineLattice:
-    """The factor-2 zero-padded lattice on the rfft layout, with its buffers.
-
-    Products of Nyquist-free coarse fields formed on this lattice are exact
-    for quadratic and cubic terms.  The coarse band |m| < h pairs with the
-    same band of the fine lattice, each seen as one view (`coarse_band`,
-    `pad_band`, `fwd_band`): the columns < h and, on each leading axis, the
-    rows 0..h-1 and -h..-1, that axis split in two blocks, so (rows, 2, h,
-    [2, h,] h).  The second block starts at m = -h, outside the band: on a
-    coarse axis that is the Nyquist row, which inputs must hold at zero,
-    and on the fine axis the row it pairs with.  Holds `rows` rows of padded
-    input and samples and `out_rows` rows of forward output; the forward
-    never writes into the pad buffer, whose columns >= h must stay zero.
-    """
-
-    def __init__(self, grid: SpectralGrid, rows: int, out_rows: int = 0):
-        d, n = grid.dim, grid.n
-        self.dim = d
-        self.nf = nf = 2 * n
-        self.h = h = n // 2
-        half_shape = (nf,) * (d - 1) + (nf // 2 + 1,)
-        # the coarse modes outside the band: the m = n/2 slot of each axis
-        self._coarse_gaps = [(slice(None),) * (1 + a) + (h,)
-                             for a in range(d - 1)] + [(..., slice(h, None))]
-        # the rows outside the band of each leading axis, in the columns < h
-        # that the in-place inverse passes overwrite
-        mid = slice(h, nf - h + 1)
-        self._gaps = [(slice(None),) * (1 + a) + (mid,)
-                      + (slice(None),) * (d - 2 - a) + (slice(0, h),)
-                      for a in range(d - 1)]
-        self._pad = np.zeros((rows,) + half_shape, np.complex128)
-        self._phys = np.empty((rows,) + (nf,) * d)
-        self._fwd = np.empty((out_rows,) + half_shape, np.complex128)
-        # a fine axis is 4 blocks of h rows, a coarse axis 2: keep the first
-        # and the last
-        pick = ((slice(None),) + (slice(None, None, 3), slice(None)) * (d - 1)
-                + (slice(0, h),))
-        fine = (4, h) * (d - 1) + (nf // 2 + 1,)
-        self.pad_band = self._pad.reshape((rows,) + fine)[pick]
-        self.fwd_band = self._fwd.reshape((out_rows,) + fine)[pick]
-        self._coarse = (2, h) * (d - 1) + (n // 2 + 1,)
-
-    def coarse_band(self, half: np.ndarray) -> np.ndarray:
-        """The band of coarse half-spectra (rows,) + grid.half_shape or
-        (rows, n_modes), as the view that pairs with `pad_band` and
-        `fwd_band`."""
-        return half.reshape((len(half),) + self._coarse)[..., :self.h]
-
-    def samples(self, *halves: np.ndarray) -> np.ndarray:
-        """Physical samples of the stacked coarse half-spectra `halves`
-        (each (rows_i,) + grid.half_shape, Nyquist-free), shape
-        (sum rows_i, nf^dim).
-
-        Returns a view into a buffer the lattice owns; the next `samples`
-        call overwrites it.
-        """
-        start = 0
-        for half in halves:
-            self.pad_band[start:start + len(half)] = self.coarse_band(half)
-            start += len(half)
-        return self.inverse(start)
-
-    def inverse(self, rows: int) -> np.ndarray:
-        """Physical samples of the first `rows` rows of the pad buffer,
-        whose `pad_band` the caller has written from Nyquist-free fields,
-        shape (rows, nf^dim); a view, like that of `samples`.  The rest of
-        the pad buffer is zeroed here."""
-        buf = self._pad[:rows]
-        for gap in self._gaps:
-            buf[gap] = 0.0
-        phys = self._phys[:rows]
-        _irfft_spatial(buf, self.nf, self.dim, self.h, out=phys)
-        return phys.reshape(rows, -1)
-
-    def idle_rows(self, rows: int) -> np.ndarray:
-        """`rows` real fine-lattice rows, (rows, nf^dim), inside the forward
-        buffer: free for scratch between `samples` and `band`, which
-        overwrites them.  With out_rows = dim >= 2 it holds two rows."""
-        n = self.nf ** self.dim
-        return self._fwd.view(np.float64).reshape(-1)[:rows * n].reshape(
-            rows, n)
-
-    def band(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Coarse band of the transform of fine samples `phys` (rows,
-        nf^dim) into the half-spectrum `out`, its Nyquist slots zeroed."""
-        self.forward(phys)
-        self.coarse_band(out)[...] = self.fwd_band[:len(phys)]
-        return self.zero_gaps(out)
-
-    def zero_gaps(self, half: np.ndarray) -> np.ndarray:
-        """Zero the Nyquist slots of the coarse half-spectra `half`."""
-        for gap in self._coarse_gaps:
-            half[gap] = 0.0
-        return half
-
-    def forward(self, phys: np.ndarray) -> np.ndarray:
-        """The transform of fine samples `phys` (rows, nf^dim) in the
-        forward buffer, valid in its `fwd_band` only."""
-        rows = len(phys)
-        return _rfft_spatial(phys.reshape((rows,) + (self.nf,) * self.dim),
-                             self.dim, self.h, self._fwd[:rows])
 
 
 class BlowUpError(RuntimeError):
@@ -472,16 +325,11 @@ class Tendency:
             p.lambda0 * np.einsum("a,am->m", system.V, kd_flat))
         self.Mmat = np.ascontiguousarray(system.M)
 
-        # dealiased products on the fine lattice: u and curl u in, G out.  A
-        # linearized tendency samples u there (`fine_physical`) but forms no
-        # products: no curl rows, no product buffers.
-        if self.linearized:
-            self._lattice = FineLattice(grid, d)
-        else:
-            self._lattice = FineLattice(grid, d + (1 if d == 2 else 3), d)
-            self._Gp = np.empty((d, (2 * grid.n)**d))
-            self._scratch = self._lattice.idle_rows(2)
-        self._row = np.empty(M, np.complex128)   # scratch of `rotate`
+        # dealiased products: u and curl u in, G out; a linearized tendency
+        # only samples u there (`fine_physical`), so it has no curl rows
+        self._lattice = FineLattice(
+            grid, d if self.linearized else d + (1 if d == 2 else 3))
+        self._row = np.empty(M, np.complex128)   # scratch of all transfers
 
     # -- slot basis and state conversion ------------------------------------
 
@@ -548,37 +396,31 @@ class Tendency:
 
     def fine_physical(self, uh_flat: np.ndarray) -> np.ndarray:
         """Physical samples of the Cartesian u on the factor-2 lattice,
-        shape (dim, nf^dim).
-
-        Returns a view into a buffer the tendency owns; the next `rhs`,
-        `step` or `fine_physical` call overwrites it.
-        """
+        (dim, nf^dim): a view into a buffer the tendency owns, which the
+        next `rhs`, `step` or `fine_physical` call overwrites."""
         return self._lattice.samples(
             uh_flat.reshape((self.grid.dim,) + self.half_shape))
 
     @functools.cached_property
     def _transfers(self) -> tuple:
-        """Q and i|k| on the band (`FineLattice.coarse_band`), dim band-sized
-        complex rows of scratch inside the product buffer, which is idle
-        while the transfers run, and the k-hat column of Q at k = 0."""
+        """Q and i|k| on the band (`FineLattice.coarse_band`), a band-sized
+        complex scratch row in `_row`, and Q's k-hat column at k = 0."""
         d = self.grid.dim
         band = self._lattice.coarse_band
         basis = band(self.basis.reshape(d * d, -1))
         ik = band(1j * np.sqrt(self.ksq_flat)[None])[0]
-        idle = self._Gp.view(np.complex128).reshape(-1)
         return (basis.reshape((d, d) + ik.shape), ik,
-                idle[:d * ik.size].reshape((d,) + ik.shape),
+                self._row[:ik.size].reshape(ik.shape),
                 self.basis[:, -1, 0].tolist())
 
-    def _fine_u_curl(self, a: np.ndarray) -> np.ndarray:
-        """Samples of u = Q a and curl u on the fine lattice, (dim + 1 or 6,
-        nf^dim), in a buffer the tendency owns.
-
-        Both go from the band of a straight into the pad buffer.  In the
-        slot basis the curl is a slot map: the k-hat slot of k != 0 is zero,
-        and i k x b1 = i|k| b2, i k x b2 = -i|k| b1.
-        """
+    def _products(self, a: np.ndarray, sign: float) -> np.ndarray:
+        """The band of the transforms of sign * [lam0 (-u x curl u)
+        + beta|u|^2 u - N(u)], of u = Q a, a view into the fine lattice.  u
+        and curl u go from the band of a straight into `pad_band`: in the
+        slot basis the curl is a slot map (the k-hat slot of k != 0 is zero,
+        and i k x b1 = i|k| b2, i k x b2 = -i|k| b1)."""
         d = self.grid.dim
+        p = self.system.params
         Q, ik, tmp, mean_slot = self._transfers
         a0, a1 = self._lattice.coarse_band(a)[:2]
         u, w = self._lattice.pad_band[:d], self._lattice.pad_band[d:]
@@ -586,27 +428,22 @@ class Tendency:
         if d == 2:   # u = a0 b1, curl u = i|k| a0
             np.multiply(ik, a0, out=w[0])
         else:        # u = a0 b1 + a1 b2, curl u = i|k| (a0 b2 - a1 b1)
-            np.multiply(Q[:, 1], a1, out=tmp)
-            u += tmp
+            for ui, q in zip(u, Q[:, 1]):
+                np.multiply(q, a1, out=tmp)
+                ui += tmp
             np.multiply(Q[:, 1], a0, out=w)
-            np.multiply(Q[:, 0], a1, out=tmp)
-            w -= tmp
+            for wi, q in zip(w, Q[:, 0]):
+                np.multiply(q, a1, out=tmp)
+                wi -= tmp
             w *= ik
         # the k-hat slot of the mean mode, one of M's eigenvectors there
         mean = a[-1, 0]
         for i, q in enumerate(mean_slot):
             u[(i,) + (0,) * (2 * d - 1)] += q * mean
-        return self._lattice.inverse(len(self._lattice._pad))
-
-    def _products(self, a: np.ndarray, sign: float) -> np.ndarray:
-        """sign * [lam0 (-u x curl u) + beta|u|^2 u - N(u)] on the fine
-        lattice, of u = Q a, in a buffer the tendency owns."""
-        d = self.grid.dim
-        p = self.system.params
-        fine = self._fine_u_curl(a)
         products = _kernels.products_2d if d == 2 else _kernels.products_3d
-        return products(fine[:d], fine[d:], sign * p.lambda0, sign * p.beta,
-                        self.system.V, self._Gp, self._scratch)
+        return self._lattice.products(d, lambda fine, out, scratch: products(
+            fine[:d], fine[d:], sign * p.lambda0, sign * p.beta,
+            self.system.V, out, scratch))
 
     def _nonlinear_G(self, u: np.ndarray, out: np.ndarray | None = None
                      ) -> np.ndarray:
@@ -615,8 +452,8 @@ class Tendency:
         (not u's buffer) when given."""
         G = np.empty_like(u) if out is None else out
         # G holds the slot coefficients until the lattice has read them
-        Gp = self._products(self._slot_coeffs(u, G), 1.0)
-        self._lattice.band(Gp, G.reshape((self.grid.dim,) + self.half_shape))
+        self._products(self._slot_coeffs(u, G), 1.0)
+        self._lattice.band(G.reshape((self.grid.dim,) + self.half_shape))
         return G
 
     # -- tendency -------------------------------------------------------------
@@ -631,14 +468,13 @@ class Tendency:
             d = self.grid.dim
             lattice = self._lattice
             Q, _, tmp, mean_slot = self._transfers
-            lattice.forward(self._products(a, -1.0))
-            G = lattice.fwd_band
+            G = self._products(a, -1.0)
             band = lattice.coarse_band(out)
             for s in range(d - 1):
-                np.multiply(Q[:, s], G, out=tmp)
-                np.add(tmp[0], tmp[1], out=band[s])
-                for row in tmp[2:]:
-                    band[s] += row
+                np.multiply(Q[0, s], G[0], out=band[s])
+                for q, g in zip(Q[1:, s], G[1:]):
+                    np.multiply(q, g, out=tmp)
+                    band[s] += tmp
             lattice.zero_gaps(out.reshape((d,) + self.half_shape))
             out[-1] = 0.0
             # the k-hat slot of the mean mode, one of M's eigenvectors there
@@ -695,13 +531,13 @@ class Stepper(Tendency):
 
     @functools.cached_property
     def _stages(self) -> tuple:
-        """The ETDRK4 stage coefficients (E2, Q, f1, f2, f3), the 4 tendency
-        buffers and the stage buffers, built on the first staged step: a
-        linearized unforced stepper never takes one."""
+        """The ETDRK4 stage coefficients (E2, Q, f1, 2 f2, f3), the 4
+        tendency buffers and the stage buffers, built on the first staged
+        step: a linearized unforced stepper never takes one."""
         h, z = self.dt, -self.dt * self.symbol
         coeffs = (np.exp(0.5 * z), h * 0.5 * _phi(0.5 * z, 1),
                   h * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3)),
-                  h * (_phi(z, 2) - 2.0 * _phi(z, 3)),
+                  2.0 * (h * (_phi(z, 2) - 2.0 * _phi(z, 3))),
                   h * (4.0 * _phi(z, 3) - _phi(z, 2)))
         bufs = [np.empty_like(self._idle) for _ in range(6)]
         return coeffs, bufs[:4], [self._idle] + bufs[4:]
@@ -716,17 +552,18 @@ class Stepper(Tendency):
         if self.linearized and self.forcing is None:
             return np.multiply(self.E, u, out=out)
         h = self.dt
-        (E2, Q, f1, f2, f3), (N0, Na, Nb, Nc), (A, B, C) = self._stages
+        (E2, Q, f1, f2x2, f3), (N0, Na, Nb, Nc), (A, B, C) = self._stages
+        # each combine's scratch is a stage buffer that is free at that point
         self.rhs(u, t, N0)
-        _kernels.stage_combine(E2, u, Q, N0, A)
+        _kernels.stage_combine(E2, u, Q, N0, A, C)
         self.rhs(A, t + 0.5 * h, Na)
-        _kernels.stage_combine(E2, u, Q, Na, B)
+        _kernels.stage_combine(E2, u, Q, Na, B, C)
         self.rhs(B, t + 0.5 * h, Nb)
-        np.subtract(2.0 * Nb, N0, out=Nc)  # Nc reused as scratch for 2*Nb - N0
-        _kernels.stage_combine(E2, A, Q, Nc, C)
+        np.subtract(np.multiply(2.0, Nb, out=Nc), N0, out=Nc)   # 2 Nb - N0
+        _kernels.stage_combine(E2, A, Q, Nc, C, B)
         self.rhs(C, t + h, Nc)
-        return _kernels.etdrk4_final(self.E, u, f1, N0, f2, Na, Nb, f3, Nc,
-                                     out)
+        return _kernels.etdrk4_final(self.E, u, f1, N0, f2x2, Na, Nb, f3, Nc,
+                                     out, A)
 
 
 def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
@@ -836,8 +673,9 @@ class _SeriesRecorder:
 
         fine = st.fine_physical(uh_flat)
         polar = not st.linearized and self.V.any()
-        if polar:   # u.V, in an idle row, before the sample rows are squared
-            uv = np.einsum("i,im->m", self.V, fine, out=st._scratch[0])
+        if polar:   # u.V, in the row after the samples, before squaring
+            uv = np.einsum("i,im->m", self.V, fine, out=st._lattice.physical(
+                fine.size + fine.shape[1])[fine.size:])
         s = fine[0]                           # |u|^2, in the sample rows
         s *= s
         for c in fine[1:]:
@@ -1025,13 +863,14 @@ def recover_pressure(state: SolverState, with_physical_pressure: bool = True
     B = (tendency._nonlinear_G(uh) + tendency.Mmat @ uh).reshape(
         (d,) + grid.half_shape)
 
-    uf = tendency.fine_physical(uh)
-    squares = [0.5 * np.einsum("im,im->m", uf, uf)]
-    if with_physical_pressure:
-        v = uf + system.V[:, None]
-        squares.append(np.einsum("im,im->m", v, v))
-    S = tendency._lattice.band(np.stack(squares),
-                               np.zeros_like(B[:len(squares)]))
+    def squares(u, out, scratch):   # |u|^2/2 and, for p, |u + V|^2
+        out[0] = 0.5 * np.einsum("im,im->m", u, u)
+        if with_physical_pressure:
+            out[1] = np.einsum("im,im->m", u + system.V[:, None],
+                               u + system.V[:, None])
+    rows = 2 if with_physical_pressure else 1
+    tendency._lattice.products(rows, squares, uh.reshape(B.shape))
+    S = tendency._lattice.band(np.zeros_like(B[:rows]))
     S[(0,) * (d + 1)] = 0.0   # the mean of |u|^2/2 is no gradient
 
     # q_rot = i (k.B)/|k|^2 solves grad q_rot = -(I-P)B (zero at k = 0)

@@ -11,11 +11,11 @@ from lfsim.model import ModelParams, make_disordered_system, make_ordered_system
 from lfsim import integrate
 from lfsim.spectral import (SpectralField, SpectralGrid, forward, inverse,
                             project_coeffs, to_half, zero_nyquist)
-from lfsim.integrate import (BlowUpError, FineLattice, SolverConfig,
-                             SolverState, Stepper, _irfft_spatial, _phi,
-                             _rfft_spatial, amp_label,
+from lfsim.integrate import (BlowUpError, SolverConfig, SolverState,
+                             Stepper, _phi, amp_label,
                              nonlinear_rhs, random_solenoidal_field,
                              recover_pressure, run, single_mode_field, step)
+from lfsim.lattice import FineLattice, _fft_leading, _irfft_spatial
 from lfsim.stability import growth_rate
 from lfsim.diagnostics import energy_budget, fit_growth
 from lfsim.experiments import _require_samples
@@ -706,14 +706,17 @@ def _convective_pressure(state):
     d = grid.dim
     uh = zero_nyquist(grid, to_half(grid, state.u_hat.coeffs))
     grads = 1j * grid.k_deriv_half[:, None] * uh
-    lattice = FineLattice(grid, d + d * d, d)
-    fine = lattice.samples(uh, grads.reshape((d * d,) + grid.half_shape))
-    uf, gf = fine[:d], fine[d:].reshape(d, d, -1)
-    s = np.einsum("im,im->m", uf, uf)
-    bracket = p.lambda0 * np.einsum("am,aim->im", uf, gf) + system.M @ uf \
-        + p.beta * s * uf \
-        - np.einsum("jki,jm,km->im", system.quad_coeffs, uf, uf)
-    B = lattice.band(bracket, np.zeros((d,) + grid.half_shape, np.complex128))
+    lattice = FineLattice(grid, d + d * d)
+
+    def bracket(fine, out, scratch):
+        uf, gf = fine[:d], fine[d:].reshape(d, d, -1)
+        s = np.einsum("im,im->m", uf, uf)
+        out[...] = p.lambda0 * np.einsum("am,aim->im", uf, gf) \
+            + system.M @ uf + p.beta * s * uf \
+            - np.einsum("jki,jm,km->im", system.quad_coeffs, uf, uf)
+    lattice.products(d, bracket, uh,
+                     grads.reshape((d * d,) + grid.half_shape))
+    B = lattice.band(np.zeros((d,) + grid.half_shape, np.complex128))
     k = grid.k_half
     kB = np.einsum("a...,a...->...", k, B) / np.where(
         grid.ksq_half == 0.0, 1.0, grid.ksq_half)
@@ -815,10 +818,11 @@ class TestStepAllocations:
     @pytest.mark.parametrize("dim,n,ordered,limit_kb", [
         (2, 64, True, 939 / 2), (3, 16, False, 3374 / 2),
         # with two fine-lattice scratch rows allocated in every products
-        # call, these steps peaked at 259 KB and 513 KB; the rows now sit in
-        # the lattice's idle forward buffer, and the steps peak at 199 KB
-        # and 343 KB
-        (2, 64, True, 220), (3, 16, False, 380)])
+        # call, these steps peaked at 259 KB and 513 KB, and with a
+        # temporary per ETDRK4 combine product at 199 KB and 343 KB; the
+        # combines now write through free stage buffers, and the steps peak
+        # at 194 KB and 291 KB
+        (2, 64, True, 200), (3, 16, False, 300)])
     def test_transient_peak(self, dim, n, ordered, limit_kb):
         import tracemalloc
         p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
@@ -909,6 +913,31 @@ class TestStepAllocations:
             tracemalloc.stop()
         assert (peak - before) / 1024 < limit_kb
 
+    @pytest.mark.parametrize("dim,n,ordered,limit_kb", [
+        # with full-lattice rows for the samples of u and curl u, the
+        # products and the forward transforms, building the stepper and
+        # taking a step held 6345 KB; with the slab rows of the product
+        # pass it holds 4633 KB, and one full-lattice product or forward
+        # buffer back (786 or 835 KB) breaks the bound
+        (3, 16, False, 5100),
+        # one slab covers the 2D n = 64 lattice: 2650 KB before, 2645 now
+        (2, 64, True, 2650)])
+    def test_persistent_lattice_memory(self, dim, n, ordered, limit_kb):
+        import tracemalloc
+        p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
+        sys = make_ordered_system(p) if ordered else make_disordered_system(p)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        u0 = random_solenoidal_field(grid, 0.05, 0.5, 3)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            stepper = Stepper(sys, grid, dt=1e-3)
+            stepper.step(stepper.from_state(u0), 0.0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (held - before) / 1024 <= limit_kb
+
 
 def _irfft_unpruned(arr, n_out, dim):
     """Reference inverse: every leading-axis line, in place, then irfft."""
@@ -963,7 +992,8 @@ class TestPrunedTransforms:
         arr = rng.standard_normal((dim,) + (nf,) * dim)
         expect = _rfft_unpruned(arr, dim)
         out = np.empty_like(expect)
-        _rfft_spatial(arr, dim, n // 2, out)
+        np.fft.rfft(arr, axis=-1, norm="forward", out=out)
+        _fft_leading(out, dim, n // 2)
         band = np.broadcast_to(_band_mask(dim, nf, n // 2), out.shape)
         assert np.array_equal(out[band], expect[band])
 
@@ -1024,14 +1054,20 @@ class TestFusedTransfers:
 
     @pytest.mark.parametrize("kind", ["rest", "polar", "polar_oblique"])
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
-    def test_samples_match_the_cartesian_route(self, dim, n, kind):
+    def test_samples_match_the_cartesian_route(self, dim, n, kind,
+                                               monkeypatch):
         # in 3D both polar states turn the slot pair by the Jacobi angle
         sys = TestSlotBasis.SYSTEMS[kind](dim)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         stepper = Stepper(sys, grid, dt=1e-3)
         a = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.5, 4))
         a[:, 0] = np.arange(1.0, dim + 1.0) / 10.0   # every slot of k = 0
-        got = stepper._fine_u_curl(a).copy()
+        slabs = []   # u and curl u as the product pass samples them
+        monkeypatch.setattr(
+            integrate._kernels, f"products_{dim}d",
+            lambda u, w, *_: slabs.append(np.concatenate([u, w])))
+        stepper._products(a, 1.0)
+        got = np.concatenate(slabs, axis=1)
         u = stepper.cartesian(a).reshape((dim,) + grid.half_shape)
         kd = grid.k_deriv_half
         pairs = [(0, 1)] if dim == 2 else [(1, 2), (2, 0), (0, 1)]
@@ -1095,8 +1131,15 @@ class TestFineLattice:
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         rng = np.random.default_rng(3)
         phys = rng.standard_normal((dim,) + (2 * n,) * dim)
-        out = np.zeros((dim,) + grid.half_shape, np.complex128)
-        FineLattice(grid, 0, dim).band(phys.reshape(dim, -1), out)
+        rows = phys.reshape(dim, -1)
+        done = [0]
+
+        def fill(fine, out, scratch):   # the slabs come in order
+            out[...] = rows[:, done[0]:done[0] + out.shape[1]]
+            done[0] += out.shape[1]
+        lattice = FineLattice(grid, dim)
+        lattice.products(dim, fill)   # the pad rows hold zeros
+        out = lattice.band(np.zeros((dim,) + grid.half_shape, np.complex128))
         axes = tuple(range(1, dim + 1))
         expect = truncate_spectrum(grid, np.fft.fftn(phys, axes=axes,
                                                      norm="forward"))
@@ -1117,6 +1160,33 @@ class TestFineLattice:
         lattice.samples(a_half, b_half)
         got = lattice.samples(u_half)
         assert np.array_equal(got, FineLattice(grid, dim).samples(u_half))
+
+
+class TestSlabs:
+    """The product pass runs one slab of first-axis planes at a time: every
+    line transform and every pointwise product sees the same numbers in any
+    number of slabs, so the slab count changes no bit."""
+
+    @pytest.mark.parametrize("dim,n,kind", [(2, 64, "polar"), (3, 16, "rest"),
+                                            (3, 16, "polar")])
+    def test_slab_count_changes_no_bit(self, dim, n, kind, monkeypatch):
+        sys = TestSlotBasis.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        u0 = random_solenoidal_field(grid, 0.3, 0.5, 4)
+        state = SolverState(0.0, u0, sys, grid)
+        nf = 2 * n
+        got = []
+        # one slab, two, and slabs of 3 planes, which do not divide nf
+        for planes in (nf, nf // 2, 3):
+            monkeypatch.setattr("lfsim.lattice.SLAB_POINTS",
+                                planes * nf ** (dim - 1))
+            stepper = Stepper(sys, grid, dt=1e-3)
+            assert len(stepper._lattice._slabs) == -(-nf // planes)
+            got.append((stepper.step(stepper.from_state(u0), 0.0).copy(),
+                        nonlinear_rhs(state).coeffs))
+        for stepped, rhs in got[1:]:
+            assert np.array_equal(stepped, got[0][0])
+            assert np.array_equal(rhs, got[0][1])
 
 
 class TestSlotBasis:
