@@ -326,9 +326,11 @@ class Tendency:
         self.Mmat = np.ascontiguousarray(system.M)
 
         # dealiased products: u and curl u in, G out; a linearized tendency
-        # only samples u there (`fine_physical`), so it has no curl rows
+        # only samples u there (`fine_physical`), so it has no curl rows; a
+        # nonlinear polar one holds the sampler's u.V row from the start
         self._lattice = FineLattice(
-            grid, d if self.linearized else d + (1 if d == 2 else 3))
+            grid, d if self.linearized else d + (1 if d == 2 else 3),
+            d + (not self.linearized and bool(system.V.any())))
         self._row = np.empty(M, np.complex128)   # scratch of all transfers
 
     # -- slot basis and state conversion ------------------------------------
@@ -646,8 +648,8 @@ class _SeriesRecorder:
 
         Works on the float view of uh_flat, which it does not write, and on
         the fine lattice's rows in place: it allocates per-mode rows only,
-        and it calls no BLAS, whose helper threads would spin through the
-        steps between samples.
+        and calls BLAS only where a step does (the lattice's GEMMs), since
+        helper threads would spin through the steps between samples.
         """
         st = self.tendency
         x = uh_flat.view(np.float64)          # (dim, 2 n_modes): re, im

@@ -7,7 +7,9 @@ each leading axis, two blocks of h rows, 0..h-1 and -h..-1, so (rows, 2, h,
 [2, h,] h).  The second block starts at m = -h: on a coarse axis the Nyquist
 row, which inputs hold at zero, on the fine axis the row it pairs with.
 Transforms are pruned to the band, and products are formed one L2-sized
-slab of first-axis planes at a time: no full-lattice product buffer.
+slab of first-axis planes at a time: no full-lattice product buffer.  Fine
+axes of at most `GEMM_MAX_POINTS` points take the last-axis transforms as
+real GEMMs on the h band columns, all the pad holds there.
 """
 
 import numpy as np
@@ -22,6 +24,14 @@ def _band_rows(size: int, h: int) -> tuple[slice, slice]:
 
 # points per row of a product slab: 128 KiB of float64, so a slab stays in L2
 SLAB_POINTS = 16384
+# the longest fine axis whose last-axis transforms run as GEMMs
+GEMM_MAX_POINTS = 64
+
+
+def _gemm(a: np.ndarray, mat: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ mat on the last axis, as one GEMM per row of a and out."""
+    rows, (k, m) = len(a), mat.shape
+    np.matmul(a.reshape(rows, -1, k), mat, out=out.reshape(rows, -1, m))
 
 
 def _ifft_leading(arr: np.ndarray, dim: int, h: int) -> None:
@@ -61,14 +71,24 @@ def _fft_leading(arr: np.ndarray, dim: int, h: int) -> None:
 
 class FineLattice:
     """The lattice of a grid: `rows` rows of padded input, whose columns >= h
-    stay zero, and one physical buffer of d sample rows, grown to fit."""
+    (if any) stay zero, and one physical buffer of `sample_rows` (default d)
+    rows, grown to fit."""
 
-    def __init__(self, grid: SpectralGrid, rows: int):
+    def __init__(self, grid: SpectralGrid, rows: int, sample_rows: int = 0):
         d, n = grid.dim, grid.n
         self.dim = d
         self.nf = nf = 2 * n
         self.h = h = n // 2
-        half_shape = (nf,) * (d - 1) + (nf // 2 + 1,)
+        # last-axis DFT on the float view of h columns: 2 (cos, -sin) in,
+        # bin 0 once (-sin 0 drops its Im, as irfft does); (cos, -sin)/nf out
+        self._dft, cols = None, nf // 2 + 1
+        if nf <= GEMM_MAX_POINTS:
+            theta = np.arange(h)[:, None] * np.arange(nf) % nf * 2 * np.pi / nf
+            rot = np.stack([np.cos(theta), -np.sin(theta)], 1).reshape(-1, nf)
+            inv = 2 * rot
+            inv[0] = 1.0
+            self._dft, cols = (inv, np.ascontiguousarray(rot.T / nf)), h
+        half_shape = (nf,) * (d - 1) + (cols,)
         # the coarse modes outside the band: the m = n/2 slot of each axis
         self._coarse_gaps = [(slice(None),) * (1 + a) + (h,)
                              for a in range(d - 1)] + [(..., slice(h, None))]
@@ -78,14 +98,14 @@ class FineLattice:
                       + (slice(None),) * (d - 2 - a) + (slice(0, h),)
                       for a in range(d - 1)]
         self._pad = np.zeros((rows,) + half_shape, np.complex128)
-        self._phys = np.empty(d * nf ** d)   # d sample rows, grown on demand
+        self._phys = np.empty((sample_rows or d) * nf ** d)
         planes = max(1, SLAB_POINTS // nf ** (d - 1))
         self._slabs = [slice(i, min(i + planes, nf))
                        for i in range(0, nf, planes)]
         # 4 blocks of h rows on a fine axis, 2 on a coarse one: keep the ends
         pick = ((slice(None),) + (slice(None, None, 3), slice(None)) * (d - 1)
                 + (slice(0, h),))
-        fine = (4, h) * (d - 1) + (nf // 2 + 1,)
+        fine = (4, h) * (d - 1) + (cols,)
         self.pad_band = self._pad.reshape((rows,) + fine)[pick]
         self._coarse = (2, h) * (d - 1) + (n // 2 + 1,)
 
@@ -116,14 +136,22 @@ class FineLattice:
         _ifft_leading(buf, self.dim, self.h)
         return buf
 
+    def _inverse_last(self, src: np.ndarray, out: np.ndarray) -> None:
+        """The last-axis inverse of pad rows `src` into samples `out`, (rows,
+        points): its GEMM, or irfft."""
+        if self._dft:
+            _gemm(src.view(np.float64), self._dft[0], out)
+        else:
+            np.fft.irfft(src, n=self.nf, axis=-1, norm="forward",
+                         out=out.reshape(src.shape[:-1] + (self.nf,)))
+
     def samples(self, *halves: np.ndarray) -> np.ndarray:
         """Physical samples of `halves` (as in `_inverse_leading`), (rows,
         nf^dim): a view into the physical buffer, which the next `samples`
         or `products` call overwrites."""
-        buf, nf = self._inverse_leading(halves), self.nf
-        phys = self.physical(len(buf) * nf ** self.dim)
-        np.fft.irfft(buf, n=nf, axis=-1, norm="forward",
-                     out=phys.reshape(buf.shape[:-1] + (nf,)))
+        buf = self._inverse_leading(halves)
+        phys = self.physical(len(buf) * self.nf ** self.dim)
+        self._inverse_last(buf, phys.reshape(len(buf), -1))
         return phys.reshape(len(buf), -1)
 
     def products(self, out_rows: int, form, *halves: np.ndarray
@@ -131,20 +159,22 @@ class FineLattice:
         """The band of the transforms of `out_rows` products of the pad rows
         of `_inverse_leading`, one slab of first-axis planes at a time: the
         slab's samples `fine` go to `form(fine, out, scratch)`, which writes
-        the products into `out` (scratch: two rows), and their rfft goes back
-        into the first `out_rows` pad rows.  A view of `pad_band`."""
+        the products into `out` (scratch: two rows), and their last-axis
+        forward into the first `out_rows` pad rows.  A view of `pad_band`."""
         nf, d, rows = self.nf, self.dim, len(self._inverse_leading(halves))
         total = rows + out_rows + 2
         for planes in self._slabs:
             src, dest = self._pad[:rows, planes], self._pad[:out_rows, planes]
             size = (planes.stop - planes.start) * nf ** (d - 1)
             work = self.physical(total * size).reshape(total, size)
-            np.fft.irfft(src, n=nf, axis=-1, norm="forward",
-                         out=work[:rows].reshape(src.shape[:-1] + (nf,)))
+            self._inverse_last(src, work[:rows])
             form(work[:rows], work[rows:-2], work[-2:])
-            np.fft.rfft(work[rows:-2].reshape(dest.shape[:-1] + (nf,)),
-                        axis=-1, norm="forward", out=dest)
-            dest[..., self.h:] = 0.0   # the pad's columns >= h stay zero
+            if self._dft:
+                _gemm(work[rows:-2], self._dft[1], dest.view(np.float64))
+            else:   # the pad's columns >= h stay zero
+                np.fft.rfft(work[rows:-2].reshape(dest.shape[:-1] + (nf,)),
+                            axis=-1, norm="forward", out=dest)
+                dest[..., self.h:] = 0.0
         _fft_leading(self._pad[:out_rows], d, self.h)
         return self.pad_band[:out_rows]
 

@@ -871,6 +871,32 @@ class TestStepAllocations:
             tracemalloc.stop()
         assert (peak - before) / 1024 <= limit_kb
 
+    def test_first_polar_sample_does_not_grow_the_lattice(self):
+        # the sampler's u.V row follows the d sample rows; when the lattice
+        # grew its physical buffer for it, the first sample of a fresh 3D
+        # n = 16 polar stepper peaked at 1190 KB and kept 1025 KB, while the
+        # later ones peaked at 165 KB; the slack covers first-call caches
+        # of the interpreter and numpy (a few hundred bytes)
+        import tracemalloc
+        grid = SpectralGrid(3, 16, 20.0 * np.pi)
+        stepper = Stepper(make_ordered_system(params(dim=3, alpha=-0.5)),
+                          grid, dt=1e-3)
+        u = stepper.cartesian(stepper.from_state(
+            random_solenoidal_field(grid, 0.05, 0.5, 3)))
+        recorder = integrate._SeriesRecorder(stepper, ())
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                recorder.sample(0.0, u)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append((peak - before) / 1024)
+        assert peaks[0] <= peaks[1] + 8, peaks
+
     def test_linearized_tendency_peak(self):
         # a linearized Stepper forms no products; with the product buffers
         # and the curl rows allocated, nonlinear_rhs(linearized=True) peaked
@@ -917,9 +943,10 @@ class TestStepAllocations:
         # with full-lattice rows for the samples of u and curl u, the
         # products and the forward transforms, building the stepper and
         # taking a step held 6345 KB; with the slab rows of the product
-        # pass it holds 4633 KB, and one full-lattice product or forward
-        # buffer back (786 or 835 KB) breaks the bound
-        (3, 16, False, 5100),
+        # pass 4633 KB; with the pad cut to the h columns that the GEMM
+        # path transforms it holds 3777 KB, and the pad grown back to
+        # nf/2 + 1 columns (884 KB) breaks the bound
+        (3, 16, False, 4200),
         # one slab covers the 2D n = 64 lattice: 2650 KB before, 2645 now
         (2, 64, True, 2650)])
     def test_persistent_lattice_memory(self, dim, n, ordered, limit_kb):
@@ -1032,6 +1059,8 @@ class TestPrunedTransforms:
         for name, per in (("fft", 5.0), ("ifft", 5.0), ("rfft", 2.5),
                           ("irfft", 2.5)):
             counted(name, per)
+        # the pocketfft path, so that the last-axis passes are counted too
+        monkeypatch.setattr("lfsim.lattice.GEMM_MAX_POINTS", 0)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         stepper = Stepper(make_disordered_system(params(dim=dim)), grid,
                           dt=1e-3)
@@ -1075,10 +1104,10 @@ class TestFusedTransfers:
         want = FineLattice(grid, len(got)).samples(u, curl)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("dim,n,calls", [(2, 16, 4), (3, 8, 8)])
-    def test_rhs_transform_count(self, dim, n, calls, monkeypatch):
-        # one pruned inverse of u and curl u and one truncated forward of G:
-        # ifft, irfft, rfft and fft in 2D; in 3D two band passes more each
+    @staticmethod
+    def _rhs_transforms(dim, n, monkeypatch):
+        """The names of the numpy.fft functions and np.matmul that one
+        warmed `rhs` calls, in order (one product slab at these sizes)."""
         sys = make_ordered_system(params(dim=dim, alpha=-0.5))
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         stepper = Stepper(sys, grid, dt=1e-3)
@@ -1086,14 +1115,36 @@ class TestFusedTransfers:
         out = np.empty_like(a)
         stepper.rhs(a, 0.0, out)
         names = []
-        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn",
-                     "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
-            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kw):
+        for mod, name in [(np.fft, name) for name in (
+                "fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",
+                "irfftn", "fft2", "ifft2", "rfft2", "irfft2")] + [
+                (np, "matmul")]:
+            def counted(*args, _fn=getattr(mod, name), _name=name, **kw):
                 names.append(_name)
                 return _fn(*args, **kw)
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(mod, name, counted)
         stepper.rhs(a, 0.0, out)
+        return names
+
+    @pytest.mark.parametrize("dim,n,calls", [(2, 16, 4), (3, 8, 8)])
+    def test_rhs_transform_count(self, dim, n, calls, monkeypatch):
+        # the GEMM path of short fine axes: the leading-axis passes of one
+        # pruned inverse of u and curl u and of one truncated forward of G
+        # (ifft and fft in 2D; in 3D two band passes more each), and one
+        # last-axis matmul each way
+        monkeypatch.setattr("lfsim.lattice.GEMM_MAX_POINTS", 2 * n)
+        names = self._rhs_transforms(dim, n, monkeypatch)
         assert len(names) == calls, names
+        assert names.count("matmul") == 2, names
+
+    @pytest.mark.parametrize("dim,n,calls", [(2, 16, 4), (3, 8, 8)])
+    def test_rhs_transform_count_pocketfft(self, dim, n, calls, monkeypatch):
+        # the pocketfft path: ifft, irfft, rfft and fft in 2D; in 3D two
+        # band passes more each, and no matmul
+        monkeypatch.setattr("lfsim.lattice.GEMM_MAX_POINTS", 2 * n - 1)
+        names = self._rhs_transforms(dim, n, monkeypatch)
+        assert len(names) == calls, names
+        assert "matmul" not in names, names
 
 
 def _real_half_spectrum(grid, rows, seed):
@@ -1109,7 +1160,15 @@ def _real_half_spectrum(grid, rows, seed):
 class TestFineLattice:
     """The one fine-lattice engine against the full complex lattice route
     (`pad_spectrum`/`truncate_spectrum`), which splits no mode on
-    Nyquist-free input."""
+    Nyquist-free input: here on the GEMM path of the last axis, in
+    `TestFineLatticePocketfft` on numpy's FFTs."""
+
+    GEMM_MAX_POINTS = 1 << 30
+
+    @pytest.fixture(autouse=True)
+    def _path(self, monkeypatch):
+        monkeypatch.setattr("lfsim.lattice.GEMM_MAX_POINTS",
+                            self.GEMM_MAX_POINTS)
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
     def test_samples_match_padded_full_lattice(self, dim, n):
@@ -1160,6 +1219,31 @@ class TestFineLattice:
         lattice.samples(a_half, b_half)
         got = lattice.samples(u_half)
         assert np.array_equal(got, FineLattice(grid, dim).samples(u_half))
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_column_zero_imaginary_part_is_ignored_as_by_irfft(self, dim, n):
+        # input that is not Hermitian on the k_last = 0 plane leaves a
+        # non-zero Im in column 0 after the leading passes; irfft drops it
+        rng = np.random.default_rng(7)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        h, nf = n // 2, 2 * n
+        shape = (dim,) + grid.half_shape
+        half = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                ) * _band_mask(dim, n, h)
+        pad = np.zeros((dim,) + (nf,) * (dim - 1) + (n + 1,), np.complex128)
+        fine_rows, rows = np.r_[0:h, nf - h + 1:nf], np.r_[0:h, n - h + 1:n]
+        pad[(slice(None),) + np.ix_(*[fine_rows] * (dim - 1), np.arange(h))] \
+            = half[(slice(None),) + np.ix_(*[rows] * (dim - 1), np.arange(h))]
+        col0 = np.fft.ifftn(pad[..., 0], axes=tuple(range(1, dim)),
+                            norm="forward")
+        assert np.max(np.abs(col0.imag)) > 0.1
+        expect = _irfft_unpruned(pad, nf, dim).reshape(dim, -1)
+        got = FineLattice(grid, dim).samples(half)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+class TestFineLatticePocketfft(TestFineLattice):
+    GEMM_MAX_POINTS = 0
 
 
 class TestSlabs:
