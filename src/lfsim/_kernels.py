@@ -6,13 +6,13 @@ are float64 of shape (dim, n_points).  FFTs are not handled here; these
 kernels fuse the elementwise passes between transforms and write into
 caller-owned `out` arrays.
 
-A step runs `products_2d`/`products_3d` and the ETDRK4 combines.  The
-products take the model's nonlinearity in closed form, from lambda0, beta
-and the steady state's V: there is no generic quadratic tensor.  `rotate`
-turns slot coefficients into Cartesian ones and back for the one-state
-callers and the run's samples.  `assemble_rhs` and `leray` form the
-Cartesian tendency of `integrate.nonlinear_rhs`; a step does not need
-them, because its slot basis carries M, the drift and the projection.
+A step runs `products_2d`/`products_3d`, `rotate` and the ETDRK4 combines.
+The products take the model's nonlinearity in closed form, from lambda0,
+beta and the steady state's V: there is no generic quadratic tensor.
+`rotate` is every product of the slot basis with coefficients: in the
+tendency's transfers, the one-state callers and the samples.  `assemble_rhs`
+and `leray` form the Cartesian tendency of `integrate.nonlinear_rhs`; a step
+does not need them: its slot basis carries M, the drift and the projection.
 """
 
 from __future__ import annotations

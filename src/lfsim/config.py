@@ -3,8 +3,8 @@
 Syntax: `key = value` lines, `[section]` headers prefixing subsequent keys,
 `#` comments, blank lines ignored.  Keys may also be written fully dotted
 (`solver.dt = 1e-3`) outside any section.  Unknown keys are hard parse
-errors; invariant violations (beta <= 0, off-lattice tracked wavevectors,
-...) are validation errors.
+errors; invariant violations (beta <= 0, tracked wavevectors off the
+lattice or on a Nyquist slot, ...) are validation errors.
 
 Vectors are comma-separated components; lists of vectors are
 whitespace-separated: `tracked_wavevectors = 0.5,0 0.7,0`.
@@ -73,6 +73,10 @@ _DEFAULT_T_END = {
 
 _ORDERED_EXPERIMENTS = {ExperimentKind.ORDERED_INSTABILITY,
                         ExperimentKind.ORDERED_CONTRACTIVITY}
+# the experiments that seed their tracked modes
+_SEEDED_EXPERIMENTS = {ExperimentKind.DISPERSION,
+                       ExperimentKind.DISORDERED_INSTABILITY,
+                       ExperimentKind.ORDERED_INSTABILITY}
 
 DEFAULTS: dict[str, Any] = {
     "output_dir": "lf_out",
@@ -282,9 +286,17 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
             raise ValidationError(
                 f"tracked wavevector {vec} must have {params.dim} components")
         try:
-            grid.mode_index(vec)
+            index = grid.mode_index(vec)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
+        if n // 2 in index:
+            raise ValidationError(
+                f"tracked wavevector {vec} is on a Nyquist slot (m = n/2), "
+                "which the run holds at zero")
+        if experiment in _SEEDED_EXPERIMENTS and not any(index):
+            raise ValidationError(
+                f"tracked wavevector {vec} is k = 0, which {experiment.value} "
+                "cannot seed")
         tracked.append(tuple(float(c) for c in vec))
 
     amplitude = get("perturbation.amplitude")

@@ -14,9 +14,9 @@ A `Tendency` is what is left: the dealiased quadratic/cubic products and the
 optional forcing, -Q^T G(Q a) + Q^T f, so a linearized unforced run is exact
 (its tendency is zero and each step is a <- E a).  In the slot basis the curl
 is a slot map too (i|k| a0 in 2D; i|k| (a0 b2 - a1 b1) in 3D, as
-k-hat x b1 = b2), so u and curl u go from a straight into the fine lattice's
-band, and the products, formed with the sign of the tendency, come back
-through Q^T alone.  The products take the nonlinearity in closed form,
+k-hat x b1 = b2).  u, curl u and the products, formed with the sign of the
+tendency, pass between a and the lattice only through `_kernels.rotate`,
+on rows staged in its idle physical buffer.  The products are in closed form,
 lambda0 (-u x curl u) + beta|u|^2 (u + V) + 2 beta (u.V) u.  A `Tendency`
 also evaluates the Cartesian tendency -P[G + M u] - i*lambda0*(V.k)u + P f
 of `nonlinear_rhs`, whose products see the solenoidal part of u only;
@@ -331,7 +331,7 @@ class Tendency:
         self._lattice = FineLattice(
             grid, d if self.linearized else d + (1 if d == 2 else 3),
             d + (not self.linearized and bool(system.V.any())))
-        self._row = np.empty(M, np.complex128)   # scratch of all transfers
+        self._row = np.empty(M, np.complex128)   # `rotate`'s scratch row
 
     # -- slot basis and state conversion ------------------------------------
 
@@ -404,46 +404,38 @@ class Tendency:
             uh_flat.reshape((self.grid.dim,) + self.half_shape))
 
     @functools.cached_property
-    def _transfers(self) -> tuple:
-        """Q and i|k| on the band (`FineLattice.coarse_band`), a band-sized
-        complex scratch row in `_row`, and Q's k-hat column at k = 0."""
-        d = self.grid.dim
-        band = self._lattice.coarse_band
-        basis = band(self.basis.reshape(d * d, -1))
-        ik = band(1j * np.sqrt(self.ksq_flat)[None])[0]
-        return (basis.reshape((d, d) + ik.shape), ik,
-                self._row[:ik.size].reshape(ik.shape),
-                self.basis[:, -1, 0].tolist())
+    def _ik(self) -> np.ndarray:
+        """i|k| per mode, which turns the slot coefficients into the curl's."""
+        return 1j * np.sqrt(self.ksq_flat)
+
+    def _stage(self, rows: int) -> np.ndarray:
+        """`rows` contiguous (n_modes,) complex rows at the head of the fine
+        lattice's physical buffer, which is free outside the product pass."""
+        return self._lattice.physical(2 * rows * self.n_modes).view(
+            np.complex128).reshape(rows, self.n_modes)
 
     def _products(self, a: np.ndarray, sign: float) -> np.ndarray:
         """The band of the transforms of sign * [lam0 (-u x curl u)
         + beta|u|^2 u - N(u)], of u = Q a, a view into the fine lattice.  u
-        and curl u go from the band of a straight into `pad_band`: in the
-        slot basis the curl is a slot map (the k-hat slot of k != 0 is zero,
-        and i k x b1 = i|k| b2, i k x b2 = -i|k| b1)."""
+        and curl u are staged on whole rows and copied into `pad_band`: in
+        the slot basis the curl is a slot map too (the k-hat slot of k != 0
+        is zero, and i k x b1 = i|k| b2, i k x b2 = -i|k| b1)."""
         d = self.grid.dim
         p = self.system.params
-        Q, ik, tmp, mean_slot = self._transfers
-        a0, a1 = self._lattice.coarse_band(a)[:2]
-        u, w = self._lattice.pad_band[:d], self._lattice.pad_band[d:]
-        np.multiply(Q[:, 0], a0, out=u)
-        if d == 2:   # u = a0 b1, curl u = i|k| a0
-            np.multiply(ik, a0, out=w[0])
-        else:        # u = a0 b1 + a1 b2, curl u = i|k| (a0 b2 - a1 b1)
-            for ui, q in zip(u, Q[:, 1]):
-                np.multiply(q, a1, out=tmp)
-                ui += tmp
-            np.multiply(Q[:, 1], a0, out=w)
-            for wi, q in zip(w, Q[:, 0]):
-                np.multiply(q, a1, out=tmp)
-                wi -= tmp
-            w *= ik
-        # the k-hat slot of the mean mode, one of M's eigenvectors there
-        mean = a[-1, 0]
-        for i, q in enumerate(mean_slot):
-            u[(i,) + (0,) * (2 * d - 1)] += q * mean
+        lattice = self._lattice
+        stage = self._stage(d + 1)
+        lattice.pad_band[:d] = lattice.coarse_band(self.cartesian(a, stage[:d]))
+        if d == 2:   # curl u = i|k| a0
+            w = np.multiply(self._ik, a[0], out=stage[:1])
+        else:        # curl u = i|k| (a0 b2 - a1 b1)
+            w = _kernels.rotate(self.basis[:, :2],
+                                (np.negative(a[1], out=stage[d]), a[0]),
+                                self._row, stage[:d])
+            w *= self._ik
+        lattice.pad_band[d:] = lattice.coarse_band(w)
+        del stage, w   # the product pass may replace the physical buffer
         products = _kernels.products_2d if d == 2 else _kernels.products_3d
-        return self._lattice.products(d, lambda fine, out, scratch: products(
+        return lattice.products(d, lambda fine, out, scratch: products(
             fine[:d], fine[d:], sign * p.lambda0, sign * p.beta,
             self.system.V, out, scratch))
 
@@ -455,33 +447,18 @@ class Tendency:
         G = np.empty_like(u) if out is None else out
         # G holds the slot coefficients until the lattice has read them
         self._products(self._slot_coeffs(u, G), 1.0)
-        self._lattice.band(G.reshape((self.grid.dim,) + self.half_shape))
-        return G
+        return self._lattice.band(G)
 
     # -- tendency -------------------------------------------------------------
 
     def rhs(self, a: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """Tendency of the slot coefficients a outside the integrating
-        factor: -Q^T G(Q a) + Q^T f, zero in the k-hat slots."""
+        factor: -Q^T G(Q a) + Q^T f, zero in the k-hat slots of k != 0."""
         if self.linearized:
             out.fill(0.0)
-        else:
-            # -G is formed on the lattice, so Q^T of its band is the tendency
-            d = self.grid.dim
-            lattice = self._lattice
-            Q, _, tmp, mean_slot = self._transfers
-            G = self._products(a, -1.0)
-            band = lattice.coarse_band(out)
-            for s in range(d - 1):
-                np.multiply(Q[0, s], G[0], out=band[s])
-                for q, g in zip(Q[1:, s], G[1:]):
-                    np.multiply(q, g, out=tmp)
-                    band[s] += tmp
-            lattice.zero_gaps(out.reshape((d,) + self.half_shape))
-            out[-1] = 0.0
-            # the k-hat slot of the mean mode, one of M's eigenvectors there
-            G0 = G[(slice(None),) + (0,) * (2 * d - 1)].tolist()
-            out[-1, 0] = sum(q * g for q, g in zip(mean_slot, G0))
+        else:   # -G is formed on the lattice, so Q^T of it is the tendency
+            self._products(a, -1.0)
+            self._slot_coeffs(self._lattice.band(self._stage(len(a))), out)
         if self.forcing is not None:
             out += self._slot_coeffs(self._forcing_half(t))
         return out

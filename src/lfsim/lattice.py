@@ -72,7 +72,7 @@ def _fft_leading(arr: np.ndarray, dim: int, h: int) -> None:
 class FineLattice:
     """The lattice of a grid: `rows` rows of padded input, whose columns >= h
     (if any) stay zero, and one physical buffer of `sample_rows` (default d)
-    rows, grown to fit."""
+    rows, grown to fit; between passes the tendency stages its rows there."""
 
     def __init__(self, grid: SpectralGrid, rows: int, sample_rows: int = 0):
         d, n = grid.dim, grid.n
@@ -89,9 +89,6 @@ class FineLattice:
             inv[0] = 1.0
             self._dft, cols = (inv, np.ascontiguousarray(rot.T / nf)), h
         half_shape = (nf,) * (d - 1) + (cols,)
-        # the coarse modes outside the band: the m = n/2 slot of each axis
-        self._coarse_gaps = [(slice(None),) * (1 + a) + (h,)
-                             for a in range(d - 1)] + [(..., slice(h, None))]
         # off-band rows of each leading axis, in the columns < h passes write
         mid = slice(h, nf - h + 1)
         self._gaps = [(slice(None),) * (1 + a) + (mid,)
@@ -180,12 +177,11 @@ class FineLattice:
 
     def band(self, out: np.ndarray) -> np.ndarray:
         """The band of the last `products` call in the coarse half-spectra
-        `out` (its rows,) + grid.half_shape, its Nyquist slots zeroed."""
-        self.coarse_band(out)[...] = self.pad_band[:len(out)]
-        return self.zero_gaps(out)
-
-    def zero_gaps(self, half: np.ndarray) -> np.ndarray:
-        """Zero the Nyquist slots of the coarse half-spectra `half`."""
-        for gap in self._coarse_gaps:
-            half[gap] = 0.0
-        return half
+        `out`, (rows,) + grid.half_shape or (rows, n_modes), contiguous, with
+        the modes outside the band, the m = n/2 slot of each axis, zeroed."""
+        half = out.reshape((len(out),) + self._coarse)
+        half[..., :self.h] = self.pad_band[:len(out)]
+        half[..., self.h] = 0.0
+        for a in range(self.dim - 1):   # the first row of a second block
+            half[(slice(None),) * (1 + 2 * a) + (1, 0)] = 0.0
+        return out

@@ -234,6 +234,35 @@ solver.diagnostics_interval = 0.2
         assert "unknown" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("experiment,tracked,named,overrides", [
+        # the unpaired m = n/2 slot (|k| = 0.8 at n = 16), on either axis
+        ("disordered_instability", "0.8,0 0.5,0", "(0.8, 0.0)", []),
+        ("free_run", "0.5,-0.8", "(0.5, -0.8)", []),
+        ("nonlinear_decay", "0.1,0,-0.8", "(0.1, 0.0, -0.8)",
+         ["params.dim=3"]),
+        # k = 0 in the experiments that seed their tracked modes
+        ("dispersion", "0,0", "(0.0, 0.0)", []),
+        ("disordered_instability", "0,0", "(0.0, 0.0)", ["params.alpha=-0.1"]),
+        ("ordered_instability", "0.5,0 0,0", "(0.0, 0.0)", []),
+    ])
+    def test_untrackable_wavevector_rejected_before_any_work(
+            self, tmp_path, capsys, experiment, tracked, named, overrides):
+        # a Nyquist slot stays zero through a run, and k = 0 has no
+        # polarization to seed: both are rejected before the output exists
+        out = tmp_path / "o"
+        args = ["run", os.path.join(CONFIGS, f"{experiment}.cfg"),
+                "--out", str(out),
+                "--override", f"perturbation.tracked_wavevectors={tracked}",
+                "--override", "grid.n_per_axis=16"]
+        for item in overrides:
+            args += ["--override", item]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 3
+        assert not caught, [str(w.message) for w in caught]
+        assert f"tracked wavevector {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK_DISPERSION)
         assert main(["run", cfg, "--out", str(tmp_path / "o"),

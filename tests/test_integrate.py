@@ -393,14 +393,24 @@ class TestNonlinearRhs:
                             linearized=linearized)
         assert np.array_equal(got.coeffs, expect.coeffs)
 
-    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
-    def test_slot_rhs_is_the_cartesian_tendency_less_the_symbol(self, dim, n):
+    @pytest.mark.parametrize("dim,n,kind,mean", [
+        (2, 32, "polar", False), (3, 8, "polar", False),
+        (2, 32, "polar", True), (3, 8, "polar", True),
+        (2, 32, "polar_oblique", True), (3, 8, "polar_oblique", True)],
+        ids=["2-32", "3-8", "2-32-polar-mean", "3-8-polar-mean",
+             "2-32-polar_oblique-mean", "3-8-polar_oblique-mean"])
+    def test_slot_rhs_is_the_cartesian_tendency_less_the_symbol(
+            self, dim, n, kind, mean):
         # Q [rhs(a) - (mu + i lam0 (V.k)) a] is the Cartesian tendency of
-        # u = Q a: M, the drift and P moved into the integrating factor
+        # u = Q a: M, the drift and P moved into the integrating factor; with
+        # a mean, every slot of k = 0 is live, the k-hat one included
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
-        sys = make_ordered_system(params(alpha=-1.0, dim=dim))
+        sys = TestSlotBasis.SYSTEMS[kind](dim)
         stepper = Stepper(sys, grid, dt=1e-3)
-        a = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.6, 5))
+        a = stepper.from_state(
+            random_solenoidal_field(grid, 0.3, 0.6, 5, zero_mean=not mean))
+        if mean:
+            a[:, 0] = np.arange(1.0, dim + 1.0) / 10.0
         p, ksq = sys.params, stepper.ksq_flat
         moved = stepper.symbol - (p.gamma2 * ksq**2 + p.gamma0 * ksq)
         got = stepper.cartesian(stepper.rhs(a, 0.0, np.empty_like(a))
@@ -822,7 +832,12 @@ class TestStepAllocations:
         # temporary per ETDRK4 combine product at 199 KB and 343 KB; the
         # combines now write through free stage buffers, and the steps peak
         # at 194 KB and 291 KB
-        (2, 64, True, 200), (3, 16, False, 300)])
+        (2, 64, True, 200), (3, 16, False, 300),
+        # with the products of the slot basis on strided band views, which
+        # numpy's iterator buffers (~193 KB a call at 2D n = 64), these
+        # peaked at 194, 290 and 386 KB; staged on contiguous rows, they
+        # peak at 35, 110 and 131 KB
+        (2, 64, True, 40), (3, 16, False, 116), (3, 32, False, 136)])
     def test_transient_peak(self, dim, n, ordered, limit_kb):
         import tracemalloc
         p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
@@ -1077,9 +1092,10 @@ class TestPrunedTransforms:
 
 
 class TestFusedTransfers:
-    """The tendency writes u = Q a and curl u into the fine lattice straight
-    from the slot coefficients a: the same samples as the Cartesian route,
-    which forms u, its curl i k x u and their coarse half-spectra first."""
+    """The tendency stages u = Q a and curl u, both formed from the slot
+    coefficients a on contiguous rows, and copies them into the fine
+    lattice's band: the same samples as the Cartesian route, which forms
+    the curl i k x u from u.  The counts pin the transforms of one `rhs`."""
 
     @pytest.mark.parametrize("kind", ["rest", "polar", "polar_oblique"])
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
