@@ -257,11 +257,14 @@ def advection_skew_inner(grid: SpectralGrid, field: SpectralField,
     V = np.zeros(d) if V is None else np.asarray(V, dtype=float)
     uh = zero_nyquist(grid, to_half(grid, field.coeffs))
     grads = 1j * grid.k_deriv_half[:, None] * uh   # [a, i]: d_a u_i
-    fine = FineLattice(grid, d + d * d).samples(
-        uh, grads.reshape((d * d,) + grid.half_shape))
-    uf, gf = fine[:d], fine[d:].reshape(d, d, -1)
-    w = np.einsum("am,aim->im", uf + V[:, None], gf)
-    return grid.volume * float(np.mean(np.sum(w * uf, axis=0)))
+    lattice, total = FineLattice(grid, d + d * d), [0.0]
+
+    def visit(fine, out, scratch):
+        uf, gf = fine[:d], fine[d:].reshape(d, d, -1)
+        w = np.einsum("am,aim->im", uf + V[:, None], gf)
+        total[0] += float(np.sum(w * uf))
+    lattice.products(0, visit, uh, grads.reshape((d * d,) + grid.half_shape))
+    return grid.volume * total[0] / lattice.nf ** d
 
 
 def quartic_gradient_inner(grid: SpectralGrid, field: SpectralField) -> float:

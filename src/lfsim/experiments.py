@@ -245,10 +245,10 @@ def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     grid = cfg.make_grid()
     system = cfg.make_system()
     tracked = cfg.tracked_wavevectors
-    if not tracked:
+    if not tracked:   # m = 1..6 on the first axis, short of its Nyquist slot
         dk = grid.dk
         tracked = [tuple((m * dk if a == 0 else 0.0) for a in range(grid.dim))
-                   for m in (1, 2, 3, 4, 5, 6)]
+                   for m in range(1, min(6, grid.n // 2 - 1) + 1)]
     fits, files = _measure_rates(grid, system, tracked, cfg.amplitude,
                                  cfg.solver, out)
     rows = []

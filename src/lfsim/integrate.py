@@ -326,11 +326,9 @@ class Tendency:
         self.Mmat = np.ascontiguousarray(system.M)
 
         # dealiased products: u and curl u in, G out; a linearized tendency
-        # only samples u there (`fine_physical`), so it has no curl rows; a
-        # nonlinear polar one holds the sampler's u.V row from the start
+        # only samples u there (`fine_physical`), so it has no curl rows
         self._lattice = FineLattice(
-            grid, d if self.linearized else d + (1 if d == 2 else 3),
-            d + (not self.linearized and bool(system.V.any())))
+            grid, d if self.linearized else d + (1 if d == 2 else 3))
         self._row = np.empty(M, np.complex128)   # `rotate`'s scratch row
 
     # -- slot basis and state conversion ------------------------------------
@@ -387,7 +385,9 @@ class Tendency:
         return self._slot_coeffs(self._half(u_hat))
 
     def to_state(self, a: np.ndarray) -> SpectralField:
-        return self._field(self.cartesian(a))
+        """The field of slot coefficients a, through Cartesian rows staged
+        in the fine lattice's physical buffer (`_stage`)."""
+        return self._field(self.cartesian(a, self._stage(len(a))))
 
     def physical(self, a: np.ndarray) -> np.ndarray:
         half = self.cartesian(a).reshape((self.grid.dim,) + self.half_shape)
@@ -396,12 +396,13 @@ class Tendency:
 
     # -- dealiased products on the fine lattice ------------------------------
 
-    def fine_physical(self, uh_flat: np.ndarray) -> np.ndarray:
-        """Physical samples of the Cartesian u on the factor-2 lattice,
-        (dim, nf^dim): a view into a buffer the tendency owns, which the
-        next `rhs`, `step` or `fine_physical` call overwrites."""
-        return self._lattice.samples(
-            uh_flat.reshape((self.grid.dim,) + self.half_shape))
+    def fine_physical(self, uh_flat: np.ndarray, visit) -> None:
+        """Physical samples of the Cartesian u on the factor-2 lattice, one
+        slab at a time: `visit(fine, out, scratch)` gets each slab's (dim,
+        points) samples, no `out` rows and two scratch rows, all of which
+        it may overwrite."""
+        self._lattice.products(
+            0, visit, uh_flat.reshape((self.grid.dim,) + self.half_shape))
 
     @functools.cached_property
     def _ik(self) -> np.ndarray:
@@ -414,12 +415,12 @@ class Tendency:
         return self._lattice.physical(2 * rows * self.n_modes).view(
             np.complex128).reshape(rows, self.n_modes)
 
-    def _products(self, a: np.ndarray, sign: float) -> np.ndarray:
-        """The band of the transforms of sign * [lam0 (-u x curl u)
-        + beta|u|^2 u - N(u)], of u = Q a, a view into the fine lattice.  u
-        and curl u are staged on whole rows and copied into `pad_band`: in
-        the slot basis the curl is a slot map too (the k-hat slot of k != 0
-        is zero, and i k x b1 = i|k| b2, i k x b2 = -i|k| b1)."""
+    def _products(self, a: np.ndarray, sign: float) -> None:
+        """The transforms of sign * [lam0 (-u x curl u) + beta|u|^2 u
+        - N(u)], of u = Q a, into the fine lattice's band.  u and curl u
+        are staged on whole rows and copied into `pad_band`: in the slot
+        basis the curl is a slot map too (the k-hat slot of k != 0 is zero,
+        and i k x b1 = i|k| b2, i k x b2 = -i|k| b1)."""
         d = self.grid.dim
         p = self.system.params
         lattice = self._lattice
@@ -435,7 +436,7 @@ class Tendency:
         lattice.pad_band[d:] = lattice.coarse_band(w)
         del stage, w   # the product pass may replace the physical buffer
         products = _kernels.products_2d if d == 2 else _kernels.products_3d
-        return lattice.products(d, lambda fine, out, scratch: products(
+        lattice.products(d, lambda fine, out, scratch: products(
             fine[:d], fine[d:], sign * p.lambda0, sign * p.beta,
             self.system.V, out, scratch))
 
@@ -650,25 +651,30 @@ class _SeriesRecorder:
         else:
             f_inner = 0.0
 
-        fine = st.fine_physical(uh_flat)
         polar = not st.linearized and self.V.any()
-        if polar:   # u.V, in the row after the samples, before squaring
-            uv = np.einsum("i,im->m", self.V, fine, out=st._lattice.physical(
-                fine.size + fine.shape[1])[fine.size:])
-        s = fine[0]                           # |u|^2, in the sample rows
-        s *= s
-        for c in fine[1:]:
-            c *= c
-            s += c
+        sums = [0.0, 0.0]   # of |u|^4 and of |u|^2 (u.V) over the lattice
+
+        def visit(fine, out, scratch):
+            if polar:   # u.V, before squaring
+                uv = np.einsum("i,im->m", self.V, fine, out=scratch[0])
+            s = fine[0]                       # |u|^2, in the sample rows
+            s *= s
+            for c in fine[1:]:
+                c *= c
+                s += c
+            if polar:
+                sums[1] += float(np.multiply(uv, s, out=uv).sum())
+            s *= s                            # |u|^4
+            sums[0] += float(s.sum())
+        st.fine_physical(uh_flat, visit)
+        points = st._lattice.nf ** self.grid.dim
         # u.N(u) = -3 beta |u|^2 (u.V)
         n_inner = (-3.0 * st.system.params.beta * self.vol
-                   * float(np.multiply(uv, s, out=uv).mean()) if polar
-                   else 0.0)
-        s *= s                                # |u|^4
+                   * (sums[1] / points) if polar else 0.0)
         row = {
             "t": t,
             "l2_norm_sq": float(l2),
-            "l4_norm_4": self.vol * float(s.mean()),
+            "l4_norm_4": self.vol * (sums[0] / points),
             "grad_norm_sq": float(grad),
             "lap_norm_sq": float(lap),
             "div_residual": (math.sqrt(div_sq / denom_sq) if denom_sq > 0

@@ -19,6 +19,7 @@ that mean modes are preserved.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -402,16 +403,20 @@ def to_half(grid: SpectralGrid, full: np.ndarray) -> np.ndarray:
 
 
 def from_half(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
-    """Rebuild the full lattice from the rfft half-spectrum by symmetry."""
+    """Rebuild the full lattice from the rfft half-spectrum by symmetry,
+    c(-k) = conj c(k), in place: the mirrored rows (row 0 stays, rows 1..
+    reverse) conjugated with the whole contiguous lattice, then the head
+    copied in; a ufunc on the strided tail would allocate buffers."""
     n = grid.n
     h = n // 2
-    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    pairs = ((0, 0), (slice(1, None), slice(None, 0, -1)))
+    for rows in itertools.product(pairs, repeat=grid.dim - 1):
+        dest, src = zip(*rows)
+        full[(Ellipsis,) + dest + (slice(h + 1, None),)] = \
+            half[(Ellipsis,) + src + (slice(h - 1, 0, -1),)]
+    np.conjugate(full, out=full)
     full[..., : h + 1] = half
-    tail = np.flip(np.conj(half[..., 1:h]), axis=-1)
-    mirror = (-np.arange(n)) % n
-    for ax in range(tail.ndim - grid.dim, tail.ndim - 1):
-        tail = np.take(tail, mirror, axis=ax)
-    full[..., h + 1:] = tail
     return full
 
 

@@ -263,6 +263,23 @@ solver.diagnostics_interval = 0.2
         assert f"tracked wavevector {named}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n,modes", [(12, 5), (16, 6)])
+    def test_default_dispersion_modes_stay_off_the_nyquist_slot(
+            self, tmp_path, capsys, n, modes):
+        # without tracked wavevectors the run seeds m = 1..6 on the first
+        # axis, capped at n/2 - 1: at n = 12 it used to track the m = 6
+        # Nyquist slot, which stays zero, and exit 3 after the whole run
+        out = tmp_path / "o"
+        assert main(["run", os.path.join(CONFIGS, "dispersion.cfg"),
+                     "--out", str(out),
+                     "--override", "perturbation.tracked_wavevectors=",
+                     "--override", f"grid.n_per_axis={n}"]) == 0
+        with open(out / "dispersion" / "rates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        dk = 2.0 * np.pi / (20.0 * np.pi)
+        assert [float(r["ksq"]) for r in rows] == pytest.approx(
+            [(m * dk) ** 2 for m in range(1, modes + 1)])
+
     def test_run_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK_DISPERSION)
         assert main(["run", cfg, "--out", str(tmp_path / "o"),

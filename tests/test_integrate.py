@@ -15,7 +15,7 @@ from lfsim.integrate import (BlowUpError, SolverConfig, SolverState,
                              Stepper, _phi, amp_label,
                              nonlinear_rhs, random_solenoidal_field,
                              recover_pressure, run, single_mode_field, step)
-from lfsim.lattice import FineLattice, _fft_leading, _irfft_spatial
+from lfsim.lattice import FineLattice, _irfft_spatial
 from lfsim.stability import growth_rate
 from lfsim.diagnostics import energy_budget, fit_growth
 from lfsim.experiments import _require_samples
@@ -529,6 +529,19 @@ class TestRunLoop:
             assert np.array_equal(snap, want)
 
 
+def _collect(sample_pass):
+    """What `sample_pass(visit)` hands its visitor, the slabs joined: the
+    physical samples on the fine lattice, (rows, nf^dim)."""
+    slabs = []
+    sample_pass(lambda fine, out, scratch: slabs.append(fine.copy()))
+    return np.concatenate(slabs, axis=1)
+
+
+def _samples(lattice, *halves):
+    """The fine-lattice samples of the coarse half-spectra `halves`."""
+    return _collect(lambda visit: lattice.products(0, visit, *halves))
+
+
 def _reference_row(stepper, t, u, tracked):
     """One diagnostic row of the Cartesian half-spectrum u, by the sampler's
     formulas on complex coefficients, on a fine lattice of its own."""
@@ -539,8 +552,8 @@ def _reference_row(stepper, t, u, tracked):
     a2 = np.sum(np.abs(u) ** 2, axis=0)
     Mu = system.M @ u
     div = np.abs(np.einsum("am,am->m", stepper.k_flat, u))
-    fine = FineLattice(grid, grid.dim).samples(
-        u.reshape((grid.dim,) + grid.half_shape))
+    fine = _samples(FineLattice(grid, grid.dim),
+                    u.reshape((grid.dim,) + grid.half_shape))
     s = np.einsum("im,im->m", fine, fine) ** 2
     n_inner = f_inner = 0.0
     if system.has_quadratic and not stepper.linearized:
@@ -962,6 +975,12 @@ class TestStepAllocations:
         # path transforms it holds 3777 KB, and the pad grown back to
         # nf/2 + 1 columns (884 KB) breaks the bound
         (3, 16, False, 4200),
+        # with the whole middle axis in the pad (6.3 MB) and d rows of
+        # full-lattice samples in the physical buffer (6.3 MB), 3D n = 32
+        # held 24294 KB; with the middle axis's band rows in the pad and its
+        # passes in the slab loop, and the samples visited slab by slab, it
+        # holds 16870 KB
+        (3, 32, False, 17200),
         # one slab covers the 2D n = 64 lattice: 2650 KB before, 2645 now
         (2, 64, True, 2650)])
     def test_persistent_lattice_memory(self, dim, n, ordered, limit_kb):
@@ -981,6 +1000,34 @@ class TestStepAllocations:
         assert (held - before) / 1024 <= limit_kb
 
 
+    def test_run_peak_is_a_step_or_sample_peak(self, monkeypatch):
+        # the final state's Cartesian rows are staged in the lattice, and
+        # from_half builds the conjugate tail in place: with a Cartesian
+        # buffer of its own and the conj and take temporaries, to_state
+        # took this run (3D n = 16) from the 4105 KB peak of its steps and
+        # samples to 4441 KB
+        import tracemalloc
+        grid = SpectralGrid(3, 16, 20.0 * np.pi)
+        sys = make_disordered_system(params(dim=3, alpha=0.5))
+        u0 = random_solenoidal_field(grid, 0.05, 0.5, 3)
+        cfg = SolverConfig(dt=1e-3, t_end=2e-3, diagnostics_interval=1e-3)
+        peaks = []
+        to_state = Stepper.to_state
+
+        def traced(self, a):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return to_state(self, a)
+        monkeypatch.setattr(Stepper, "to_state", traced)
+        tracemalloc.start()
+        try:
+            run(u0, sys, grid, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert (peak - peaks[0]) / 1024 <= 64
+
+
 def _irfft_unpruned(arr, n_out, dim):
     """Reference inverse: every leading-axis line, in place, then irfft."""
     for ax in range(arr.ndim - dim, arr.ndim - 1):
@@ -989,11 +1036,27 @@ def _irfft_unpruned(arr, n_out, dim):
 
 
 def _rfft_unpruned(arr, dim):
-    """Reference forward: rfft, then every leading-axis line, in place."""
+    """Reference forward: rfft, then every leading-axis line, in place,
+    from the middle axis to the first, the order of the product pass."""
     out = np.fft.rfft(arr, axis=-1, norm="forward")
-    for ax in range(out.ndim - dim, out.ndim - 1):
+    for ax in reversed(range(out.ndim - dim, out.ndim - 1)):
         np.fft.fft(out, axis=ax, norm="forward", out=out)
     return out
+
+
+def _forward(grid, phys):
+    """The band of the transforms of the physical rows `phys`, (rows,) +
+    (nf,) * dim, through a fine lattice's product pass: a visitor writes
+    them into its `out` rows, one slab at a time, in order."""
+    rows, done = phys.reshape(len(phys), -1), [0]
+
+    def fill(fine, out, scratch):
+        out[...] = rows[:, done[0]:done[0] + out.shape[1]]
+        done[0] += out.shape[1]
+    lattice = FineLattice(grid, len(phys))
+    lattice.products(len(phys), fill)   # the pad rows hold zeros
+    return lattice.band(np.zeros((len(phys),) + grid.half_shape,
+                                 np.complex128))
 
 
 def _band_mask(dim, size, h):
@@ -1028,15 +1091,18 @@ class TestPrunedTransforms:
         assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("dim,n", CASES)
-    def test_forward_matches_unpruned_in_band(self, dim, n):
+    def test_forward_matches_unpruned_in_band(self, dim, n, monkeypatch):
+        # the product pass on numpy's FFTs: rfft, in 3D the middle axis of
+        # each slab, then the first axis on the band rows of the middle one
+        monkeypatch.setattr("lfsim.lattice.GEMM_MAX_POINTS", 0)
         rng = np.random.default_rng(10 * n + dim)
-        nf = 2 * n
+        nf, h = 2 * n, n // 2
         arr = rng.standard_normal((dim,) + (nf,) * dim)
-        expect = _rfft_unpruned(arr, dim)
-        out = np.empty_like(expect)
-        np.fft.rfft(arr, axis=-1, norm="forward", out=out)
-        _fft_leading(out, dim, n // 2)
-        band = np.broadcast_to(_band_mask(dim, nf, n // 2), out.shape)
+        out = _forward(SpectralGrid(dim, n, 20.0 * np.pi), arr)
+        rows = np.r_[0:h, nf - h:nf]   # the fine rows of the coarse band
+        expect = _rfft_unpruned(arr, dim)[
+            (slice(None),) + np.ix_(*[rows] * (dim - 1), np.arange(h + 1))]
+        band = np.broadcast_to(_band_mask(dim, n, h), out.shape)
         assert np.array_equal(out[band], expect[band])
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
@@ -1049,9 +1115,10 @@ class TestPrunedTransforms:
         u = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.5, 4))
         other = stepper.from_state(random_solenoidal_field(grid, 0.7, 0.8, 5))
         stepper.rhs(other, 0.0, np.empty_like(other))
-        got = stepper.fine_physical(u).copy()
-        fresh = Stepper(sys, grid, dt=1e-3).fine_physical(u)
-        assert np.array_equal(got, fresh)
+        got = _collect(lambda visit: stepper.fine_physical(u, visit))
+        fresh = Stepper(sys, grid, dt=1e-3)
+        assert np.array_equal(got, _collect(
+            lambda visit: fresh.fine_physical(u, visit)))
 
     def test_fft_work_of_a_step(self, monkeypatch):
         """5 L log2 L per complex line and 2.5 L log2 L per real line, from
@@ -1117,13 +1184,13 @@ class TestFusedTransfers:
         kd = grid.k_deriv_half
         pairs = [(0, 1)] if dim == 2 else [(1, 2), (2, 0), (0, 1)]
         curl = np.stack([1j * (kd[i] * u[j] - kd[j] * u[i]) for i, j in pairs])
-        want = FineLattice(grid, len(got)).samples(u, curl)
+        want = _samples(FineLattice(grid, len(got)), u, curl)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @staticmethod
     def _rhs_transforms(dim, n, monkeypatch):
         """The names of the numpy.fft functions and np.matmul that one
-        warmed `rhs` calls, in order (one product slab at these sizes)."""
+        warmed `rhs` calls, in order."""
         sys = make_ordered_system(params(dim=dim, alpha=-0.5))
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         stepper = Stepper(sys, grid, dt=1e-3)
@@ -1142,24 +1209,31 @@ class TestFusedTransfers:
         stepper.rhs(a, 0.0, out)
         return names
 
-    @pytest.mark.parametrize("dim,n,calls", [(2, 16, 4), (3, 8, 8)])
-    def test_rhs_transform_count(self, dim, n, calls, monkeypatch):
-        # the GEMM path of short fine axes: the leading-axis passes of one
-        # pruned inverse of u and curl u and of one truncated forward of G
-        # (ifft and fft in 2D; in 3D two band passes more each), and one
-        # last-axis matmul each way
+    # the first-axis passes of one pruned inverse of u and curl u and of one
+    # truncated forward of G: ifft and fft in 2D, in 3D one each on the two
+    # band blocks of the middle axis; then per product slab (one at 2D
+    # n = 16 and 3D n = 8, two at 3D n = 16) the last-axis inverse and
+    # forward, in 3D between an ifft and an fft of the slab's middle axis
+    SLAB_COUNTS = [pytest.param(2, 16, 4, 1, id="2-16-4"),
+                   pytest.param(3, 8, 8, 1, id="3-8-8"),
+                   pytest.param(3, 16, 12, 2, id="3-16-12")]
+
+    @pytest.mark.parametrize("dim,n,calls,slabs", SLAB_COUNTS)
+    def test_rhs_transform_count(self, dim, n, calls, slabs, monkeypatch):
+        # the GEMM path of short fine axes: one matmul each way per slab
         monkeypatch.setattr("lfsim.lattice.GEMM_MAX_POINTS", 2 * n)
         names = self._rhs_transforms(dim, n, monkeypatch)
         assert len(names) == calls, names
-        assert names.count("matmul") == 2, names
+        assert names.count("matmul") == 2 * slabs, names
 
-    @pytest.mark.parametrize("dim,n,calls", [(2, 16, 4), (3, 8, 8)])
-    def test_rhs_transform_count_pocketfft(self, dim, n, calls, monkeypatch):
-        # the pocketfft path: ifft, irfft, rfft and fft in 2D; in 3D two
-        # band passes more each, and no matmul
+    @pytest.mark.parametrize("dim,n,calls,slabs", SLAB_COUNTS)
+    def test_rhs_transform_count_pocketfft(self, dim, n, calls, slabs,
+                                           monkeypatch):
+        # the pocketfft path: one irfft and one rfft per slab, no matmul
         monkeypatch.setattr("lfsim.lattice.GEMM_MAX_POINTS", 2 * n - 1)
         names = self._rhs_transforms(dim, n, monkeypatch)
         assert len(names) == calls, names
+        assert names.count("irfft") == names.count("rfft") == slabs, names
         assert "matmul" not in names, names
 
 
@@ -1192,7 +1266,7 @@ class TestFineLattice:
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         a_half, a = _real_half_spectrum(grid, dim, 1)
         b_half, b = _real_half_spectrum(grid, dim * dim, 2)
-        got = FineLattice(grid, dim + dim * dim).samples(a_half, b_half)
+        got = _samples(FineLattice(grid, dim + dim * dim), a_half, b_half)
         axes = tuple(range(1, dim + 1))
         expect = np.real(np.fft.ifftn(
             pad_spectrum(grid, np.concatenate([a, b]), 2 * n), axes=axes,
@@ -1206,15 +1280,7 @@ class TestFineLattice:
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         rng = np.random.default_rng(3)
         phys = rng.standard_normal((dim,) + (2 * n,) * dim)
-        rows = phys.reshape(dim, -1)
-        done = [0]
-
-        def fill(fine, out, scratch):   # the slabs come in order
-            out[...] = rows[:, done[0]:done[0] + out.shape[1]]
-            done[0] += out.shape[1]
-        lattice = FineLattice(grid, dim)
-        lattice.products(dim, fill)   # the pad rows hold zeros
-        out = lattice.band(np.zeros((dim,) + grid.half_shape, np.complex128))
+        out = _forward(grid, phys)
         axes = tuple(range(1, dim + 1))
         expect = truncate_spectrum(grid, np.fft.fftn(phys, axes=axes,
                                                      norm="forward"))
@@ -1225,16 +1291,16 @@ class TestFineLattice:
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
     def test_reuse_across_row_counts_matches_fresh(self, dim, n):
-        # the inverse passes leave the pad rows dirty wherever they wrote;
-        # `samples` must re-zero the gaps of the rows it uses
+        # the passes leave the pad rows dirty wherever they wrote; a pass
+        # must re-zero the gaps of the rows it uses
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         a_half, _ = _real_half_spectrum(grid, dim, 4)
         b_half, _ = _real_half_spectrum(grid, dim * dim, 5)
         u_half, _ = _real_half_spectrum(grid, dim, 6)
         lattice = FineLattice(grid, dim + dim * dim)
-        lattice.samples(a_half, b_half)
-        got = lattice.samples(u_half)
-        assert np.array_equal(got, FineLattice(grid, dim).samples(u_half))
+        _samples(lattice, a_half, b_half)
+        got = _samples(lattice, u_half)
+        assert np.array_equal(got, _samples(FineLattice(grid, dim), u_half))
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
     def test_column_zero_imaginary_part_is_ignored_as_by_irfft(self, dim, n):
@@ -1254,7 +1320,7 @@ class TestFineLattice:
                             norm="forward")
         assert np.max(np.abs(col0.imag)) > 0.1
         expect = _irfft_unpruned(pad, nf, dim).reshape(dim, -1)
-        got = FineLattice(grid, dim).samples(half)
+        got = _samples(FineLattice(grid, dim), half)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -1270,6 +1336,15 @@ class TestSlabs:
     @pytest.mark.parametrize("dim,n,kind", [(2, 64, "polar"), (3, 16, "rest"),
                                             (3, 16, "polar")])
     def test_slab_count_changes_no_bit(self, dim, n, kind, monkeypatch):
+        self._states_at_slab_counts(dim, n, kind, monkeypatch)
+
+    def test_slab_count_changes_no_bit_pocketfft(self, monkeypatch):
+        # the 3D middle-axis passes of each slab with the last-axis FFTs
+        monkeypatch.setattr("lfsim.lattice.GEMM_MAX_POINTS", 0)
+        self._states_at_slab_counts(3, 16, "polar", monkeypatch)
+
+    @staticmethod
+    def _states_at_slab_counts(dim, n, kind, monkeypatch):
         sys = TestSlotBasis.SYSTEMS[kind](dim)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         u0 = random_solenoidal_field(grid, 0.3, 0.5, 4)
@@ -1287,6 +1362,31 @@ class TestSlabs:
         for stepped, rhs in got[1:]:
             assert np.array_equal(stepped, got[0][0])
             assert np.array_equal(rhs, got[0][1])
+
+    @pytest.mark.parametrize("dim,n,kind", [(2, 64, "polar"), (3, 16, "rest"),
+                                            (3, 16, "polar_oblique")])
+    def test_sampler_sums_agree_across_slab_counts(self, dim, n, kind,
+                                                   monkeypatch):
+        # the sampler adds its fine-lattice sums slab by slab, so only the
+        # order of the additions depends on the slab count
+        sys = TestSlotBasis.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        u0 = random_solenoidal_field(grid, 0.3, 0.5, 4)
+        nf = 2 * n
+        rows = []
+        for planes in (nf, nf // 2, 3):
+            monkeypatch.setattr("lfsim.lattice.SLAB_POINTS",
+                                planes * nf ** (dim - 1))
+            stepper = Stepper(sys, grid, dt=1e-3)
+            recorder = integrate._SeriesRecorder(stepper, ())
+            recorder.sample(0.0, stepper.cartesian(stepper.from_state(u0)))
+            rows.append(recorder.rows[0])
+        assert rows[0]["l4_norm_4"] > 0.0
+        assert (rows[0]["n_inner"] != 0.0) == (kind != "rest")
+        for key in ("l4_norm_4", "n_inner"):
+            want = rows[0][key]
+            for row in rows[1:]:
+                assert abs(row[key] - want) <= 1e-14 * abs(want), key
 
 
 class TestSlotBasis:

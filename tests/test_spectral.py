@@ -278,6 +278,22 @@ class TestHalfSpectrum:
         back = from_half(g, to_half(g, full))
         assert np.max(np.abs(back - full)) < 1e-14
 
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8), (3, 10)])
+    def test_from_half_matches_the_mirrored_tail(self, dim, n):
+        # the tail by conj, flip and np.take along each leading axis, as
+        # from_half built it with temporaries, on a half-spectrum that is
+        # not Hermitian on the k_last = 0 plane (its tail ignores that)
+        g = SpectralGrid(dim, n, 1.0)
+        rng = np.random.default_rng(n + dim)
+        shape = (dim,) + g.half_shape
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = n // 2
+        tail = np.flip(np.conj(half[..., 1:h]), axis=-1)
+        for ax in range(1, dim):
+            tail = np.take(tail, (-np.arange(n)) % n, axis=ax)
+        assert np.array_equal(from_half(g, half),
+                              np.concatenate([half, tail], axis=-1))
+
 
 class TestSnapshots:
     def test_roundtrip(self, tmp_path, grid16):
