@@ -193,6 +193,23 @@ def _require_samples(solver: SolverConfig, needed: int, use: str) -> None:
             f"{use} needs at least {needed}")
 
 
+def _require_representable(system: TransformedSystem,
+                           modes: list[tuple[float, ...]], amplitude: float,
+                           solver: SolverConfig) -> None:
+    """Reject a linearized run in which a seeded mode's squared amplitude
+    (the sampler's a2) would underflow by t_end, before any work.  Its
+    integrating factor is exact, so a mode seeded at amplitude/2 per
+    coefficient keeps a2 = (amplitude/2)^2 exp(2 rate t)."""
+    floor = math.log(np.finfo(float).tiny)
+    for k in modes:
+        rate = growth_rate(system, np.asarray(k))
+        if 2.0 * (math.log(0.5 * amplitude) + rate * solver.t_end) < floor:
+            raise ValueError(
+                f"the tracked mode k=({', '.join('%g' % c for c in k)}) "
+                f"decays at rate {-rate:.6g}; its squared amplitude would "
+                f"underflow before t_end={solver.t_end:g}")
+
+
 def _run_and_record(out: str | None, initial, system: TransformedSystem,
                     grid: SpectralGrid, solver: SolverConfig, **kwargs
                     ) -> tuple[Trajectory, dict[str, str]]:
@@ -229,6 +246,7 @@ def _measure_rates(grid: SpectralGrid, system: TransformedSystem,
     """Seed `modes` at `amplitude`, run linearized and fit each mode's growth
     over the whole run; see `_run_and_record` for `out` and the files."""
     _require_samples(solver, _FIT_SAMPLES, "a growth fit")
+    _require_representable(system, modes, amplitude, solver)
     initial = _seed_modes(grid, system, modes, amplitude)
     traj, files = _run_and_record(out, initial, system, grid, solver,
                                   linearized=True, tracked_wavevectors=modes)
@@ -297,6 +315,9 @@ def _run_phase_diagram(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 def _run_nonlinear_decay(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     _require_samples(cfg.solver, _FD4_SAMPLES, "the energy residual")
+    if cfg.state_kind is not StateKind.DISORDERED:
+        raise ValueError("the decay certificate applies to rest-state runs; "
+                         f"got state.kind = {cfg.state_kind.value}")
     grid = cfg.make_grid()
     system = cfg.make_system()
     initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,

@@ -1,10 +1,11 @@
 """Time integration of the transformed system in Fourier space.
 
 The stepper carries the state as coefficients a(k) in a per-mode real
-orthonormal basis Q(k), d slots per mode (`_slot_basis`).  For k != 0 the
-first d - 1 slots span k-perp and diagonalize P M P there (the Craya-Herring
-frame, Sagaut & Cambon 2008), and the last slot, k/|k|, is held at zero; at
-k = 0 the slots are M's eigenvectors.  The whole linear symbol
+orthonormal basis Q(k), d slots per mode (`stability._slot_basis`, which
+also gives the growth rates).  For k != 0 the first d - 1 slots span k-perp
+and diagonalize P M P there (the Craya-Herring frame, Sagaut & Cambon 2008),
+and the last slot, k/|k|, is held at zero; at k = 0 the slots are M's
+eigenvectors.  The whole linear symbol
 Gamma2|k|^4 + Gamma0|k|^2 + i*lambda0*(V.k) + P M P is diagonal in that basis,
 so the ETDRK4 integrating factor (Cox & Matthews 2002; Kassam & Trefethen
 2005: Taylor series near z = 0, direct formulas elsewhere) treats all of it
@@ -56,6 +57,7 @@ from .spectral import (
     to_half,
     zero_nyquist,
 )
+from .stability import _slot_basis
 
 __all__ = [
     "SolverConfig",
@@ -225,71 +227,6 @@ def _phi(z: np.ndarray, j: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Tendency and Stepper
 # --------------------------------------------------------------------------
-
-def _diagonalize_pair(M: np.ndarray, b1: np.ndarray, b2: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Turn the orthonormal pairs (b1, b2), (dim, n_modes) each, by the
-    Jacobi angle that makes M diagonal on their span.  The sign of the turn
-    is taken apart from its size and a zero off-diagonal turns nothing, so
-    an even b1 and an odd b2 stay even and odd bit for bit."""
-    Mb1 = np.einsum("ij,jm->im", M, b1)
-    Mb2 = np.einsum("ij,jm->im", M, b2)
-    off = np.einsum("am,am->m", b1, Mb2)
-    half_angle = 0.5 * np.arctan2(2.0 * np.abs(off),
-                                  np.einsum("am,am->m", b1, Mb1)
-                                  - np.einsum("am,am->m", b2, Mb2))
-    c = np.where(off == 0.0, 1.0, np.cos(half_angle))
-    s = np.where(off == 0.0, 0.0, np.copysign(np.sin(half_angle), off))
-    return c * b1 + s * b2, c * b2 - s * b1
-
-
-def _slot_basis(system: TransformedSystem, k: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The slot basis of every wavevector in k (dim, n_modes) and the linear
-    symbol in it: Q (dim, dim, n_modes), real, orthonormal, one slot per
-    column, and lam (dim, n_modes), complex, with
-
-        Gamma2|k|^4 + Gamma0|k|^2 + i lambda0 (V.k) + P M P = Q diag(lam) Q^T
-
-    on k-perp, and M = Q diag(lam) Q^T at k = 0.  For k != 0 the first
-    dim - 1 slots span k-perp: e_perp in 2D; in 3D the pair P e_j/|P e_j|,
-    k-hat x that (e_j the axis least aligned with k), turned to diagonalize
-    P M P.  The last slot is k-hat, with k-hat's Rayleigh quotient of M as
-    its mu; no state uses it.  Every column is even or odd in k bit for bit,
-    so the +-k pairs of the half layout stay conjugate.
-    """
-    p, M = system.params, system.M
-    scalar = system.scalar_m is not None
-    d, n_modes = k.shape
-    ksq = np.einsum("am,am->m", k, k)
-    zero = ksq == 0.0
-    khat = k / np.sqrt(np.where(zero, 1.0, ksq))
-    Q = np.empty((d, d, n_modes))
-    Q[:, -1] = khat
-    if d == 2:
-        Q[0, 0], Q[1, 0] = -khat[1], khat[0]
-    else:
-        modes = np.arange(n_modes)
-        j = np.argmin(np.abs(khat), axis=0)
-        b1 = -khat * khat[j, modes]
-        b1[j, modes] += 1.0
-        b1 /= np.sqrt(np.einsum("am,am->m", b1, b1))
-        b2 = np.cross(khat, b1, axis=0)
-        if not scalar:
-            b1, b2 = _diagonalize_pair(M, b1, b2)
-        Q[:, 0], Q[:, 1] = b1, b2
-    # at k = 0, M's eigenvectors (the 2D turn spares LAPACK's start-up)
-    if scalar:
-        Q[:, :, zero] = np.eye(d)[:, :, None]
-        mu = np.full((d, n_modes), system.scalar_m)
-    else:
-        Q0 = (np.concatenate(_diagonalize_pair(M, *np.hsplit(np.eye(2), 2)),
-                             axis=1) if d == 2 else np.linalg.eigh(M)[1])
-        Q[:, :, zero] = Q0[:, :, None]
-        mu = np.einsum("ism,ij,jsm->sm", Q, M, Q)
-    drift = p.lambda0 * np.einsum("a,am->m", system.V, k)
-    return Q, p.gamma2 * ksq**2 + p.gamma0 * ksq + mu + 1j * drift
-
 
 class Tendency:
     """The explicit tendency, with its fine lattice and buffers, on the rfft

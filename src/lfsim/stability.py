@@ -11,12 +11,14 @@ solenoidal subspace k-perp, which is the actual state space; the raw
 dim x dim matrix has an extra eigenvalue along the gradient direction k that
 no divergence-free field can realize.
 
-Classifications are evaluated on the continuum criterion (closed form in
-|k|), so box-size artifacts cannot flip them; lattice maxima are reported
-separately for experiment design.  Eigenvalues of the (dim-1)-dimensional
-restricted symbol are computed in closed form; the full 3x3 M at k = 0 goes
-to LAPACK, because the characteristic-polynomial route loses half the digits
-on the repeated eigenvalue of a polar state's M.
+The symbol is diagonalized in one place, `_slot_basis`: per wavevector, a
+real orthonormal basis whose first dim - 1 slots span k-perp and diagonalize
+P M P there (all dim slots at k = 0).  The solver integrates in that basis,
+and `growth_rate` and `lattice_growth_rates` read -min Re of the symbol over
+those live slots.  `symbol_at` is the dense textbook matrix, kept as the
+reference.  Classifications are evaluated on the continuum criterion (closed
+form in |k|), so box-size artifacts cannot flip them; lattice maxima are
+reported separately for experiment design.
 """
 
 from __future__ import annotations
@@ -131,32 +133,77 @@ def symbol_at(system: TransformedSystem, k: Sequence[float]) -> SymbolMatrix:
     return SymbolMatrix(k, (scalar + drift) * np.eye(p.dim) + m_term)
 
 
-def _solenoidal_basis(k: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of k-perp as columns, shape (dim, dim-1)."""
-    dim = len(k)
-    khat = k / np.linalg.norm(k)
-    if dim == 2:
-        return np.array([[-khat[1]], [khat[0]]])
-    trial = np.zeros(3)
-    trial[int(np.argmin(np.abs(khat)))] = 1.0
-    b1 = np.cross(khat, trial)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(khat, b1)
-    return np.stack([b1, b2], axis=1)
+def _diagonalize_pair(M: np.ndarray, b1: np.ndarray, b2: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Turn the orthonormal pairs (b1, b2), (dim, n_modes) each, by the
+    Jacobi angle that makes M diagonal on their span.  The sign of the turn
+    is taken apart from its size and a zero off-diagonal turns nothing, so
+    an even b1 and an odd b2 stay even and odd bit for bit."""
+    Mb1 = np.einsum("ij,jm->im", M, b1)
+    Mb2 = np.einsum("ij,jm->im", M, b2)
+    off = np.einsum("am,am->m", b1, Mb2)
+    half_angle = 0.5 * np.arctan2(2.0 * np.abs(off),
+                                  np.einsum("am,am->m", b1, Mb1)
+                                  - np.einsum("am,am->m", b2, Mb2))
+    c = np.where(off == 0.0, 1.0, np.cos(half_angle))
+    s = np.where(off == 0.0, 0.0, np.copysign(np.sin(half_angle), off))
+    return c * b1 + s * b2, c * b2 - s * b1
 
 
-def _sym_eigs(B: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix of size <= 3: closed form up to
-    2x2, LAPACK for 3x3 (whose trigonometric formula read -8e-9 for the
-    double eigenvalue 0 of 2 beta V V^T)."""
-    n = B.shape[0]
-    if n == 1:
-        return np.array([B[0, 0]])
-    if n == 2:
-        mean = 0.5 * (B[0, 0] + B[1, 1])
-        rad = math.hypot(0.5 * (B[0, 0] - B[1, 1]), B[0, 1])
-        return np.array([mean - rad, mean + rad])
-    return np.linalg.eigvalsh(B)
+def _slot_basis(system: TransformedSystem, k: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The slot basis of every wavevector in k (dim, n_modes) and the linear
+    symbol in it: Q (dim, dim, n_modes), real, orthonormal, one slot per
+    column, and lam (dim, n_modes), complex, with
+
+        Gamma2|k|^4 + Gamma0|k|^2 + i lambda0 (V.k) + P M P = Q diag(lam) Q^T
+
+    on k-perp, and M = Q diag(lam) Q^T at k = 0.  For k != 0 the first
+    dim - 1 slots span k-perp: e_perp in 2D; in 3D the pair P e_j/|P e_j|,
+    k-hat x that (e_j the axis least aligned with k), turned to diagonalize
+    P M P.  The last slot is k-hat, with k-hat's Rayleigh quotient of M as
+    its mu; no state uses it.  Every column is even or odd in k bit for bit,
+    so the +-k pairs of the half layout stay conjugate.
+    """
+    p, M = system.params, system.M
+    scalar = system.scalar_m is not None
+    d, n_modes = k.shape
+    ksq = np.einsum("am,am->m", k, k)
+    zero = ksq == 0.0
+    khat = k / np.sqrt(np.where(zero, 1.0, ksq))
+    Q = np.empty((d, d, n_modes))
+    Q[:, -1] = khat
+    if d == 2:
+        Q[0, 0], Q[1, 0] = -khat[1], khat[0]
+    else:
+        modes = np.arange(n_modes)
+        j = np.argmin(np.abs(khat), axis=0)
+        b1 = -khat * khat[j, modes]
+        b1[j, modes] += 1.0
+        b1 /= np.sqrt(np.einsum("am,am->m", b1, b1))
+        b2 = np.cross(khat, b1, axis=0)
+        if not scalar:
+            b1, b2 = _diagonalize_pair(M, b1, b2)
+        Q[:, 0], Q[:, 1] = b1, b2
+    # at k = 0, M's eigenvectors (the 2D turn spares LAPACK's start-up)
+    if scalar:
+        Q[:, :, zero] = np.eye(d)[:, :, None]
+        mu = np.full((d, n_modes), system.scalar_m)
+    else:
+        Q0 = (np.concatenate(_diagonalize_pair(M, *np.hsplit(np.eye(2), 2)),
+                             axis=1) if d == 2 else np.linalg.eigh(M)[1])
+        Q[:, :, zero] = Q0[:, :, None]
+        mu = np.einsum("ism,ij,jsm->sm", Q, M, Q)
+    drift = p.lambda0 * np.einsum("a,am->m", system.V, k)
+    return Q, p.gamma2 * ksq**2 + p.gamma0 * ksq + mu + 1j * drift
+
+
+def _slot_rates(system: TransformedSystem, k: np.ndarray) -> np.ndarray:
+    """Growth rate of every wavevector in k (dim, n_modes): -min Re of the
+    symbol over the live slots, all dim at k = 0 and the first dim - 1
+    elsewhere (the k-hat slot holds no solenoidal state)."""
+    mu = _slot_basis(system, k)[1].real
+    return -np.where(np.any(k, axis=0), mu[:-1].min(axis=0), mu.min(axis=0))
 
 
 def growth_rate(system: TransformedSystem, k: Sequence[float]) -> float:
@@ -164,18 +211,7 @@ def growth_rate(system: TransformedSystem, k: Sequence[float]) -> float:
 
     Positive means the mode grows under the linearized evolution.
     """
-    p = system.params
-    k = np.asarray(k, dtype=float)
-    ksq = float(np.dot(k, k))
-    scalar = p.gamma2 * ksq**2 + p.gamma0 * ksq
-    if system.scalar_m is not None:
-        return -(scalar + system.scalar_m)
-    if ksq == 0.0:
-        mu = float(np.min(_sym_eigs(system.M)))
-    else:
-        basis = _solenoidal_basis(k)
-        mu = float(np.min(_sym_eigs(basis.T @ system.M @ basis)))
-    return -(scalar + mu)
+    return float(_slot_rates(system, np.asarray(k, dtype=float)[:, None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -273,21 +309,7 @@ def classify_ordered(params: ModelParams) -> StabilityReport:
 def lattice_growth_rates(system: TransformedSystem, grid: SpectralGrid
                          ) -> np.ndarray:
     """Growth rate of every wavevector of the grid's lattice, grid.shape."""
-    p = system.params
-    ksq = grid.ksq
-    scalar = p.gamma2 * ksq**2 + p.gamma0 * ksq
-    if system.scalar_m is not None:
-        return -(scalar + system.scalar_m)
-    if grid.dim == 2:
-        # restricted M eigenvalue: 2*beta*(V . khat_perp)^2,
-        # khat_perp = (-k2, k1)/|k|
-        knorm = np.sqrt(np.where(ksq > 0, ksq, 1.0))
-        vdot = (system.V[0] * (-grid.k[1]) + system.V[1] * grid.k[0]) / knorm
-        mu = np.where(ksq > 0, 2.0 * p.beta * vdot**2, 0.0)
-    else:
-        # 3D: some x perp {V, k} always exists, so the min eigenvalue is 0
-        mu = np.zeros_like(ksq)
-    return -(scalar + mu)
+    return _slot_rates(system, grid.k.reshape(grid.dim, -1)).reshape(grid.shape)
 
 
 def lattice_max_growth(system: TransformedSystem, grid: SpectralGrid

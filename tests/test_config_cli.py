@@ -405,6 +405,30 @@ solver.diagnostics_interval = 0.01
         assert needed in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,overrides,message", [
+        # the decay certificate is a rest-state statement
+        ("nonlinear_decay.cfg",
+         ["state.kind=ordered", "params.alpha=-0.5", "grid.n_per_axis=16",
+          "solver.t_end=0.1"], "applies to rest-state runs"),
+        # at dk = 1 the default modes decay like exp(-Gamma2 |k|^4 t), and
+        # the squared amplitude of |k| >= 3 underflows before t_end = 5
+        ("dispersion.cfg",
+         ["grid.box_length=6.283185307179586", "grid.n_per_axis=16",
+          "perturbation.tracked_wavevectors="], "would underflow")])
+    def test_run_that_cannot_pass_rejected_before_stepping(
+            self, tmp_path, capsys, monkeypatch, name, overrides, message):
+        def no_step(*args, **kwargs):
+            raise AssertionError("Stepper.step was called")
+
+        monkeypatch.setattr(Stepper, "step", no_step)
+        out = tmp_path / "o"
+        argv = ["run", os.path.join(CONFIGS, name), "--out", str(out)]
+        for override in overrides:
+            argv += ["--override", override]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dispersion_measure_too_few_samples_rejected_before_stepping(
             self, capsys, monkeypatch):
         def no_stepper(*args, **kwargs):

@@ -16,7 +16,7 @@ from lfsim.integrate import (BlowUpError, SolverConfig, SolverState,
                              nonlinear_rhs, random_solenoidal_field,
                              recover_pressure, run, single_mode_field, step)
 from lfsim.lattice import FineLattice, _irfft_spatial
-from lfsim.stability import growth_rate
+from lfsim.stability import _slot_basis, growth_rate
 from lfsim.diagnostics import energy_budget, fit_growth
 from lfsim.experiments import _require_samples
 
@@ -1390,8 +1390,9 @@ class TestSlabs:
 
 
 class TestSlotBasis:
-    """The slot basis and symbol of the integrating factor, mode by mode,
-    against `stability.symbol_at` and `stability.growth_rate`."""
+    """The slot basis and symbol of the integrating factor
+    (`stability._slot_basis`), mode by mode, against `stability.symbol_at`,
+    and the growth rates built on it against their closed forms."""
 
     SYSTEMS = {
         "rest": lambda d: make_disordered_system(params(alpha=-0.3, dim=d)),
@@ -1409,7 +1410,7 @@ class TestSlotBasis:
         sys = self.SYSTEMS[kind](dim)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         k = grid.k_half.reshape(dim, -1)
-        Q, lam = integrate._slot_basis(sys, k)
+        Q, lam = _slot_basis(sys, k)
         eye = np.eye(dim)
         assert np.max(np.abs(np.einsum("ism,itm->stm", Q, Q)
                              - eye[:, :, None])) <= 1e-14
@@ -1434,20 +1435,28 @@ class TestSlotBasis:
     @pytest.mark.parametrize("kind", sorted(SYSTEMS))
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
     def test_lattice_growth_rates(self, dim, n, kind):
-        # the closed form of stability.lattice_growth_rates is -min Re lam
-        # over the live slots (the k-hat slot of k != 0 is not one), on
-        # every mode of the full lattice
+        # the closed forms of M = alpha I (rest) and M = 2 beta V V^T
+        # (polar), on every mode of the full lattice: the restricted M's
+        # least eigenvalue is alpha at rest; for the polar state
+        # 2 beta (V.k-hat-perp)^2 in 2D (0 at k = 0), and 0 in 3D, where
+        # some x perp {V, k} always exists
         from lfsim.stability import lattice_growth_rates
         sys = self.SYSTEMS[kind](dim)
+        p = sys.params
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
-        k = grid.k.reshape(dim, -1)
-        _, lam = integrate._slot_basis(sys, k)
-        live = np.ones(lam.shape, bool)
-        live[-1] = np.sum(k * k, axis=0) == 0.0
-        rates = -np.min(np.where(live, lam.real, np.inf), axis=0)
-        closed = lattice_growth_rates(sys, grid).reshape(-1)
-        assert np.all(np.abs(closed - rates)
-                      <= 1e-12 * np.maximum(1.0, np.abs(rates)))
+        ksq = grid.ksq
+        if kind == "rest":
+            mu = np.full_like(ksq, p.alpha)
+        elif dim == 2:
+            knorm = np.sqrt(np.where(ksq > 0, ksq, 1.0))
+            vdot = (sys.V[0] * -grid.k[1] + sys.V[1] * grid.k[0]) / knorm
+            mu = np.where(ksq > 0, 2.0 * p.beta * vdot**2, 0.0)
+        else:
+            mu = np.zeros_like(ksq)
+        closed = -(p.gamma2 * ksq**2 + p.gamma0 * ksq + mu)
+        rates = lattice_growth_rates(sys, grid)
+        assert np.all(np.abs(rates - closed)
+                      <= 1e-12 * np.maximum(1.0, np.abs(closed)))
 
     @pytest.mark.parametrize("kind", sorted(SYSTEMS))
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
@@ -1456,7 +1465,7 @@ class TestSlotBasis:
         # of Q(-k) is +-Q(k) and lam(-k) = conj(lam(k)), bit for bit
         sys = self.SYSTEMS[kind](dim)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
-        Q, lam = integrate._slot_basis(sys, grid.k_half.reshape(dim, -1))
+        Q, lam = _slot_basis(sys, grid.k_half.reshape(dim, -1))
         Q = Q.reshape((dim, dim) + grid.half_shape)
         lam = lam.reshape((dim,) + grid.half_shape)
         rows = [i for i in range(n) if i != n // 2]   # no partner at n/2

@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lfsim
 from lfsim.model import ModelParams, make_disordered_system, make_ordered_system
 from lfsim.spectral import SpectralGrid
 from lfsim.stability import (BandResult, Classification, classify_disordered,
                              classify_ordered, growth_rate,
-                             lattice_max_growth, phase_diagram, symbol_at,
-                             unstable_band, write_dispersion_csv,
-                             write_phase_diagram_csv)
+                             lattice_growth_rates, lattice_max_growth,
+                             phase_diagram, symbol_at, unstable_band,
+                             write_dispersion_csv, write_phase_diagram_csv)
 
 EXP_STABLE = Classification.EXPONENTIALLY_STABLE
 ASYMPT = Classification.ASYMPTOTICALLY_STABLE
@@ -286,6 +291,57 @@ class TestLatticeMaxGrowth:
         rate, k = lattice_max_growth(make_ordered_system(p, [1.0, 0.0]), grid)
         assert abs(rate - 0.0625) < 1e-12
         assert k[1] == 0.0 and abs(abs(k[0]) - 0.5) < 1e-12
+
+
+class TestRatesAgainstTheDenseSymbol:
+    """`growth_rate` and `lattice_growth_rates` against -min eigvalsh of
+    Re `symbol_at` on a numpy orthonormal basis of k-perp (the whole matrix
+    at k = 0), on every mode of the lattice."""
+
+    @pytest.mark.parametrize("gamma0", [1.0, -1.0])
+    @pytest.mark.parametrize("kind", ["rest", "polar"])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_random_direction(self, dim, n, kind, gamma0):
+        rng = np.random.default_rng([dim, n, int(gamma0 > 0)])
+        if kind == "rest":
+            sys = make_disordered_system(params(alpha=0.3, gamma0=gamma0,
+                                                dim=dim))
+        else:
+            V = rng.standard_normal(dim)
+            sys = make_ordered_system(
+                params(alpha=-0.7, beta=1.3, lambda0=0.6, gamma0=gamma0,
+                       dim=dim), V / np.linalg.norm(V))
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        k = grid.k.reshape(dim, -1)
+        dense = np.empty(k.shape[1])
+        for m, km in enumerate(k.T):
+            S = symbol_at(sys, km).matrix.real
+            if km.any():
+                B = np.linalg.svd(km[None, :])[2][1:].T   # k-perp, columns
+                S = B.T @ S @ B
+            dense[m] = -np.linalg.eigvalsh(S)[0]
+        tol = 1e-15 * np.max(np.abs(dense))
+        lattice = lattice_growth_rates(sys, grid).reshape(-1)
+        assert np.max(np.abs(lattice - dense)) <= tol
+        pointwise = np.array([growth_rate(sys, km) for km in k.T])
+        assert np.max(np.abs(pointwise - dense)) <= tol
+        if kind == "polar" and dim == 3:   # M = 2 beta V V^T: a double 0
+            assert abs(growth_rate(sys, np.zeros(3))) <= 1e-15
+
+
+def test_stability_does_not_import_integrate():
+    # the package's __init__ imports every module, so load lfsim.stability
+    # under a bare package on the same path
+    code = ("import importlib, sys, types\n"
+            "pkg = types.ModuleType('lfsim')\n"
+            f"pkg.__path__ = [{os.path.dirname(lfsim.__file__)!r}]\n"
+            "sys.modules['lfsim'] = pkg\n"
+            "importlib.import_module('lfsim.stability')\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('lfsim')))\n")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "lfsim.stability" in loaded
+    assert "lfsim.integrate" not in loaded
 
 
 class TestPhaseDiagram:
