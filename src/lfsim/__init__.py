@@ -4,9 +4,10 @@ generalized Navier-Stokes model of active (bacterial) turbulence."""
 from .model import (ModelParams, StateKind, SteadyState, TransformedSystem,
                     disordered_state, make_disordered_system,
                     make_ordered_system, ordered_state, untransform)
-from .spectral import (SpectralField, SpectralGrid, dealiased_product,
-                       forward, gradient_ops, inverse, l2_norm_sq, l4_norm_4,
-                       leray_project, read_snapshot, write_snapshot)
+from .spectral import (SpectralField, SpectralGrid, forward, inverse,
+                       l2_norm_sq, leray_project, read_snapshot,
+                       write_snapshot)
+from .lattice import dealiased_product, l4_norm_4
 from .stability import (BandResult, Classification, StabilityReport,
                         classify_disordered, classify_ordered, growth_rate,
                         lattice_max_growth, phase_diagram, symbol_at,

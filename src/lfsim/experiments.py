@@ -418,8 +418,14 @@ def _run_contractivity(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     system = cfg.make_system()
     solver = cfg.solver
     if solver.diagnostics_interval is None:
-        # trapezoidal identity quadrature wants the finest cadence
         solver = replace(solver, diagnostics_interval=solver.dt)
+    if len(solver.sample_steps) != solver.nsteps + 1:
+        # the trapezoid's error grows as the square of the interval: only
+        # the step cadence keeps the identity's tolerance in reach
+        raise ValueError(
+            f"diagnostics every {solver.effective_diag_interval:g} with "
+            f"dt={solver.dt:g}: the integrated energy identity needs a "
+            "sample at every step")
     initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
                                       solver.seed)
     traj, files = _run_and_record(out, initial, system, grid, solver,

@@ -11,11 +11,17 @@ formed one L2-sized slab of first-axis planes at a time: no full-lattice
 product buffer.  In 3D the pad keeps only the 2h band rows of the middle
 axis, whose passes run on each slab.  Fine axes of at most `GEMM_MAX_POINTS`
 points take the last-axis transforms as real GEMMs on the h band columns.
+
+The public `dealiased_product` and `l4_norm_4` run on the same lattice as
+the solver; like it, they drop a factor's unpaired m = n/2 content.
 """
+
+from typing import Sequence
 
 import numpy as np
 
-from .spectral import SpectralGrid
+from .spectral import (SpectralField, SpectralGrid, from_half, to_half,
+                       zero_nyquist)
 
 
 def _band_rows(size: int, h: int) -> tuple[slice, slice]:
@@ -188,3 +194,37 @@ class FineLattice:
         for a in range(self.dim - 1):   # the first row of a second block
             half[(slice(None),) * (1 + 2 * a) + (1, 0)] = 0.0
         return out
+
+
+def dealiased_product(grid: SpectralGrid, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Alias-free pointwise product of 2 or 3 real scalar fields.
+
+    Factors are physical-space samples on the grid; their m = n/2 slots are
+    dropped.  Returns the full-lattice coefficients of the product's
+    Nyquist-free band (the unpaired mode slot is zero).
+    """
+    if len(factors) not in (2, 3):
+        raise ValueError(f"need 2 or 3 factors, got {len(factors)}")
+    for f in factors:
+        if np.shape(f) != grid.shape:
+            raise ValueError(f"factor shape {np.shape(f)}, expected {grid.shape}")
+    halves = np.fft.rfftn(np.asarray(factors, dtype=float),
+                          axes=tuple(range(1, grid.dim + 1)), norm="forward")
+    lattice = FineLattice(grid, len(factors))
+    lattice.products(1, lambda fine, out, scratch: np.prod(
+        fine, axis=0, out=out[0]), zero_nyquist(grid, halves))
+    return from_half(grid, lattice.band(np.empty_like(halves[:1]))[0])
+
+
+def l4_norm_4(field: SpectralField) -> float:
+    """Integral of |u|^4, quadrature on the fine lattice (exact for the
+    Nyquist-free band; the m = n/2 slots are dropped)."""
+    g = field.grid
+    uh = zero_nyquist(g, to_half(g, field.coeffs))
+    lattice, total = FineLattice(g, g.dim), [0.0]
+
+    def visit(fine, out, scratch):
+        s = np.einsum("im,im->m", fine, fine, out=scratch[0])
+        total[0] += float(s @ s)
+    lattice.products(0, visit, uh)
+    return g.volume * total[0] / lattice.nf ** g.dim

@@ -11,10 +11,11 @@ unpaired mode m = N/2 has no conjugate partner, so odd spectral derivatives
 drop it (see the derivative table `k_deriv`) and product truncation excludes
 it from the result band.
 
-Quadratic and cubic products are dealiased by zero padding (factors 3/2 and
-2 per axis) and exact truncation back; the Helmholtz/Leray projector is the
-modewise multiplier I - k k^T/|k|^2, extended by the identity at k = 0 so
-that mean modes are preserved.
+The Helmholtz/Leray projector is the modewise multiplier I - k k^T/|k|^2,
+extended by the identity at k = 0 so that mean modes are preserved.  Zero
+padding and exact truncation of the full lattice (`pad_spectrum`,
+`truncate_spectrum`) are the reference that the tests hold the products of
+`lattice.FineLattice` to.
 """
 
 from __future__ import annotations
@@ -34,13 +35,8 @@ __all__ = [
     "leray_project",
     "project_coeffs",
     "gradient_coeffs",
-    "laplacian_coeffs",
-    "bilaplacian_coeffs",
     "divergence_coeffs",
     "curl_coeffs",
-    "GradientOps",
-    "gradient_ops",
-    "dealiased_product",
     "pad_spectrum",
     "truncate_spectrum",
     "zero_nyquist",
@@ -48,10 +44,7 @@ __all__ = [
     "from_half",
     "l2_norm_sq",
     "grad_norm_sq",
-    "lap_norm_sq",
-    "l4_norm_4",
     "inner_l2",
-    "divergence_residual",
     "write_snapshot",
     "read_snapshot",
     "SNAPSHOT_MAGIC",
@@ -99,8 +92,7 @@ class SpectralGrid:
         kd[self.mode_numbers == self.n // 2] = 0.0
         self.k_deriv = kd
         self.ksq = np.sum(self.k**2, axis=0)
-        self.k4 = self.ksq**2
-        for arr in (self.mode_numbers, self.k, self.k_deriv, self.ksq, self.k4):
+        for arr in (self.mode_numbers, self.k, self.k_deriv, self.ksq):
             arr.setflags(write=False)
 
     # positions of the axis samples: x_i = i*L/n
@@ -178,10 +170,6 @@ class SpectralField:
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
 
-    @classmethod
-    def from_physical(cls, grid: SpectralGrid, physical: np.ndarray) -> "SpectralField":
-        return forward(grid, physical)
-
     def to_physical(self) -> np.ndarray:
         return inverse(self)
 
@@ -255,14 +243,6 @@ def gradient_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
         (grid.dim,) + (1,) * (coeffs.ndim - grid.dim) + grid.shape) * coeffs
 
 
-def laplacian_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    return -grid.ksq * coeffs
-
-
-def bilaplacian_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    return grid.k4 * coeffs
-
-
 def divergence_coeffs(grid: SpectralGrid, vec_coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("a...,a...->...", 1j * grid.k_deriv, vec_coeffs)
 
@@ -279,24 +259,8 @@ def curl_coeffs(grid: SpectralGrid, vec_coeffs: np.ndarray) -> np.ndarray:
     ])
 
 
-@dataclass
-class GradientOps:
-    gradient: np.ndarray
-    laplacian: np.ndarray
-    bilaplacian: np.ndarray
-
-
-def gradient_ops(field: SpectralField) -> GradientOps:
-    g = field.grid
-    return GradientOps(
-        gradient=gradient_coeffs(g, field.coeffs),
-        laplacian=laplacian_coeffs(g, field.coeffs),
-        bilaplacian=bilaplacian_coeffs(g, field.coeffs),
-    )
-
-
 # --------------------------------------------------------------------------
-# Zero padding / truncation and dealiased products
+# Zero padding and truncation
 # --------------------------------------------------------------------------
 
 def _pad_axis(arr: np.ndarray, axis: int, n_to: int) -> np.ndarray:
@@ -369,30 +333,6 @@ def zero_nyquist(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def dealiased_product(grid: SpectralGrid, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Alias-free pointwise product of 2 or 3 real scalar fields.
-
-    Factors are physical-space samples on the grid.  The product is formed on
-    a zero-padded lattice (factor 3/2 for two factors, 2 for three) and
-    truncated back; the returned coefficients live in the Nyquist-free band
-    (the unpaired mode slot is zero).
-    """
-    if len(factors) not in (2, 3):
-        raise ValueError(f"need 2 or 3 factors, got {len(factors)}")
-    n_fine = 3 * grid.n // 2 if len(factors) == 2 else 2 * grid.n
-    axes = tuple(range(grid.dim))
-    prod = None
-    for f in factors:
-        f = np.asarray(f, dtype=float)
-        if f.shape != grid.shape:
-            raise ValueError(f"factor shape {f.shape}, expected {grid.shape}")
-        c = np.fft.fftn(f, norm="forward")
-        fine = np.real(np.fft.ifftn(pad_spectrum(grid, c, n_fine), norm="forward"))
-        prod = fine if prod is None else prod * fine
-    out = truncate_spectrum(grid, np.fft.fftn(prod, axes=axes, norm="forward"))
-    return zero_nyquist(grid, out)
-
-
 # --------------------------------------------------------------------------
 # Half-spectrum (rfft) conversion helpers
 # --------------------------------------------------------------------------
@@ -434,29 +374,10 @@ def grad_norm_sq(field: SpectralField) -> float:
         np.sum(field.grid.ksq * np.sum(np.abs(field.coeffs) ** 2, axis=0)))
 
 
-def lap_norm_sq(field: SpectralField) -> float:
-    return field.grid.volume * float(
-        np.sum(field.grid.k4 * np.sum(np.abs(field.coeffs) ** 2, axis=0)))
-
-
-def l4_norm_4(field: SpectralField) -> float:
-    """Integral of |u|^4, quadrature on the factor-2 (cubic-dealiased) lattice."""
-    g = field.grid
-    fine = pad_spectrum(g, field.coeffs, 2 * g.n)
-    axes = tuple(range(1, g.dim + 1))
-    u = np.real(np.fft.ifftn(fine, axes=axes, norm="forward"))
-    s = np.sum(u * u, axis=0)
-    return g.volume * float(np.mean(s * s))
-
-
 def inner_l2(f: SpectralField, g: SpectralField) -> float:
     """Discrete L^2 inner product of two real fields."""
     return f.grid.volume * float(
         np.real(np.sum(f.coeffs * np.conj(g.coeffs))))
-
-
-def divergence_residual(field: SpectralField) -> float:
-    return field.divergence_residual()
 
 
 # --------------------------------------------------------------------------

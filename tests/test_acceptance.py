@@ -14,9 +14,9 @@ import pytest
 
 from lfsim.model import ModelParams, StateKind, make_disordered_system, \
     make_ordered_system
-from lfsim.spectral import (SpectralField, SpectralGrid, dealiased_product,
-                            forward, pad_spectrum, truncate_spectrum,
-                            zero_nyquist)
+from lfsim.lattice import dealiased_product
+from lfsim.spectral import (SpectralField, SpectralGrid, forward,
+                            pad_spectrum, truncate_spectrum, zero_nyquist)
 from lfsim.integrate import (SolverConfig, amp_label, run,
                              random_solenoidal_field, single_mode_field)
 from lfsim.diagnostics import (budget_series, check_decay_bound, fit_growth,

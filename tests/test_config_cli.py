@@ -414,7 +414,10 @@ solver.diagnostics_interval = 0.01
         # the squared amplitude of |k| >= 3 underflows before t_end = 5
         ("dispersion.cfg",
          ["grid.box_length=6.283185307179586", "grid.n_per_axis=16",
-          "perturbation.tracked_wavevectors="], "would underflow")])
+          "perturbation.tracked_wavevectors="], "would underflow"),
+        # a trapezoid over samples 2.0 apart misses the identity's 1e-6
+        ("ordered_contractivity.cfg", ["solver.diagnostics_interval=2.0"],
+         "needs a sample at every step")])
     def test_run_that_cannot_pass_rejected_before_stepping(
             self, tmp_path, capsys, monkeypatch, name, overrides, message):
         def no_step(*args, **kwargs):

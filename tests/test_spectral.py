@@ -1,14 +1,17 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfsim.spectral import (SpectralField, SpectralGrid, dealiased_product,
-                            divergence_coeffs, forward, from_half,
-                            gradient_ops, inner_l2, inverse, l2_norm_sq,
-                            l4_norm_4, leray_project, pad_spectrum,
+import lfsim
+from lfsim.lattice import dealiased_product, l4_norm_4
+from lfsim.spectral import (SpectralField, SpectralGrid, divergence_coeffs,
+                            forward, from_half, gradient_coeffs, inner_l2,
+                            inverse, l2_norm_sq, leray_project, pad_spectrum,
                             read_snapshot, to_half, truncate_spectrum,
                             write_snapshot, zero_nyquist)
 
@@ -159,26 +162,14 @@ class TestLeray:
 
 
 class TestDerivatives:
-    def test_laplacian_eigenfunction(self, grid16):
-        kappa = 2.0 * 2.0 * np.pi / grid16.length
-        phys = np.zeros((2, 16, 16))
-        phys[1] = np.cos(kappa * grid16.mesh[0])
-        f = forward(grid16, phys)
-        ops = gradient_ops(f)
-        lap = inverse(SpectralField(grid16, ops.laplacian))
-        bil = inverse(SpectralField(grid16, ops.bilaplacian))
-        assert np.max(np.abs(lap - (-kappa**2) * phys)) < 1e-12
-        assert np.max(np.abs(bil - kappa**4 * phys)) < 1e-11
-
     def test_gradient_of_constant(self, grid16):
         f = forward(grid16, np.full((2, 16, 16), 2.0))
-        ops = gradient_ops(f)
-        assert np.max(np.abs(ops.gradient)) == 0.0
+        assert np.max(np.abs(gradient_coeffs(grid16, f.coeffs))) == 0.0
 
     def test_gradient_is_real(self, grid16):
         f = random_field(grid16, 8)
         zero_nyquist(grid16, f.coeffs)
-        g = gradient_ops(f).gradient
+        g = gradient_coeffs(grid16, f.coeffs)
         phys = np.fft.ifftn(g, axes=(2, 3), norm="forward")
         assert np.max(np.abs(phys.imag)) < 1e-13
 
@@ -209,26 +200,40 @@ class TestDealiasedProduct:
             with pytest.raises(ValueError, match="factors"):
                 dealiased_product(grid16, bad)
 
-    def _band_limited(self, g, gf, seed):
-        """Random field resolvable on g, sampled exactly on the fine grid gf."""
+    def test_nyquist_content_is_dropped(self, grid16):
+        # f = (-1)^i is the unpaired m = n/2 mode alone: like the solver's
+        # products, these drop it before multiplying
+        f = np.broadcast_to(np.cos(np.pi * np.arange(16))[:, None], (16, 16))
+        assert np.max(np.abs(dealiased_product(grid16, [f, f]))) == 0.0
+        u = forward(grid16, np.stack([f, np.zeros((16, 16))]))
+        assert l4_norm_4(u) == 0.0
+
+    # 2D n = 16 takes the lattice's last-axis GEMMs, 2D n = 64 (nf = 128)
+    # its FFTs, 3D n = 8 its middle-axis passes
+    ORACLE_GRIDS = [(2, 16), (2, 64), (3, 8)]
+
+    @staticmethod
+    def _band_limited(g, n_fine, seed):
+        """Random field resolvable on g: its coefficients, its samples and
+        its samples on the n_fine^dim lattice, exact."""
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
         mirrored = coeffs
-        for ax in range(2):
+        for ax in range(g.dim):
             mirrored = np.take(mirrored, (-np.arange(g.n)) % g.n, axis=ax)
         coeffs = 0.5 * (coeffs + np.conj(mirrored))
         zero_nyquist(g, coeffs[None])
         coarse = np.real(np.fft.ifftn(coeffs, norm="forward"))
-        fine = np.real(np.fft.ifftn(pad_spectrum(g, coeffs, gf.n),
+        fine = np.real(np.fft.ifftn(pad_spectrum(g, coeffs, n_fine),
                                     norm="forward"))
-        return coarse, fine
+        return coeffs, coarse, fine
 
-    def test_cubic_matches_fine_grid_oracle(self):
-        g = SpectralGrid(2, 16, 2.0)
-        gf = SpectralGrid(2, 64, 2.0)
+    @pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
+    def test_cubic_matches_fine_grid_oracle(self, dim, n):
+        g = SpectralGrid(dim, n, 2.0)
         coarse, fine = [], []
         for seed in range(3):
-            c, f = self._band_limited(g, gf, seed)
+            _, c, f = self._band_limited(g, 4 * n, seed)
             coarse.append(c)
             fine.append(f)
         got = dealiased_product(g, coarse)
@@ -238,14 +243,44 @@ class TestDealiasedProduct:
         scale = max(1.0, float(np.max(np.abs(expect))))
         assert np.max(np.abs(got - expect)) <= 1e-12 * scale
 
-    def test_quadratic_matches_fine_grid_oracle(self):
-        g = SpectralGrid(2, 16, 2.0)
-        gf = SpectralGrid(2, 64, 2.0)
-        (c0, f0), (c1, f1) = (self._band_limited(g, gf, s) for s in (5, 6))
+    @pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
+    def test_quadratic_matches_fine_grid_oracle(self, dim, n):
+        g = SpectralGrid(dim, n, 2.0)
+        (_, c0, f0), (_, c1, f1) = (self._band_limited(g, 4 * n, s)
+                                    for s in (5, 6))
         got = dealiased_product(g, [c0, c1])
         expect = truncate_spectrum(g, np.fft.fftn(f0 * f1, norm="forward"))
         zero_nyquist(g, expect)
         assert np.max(np.abs(got - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
+    def test_l4_norm_matches_fine_grid_quadrature(self, dim, n):
+        # |u|^4 holds modes |m| < 2n: the 2n^dim lattice integrates it exactly
+        g = SpectralGrid(dim, n, 2.0)
+        comps = [self._band_limited(g, 2 * n, seed) for seed in range(dim)]
+        u = SpectralField(g, np.stack([c[0] for c in comps]))
+        s = sum(c[2] ** 2 for c in comps)
+        expect = g.volume * float(np.mean(s * s))
+        assert abs(l4_norm_4(u) - expect) <= 1e-12 * expect
+
+
+def test_src_does_not_use_the_padding_oracle():
+    # pad_spectrum/truncate_spectrum are the exact side that the lattice's
+    # products are tested against, so no program code may call, import or
+    # alias them outside their own definitions
+    oracle = {"pad_spectrum", "truncate_spectrum"}
+    uses = []
+    for path in sorted(pathlib.Path(lfsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in oracle:
+                node.body = []
+        for node in ast.walk(tree):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or isinstance(node, ast.alias) and node.name)
+            if name in oracle:
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
 
 
 class TestPadTruncate:
