@@ -52,11 +52,11 @@ def stage_combine(E, u, Q, N, out, tmp):
     return out
 
 
-def etdrk4_final(E, u, f1, N0, f2x2, N1, N2, f3, N3, out, tmp):
-    """out = E*u + f1*N0 + f2x2*(N1 + N2) + f3*N3, through the scratch tmp."""
+def etdrk4_final(E, u, f1, N0, f2x2, N12, f3, N3, out, tmp):
+    """out = E*u + f1*N0 + f2x2*N12 + f3*N3 (N12 = N1 + N2), through tmp."""
     np.multiply(E, u, out=out)
     out += np.multiply(f1, N0, out=tmp)
-    out += np.multiply(f2x2, np.add(N1, N2, out=tmp), out=tmp)
+    out += np.multiply(f2x2, N12, out=tmp)
     out += np.multiply(f3, N3, out=tmp)
     return out
 

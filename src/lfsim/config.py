@@ -306,15 +306,15 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
     if not (scale > 0):
         raise ValidationError(f"perturbation.spectrum_scale must be > 0, got {scale}")
 
-    phase_ranges = {
-        "gamma0_min": get("phase.gamma0_min"),
-        "gamma0_max": get("phase.gamma0_max"),
-        "alpha_min": get("phase.alpha_min"),
-        "alpha_max": get("phase.alpha_max"),
-        "resolution": get("phase.resolution"),
-    }
+    phase_ranges = {key: get("phase." + key) for key in (
+        "gamma0_min", "gamma0_max", "alpha_min", "alpha_max", "resolution")}
     if phase_ranges["resolution"] < 2:
         raise ValidationError("phase.resolution must be >= 2")
+    for axis in ("gamma0", "alpha"):
+        lo, hi = phase_ranges[f"{axis}_min"], phase_ranges[f"{axis}_max"]
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValidationError(f"phase.{axis}_min <= phase.{axis}_max "
+                                  f"must hold, both finite: [{lo}, {hi}]")
 
     return ExperimentConfig(
         experiment=experiment, params=params, state_kind=state_kind,

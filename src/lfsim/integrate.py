@@ -254,8 +254,6 @@ class Tendency:
         self.n_modes = int(np.prod(self.half_shape))
         M = self.n_modes
 
-        # complex, as every product with the complex states casts it anyway
-        self.k_flat = grid.k_half.reshape(d, M).astype(np.complex128)
         self.ksq_flat = np.ascontiguousarray(grid.ksq_half.reshape(M))
         kd_flat = grid.k_deriv_half.reshape(d, M)
         self.kv = np.ascontiguousarray(
@@ -327,9 +325,10 @@ class Tendency:
         return self._field(self.cartesian(a, self._stage(len(a))))
 
     def physical(self, a: np.ndarray) -> np.ndarray:
-        half = self.cartesian(a).reshape((self.grid.dim,) + self.half_shape)
-        return _irfft_spatial(half, self.grid.n, self.grid.dim,
-                              self.grid.n // 2)
+        """Real samples of slot coefficients a, staged as in `to_state`."""
+        u = self.cartesian(a, self._stage(len(a)))
+        return _irfft_spatial(u.reshape((self.grid.dim,) + self.half_shape),
+                              self.grid.n, self.grid.dim, self.grid.n // 2)
 
     # -- dealiased products on the fine lattice ------------------------------
 
@@ -342,13 +341,18 @@ class Tendency:
             0, visit, uh_flat.reshape((self.grid.dim,) + self.half_shape))
 
     @functools.cached_property
+    def k_flat(self) -> np.ndarray:
+        """k per mode, complex, for `cartesian_rhs` (`_kernels.leray`)."""
+        return self.grid.k_half.reshape(self.grid.dim, -1).astype(complex)
+
+    @functools.cached_property
     def _ik(self) -> np.ndarray:
         """i|k| per mode, which turns the slot coefficients into the curl's."""
         return 1j * np.sqrt(self.ksq_flat)
 
     def _stage(self, rows: int) -> np.ndarray:
         """`rows` contiguous (n_modes,) complex rows at the head of the fine
-        lattice's physical buffer, which is free outside the product pass."""
+        lattice's physical buffer, free until a pass has padded its inputs."""
         return self._lattice.physical(2 * rows * self.n_modes).view(
             np.complex128).reshape(rows, self.n_modes)
 
@@ -440,46 +444,42 @@ class Stepper(Tendency):
                 "per step - consider a smaller dt", RuntimeWarning,
                 stacklevel=2)
         self.E = np.exp(-self.dt * self.symbol)
-        shape = (grid.dim, self.n_modes)
-        # the first stage buffer, which holds the samples' u between steps
-        self._idle = np.empty(shape, np.complex128)
-        self._out_bufs = [np.empty(shape, np.complex128) for _ in range(2)]
-        self._out_ix = 0
+        self._out_bufs = [np.empty((grid.dim, self.n_modes), np.complex128)
+                          for _ in range(2)]
 
     @functools.cached_property
     def _stages(self) -> tuple:
-        """The ETDRK4 stage coefficients (E2, Q, f1, 2 f2, f3), the 4
-        tendency buffers and the stage buffers, built on the first staged
+        """The ETDRK4 stage coefficients (E2, Q, f1, 2 f2, f3) and the four
+        stage buffers (N0, A, Na, B) of `step`, built on the first staged
         step: a linearized unforced stepper never takes one."""
         h, z = self.dt, -self.dt * self.symbol
         coeffs = (np.exp(0.5 * z), h * 0.5 * _phi(0.5 * z, 1),
                   h * (_phi(z, 1) - 3.0 * _phi(z, 2) + 4.0 * _phi(z, 3)),
                   2.0 * (h * (_phi(z, 2) - 2.0 * _phi(z, 3))),
                   h * (4.0 * _phi(z, 3) - _phi(z, 2)))
-        bufs = [np.empty_like(self._idle) for _ in range(6)]
-        return coeffs, bufs[:4], [self._idle] + bufs[4:]
+        return coeffs, [np.empty_like(self._out_bufs[0]) for _ in range(4)]
 
     def step(self, u: np.ndarray, t: float) -> np.ndarray:
-        """One ETDRK4 step of the slot coefficients u from time t, into one
-        of two buffers the stepper owns in turn.  With no tendency (a
-        linearized unforced run) the step is the integrating factor alone,
-        exactly: E u, with no stages."""
-        out = self._out_bufs[self._out_ix]
-        self._out_ix ^= 1
+        """One ETDRK4 step of the slot coefficients u from time t, into the
+        one of the stepper's two buffers that u is not, so a run alternates
+        them; with no tendency (linearized, unforced), E u exactly.  `out`,
+        written last, is the combines' scratch and holds Nb; B takes
+        2 Nb - N0 then Nc, C overwrites A and Na + Nb overwrites Na."""
+        out = self._out_bufs[u is self._out_bufs[0]]
         if self.linearized and self.forcing is None:
             return np.multiply(self.E, u, out=out)
         h = self.dt
-        (E2, Q, f1, f2x2, f3), (N0, Na, Nb, Nc), (A, B, C) = self._stages
-        # each combine's scratch is a stage buffer that is free at that point
+        (E2, Q, f1, f2x2, f3), (N0, A, Na, B) = self._stages
         self.rhs(u, t, N0)
-        _kernels.stage_combine(E2, u, Q, N0, A, C)
+        _kernels.stage_combine(E2, u, Q, N0, A, out)
         self.rhs(A, t + 0.5 * h, Na)
-        _kernels.stage_combine(E2, u, Q, Na, B, C)
-        self.rhs(B, t + 0.5 * h, Nb)
-        np.subtract(np.multiply(2.0, Nb, out=Nc), N0, out=Nc)   # 2 Nb - N0
-        _kernels.stage_combine(E2, A, Q, Nc, C, B)
-        self.rhs(C, t + h, Nc)
-        return _kernels.etdrk4_final(self.E, u, f1, N0, f2x2, Na, Nb, f3, Nc,
+        _kernels.stage_combine(E2, u, Q, Na, B, out)
+        Nb = self.rhs(B, t + 0.5 * h, out)
+        np.subtract(np.multiply(2.0, Nb, out=B), N0, out=B)   # 2 Nb - N0
+        C = _kernels.stage_combine(E2, A, Q, B, A, B)
+        Na += Nb
+        Nc = self.rhs(C, t + h, B)
+        return _kernels.etdrk4_final(self.E, u, f1, N0, f2x2, Na, f3, Nc,
                                      out, A)
 
 
@@ -571,8 +571,9 @@ class _SeriesRecorder:
         a2 = np.einsum("ip,ip->p", x, x)
         a2 = a2[0::2] + a2[1::2]              # |u|^2 per mode
         l2, grad, lap = self.vol * np.einsum("km,m->k", self.weights, a2)
-        div = st.k_flat[0] * uh_flat[0]       # k.u per mode
-        for k, c in zip(st.k_flat[1:], uh_flat[1:]):
+        ks = self.grid.k_half.reshape(self.grid.dim, -1)
+        div = ks[0] * uh_flat[0]              # k.u per mode
+        for k, c in zip(ks[1:], uh_flat[1:]):
             div += k * c
         div = div.view(np.float64)
         div *= div
@@ -675,16 +676,13 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
     def blow_up(t_fail, t, uh_flat):
         raise BlowUpError(t_fail, finalize(t, uh_flat).final, traj)
 
-    def sample(t, uh_flat):
-        u = stepper.cartesian(uh_flat, out=stepper._idle)
-        if not recorder.sample(t, u):
-            recorder.rows.pop()   # a non-finite sample is not recorded
-            blow_up(t, t, uh_flat)
-
     def record(i, uh_flat):
         t = i * config.dt
-        if i in sample_steps:
-            sample(t, uh_flat)
+        if i in sample_steps:   # u staged in the lattice, as for snapshots
+            u = stepper.cartesian(uh_flat, stepper._stage(len(uh_flat)))
+            if not recorder.sample(t, u):
+                recorder.rows.pop()   # a non-finite sample is not recorded
+                blow_up(t, t, uh_flat)
         if i in snapshot_steps:
             traj.snapshot_times.append(t)
             snap = stepper.physical(uh_flat)

@@ -417,7 +417,18 @@ solver.diagnostics_interval = 0.01
           "perturbation.tracked_wavevectors="], "would underflow"),
         # a trapezoid over samples 2.0 apart misses the identity's 1e-6
         ("ordered_contractivity.cfg", ["solver.diagnostics_interval=2.0"],
-         "needs a sample at every step")])
+         "needs a sample at every step"),
+        # the boundary check assumes increasing alpha, and the classifier
+        # rejected a non-finite range only after the output directory
+        # existed; an inverted gamma0 range used to pass
+        ("phase_diagram.cfg", ["phase.alpha_min=nan"],
+         "phase.alpha_min <= phase.alpha_max must hold, both finite"),
+        ("phase_diagram.cfg", ["phase.gamma0_max=inf"],
+         "phase.gamma0_min <= phase.gamma0_max must hold, both finite"),
+        ("phase_diagram.cfg", ["phase.resolution=2", "phase.alpha_min=1",
+                               "phase.alpha_max=-1"], "[1.0, -1.0]"),
+        ("phase_diagram.cfg", ["phase.gamma0_min=2", "phase.gamma0_max=-2"],
+         "[2.0, -2.0]")])
     def test_run_that_cannot_pass_rejected_before_stepping(
             self, tmp_path, capsys, monkeypatch, name, overrides, message):
         def no_step(*args, **kwargs):

@@ -156,6 +156,47 @@ class TestStepExactness:
         assert calls == [0.0, 5e-3, 5e-3, 1e-2]
         assert np.max(np.abs(out)) > 0.0
 
+    @pytest.mark.parametrize("dim,n,ordered,mean,forced", [
+        (2, 16, True, False, False), (3, 8, False, False, False),
+        (3, 8, True, True, False), (2, 16, False, False, True)],
+        ids=["2d-polar", "3d-rest", "3d-polar-mean", "2d-forced"])
+    def test_step_is_the_textbook_scheme(self, dim, n, ordered, mean, forced):
+        # ETDRK4 (Cox & Matthews 2002) with a fresh array for every stage,
+        # from the stepper's own rhs, E and stage coefficients: the step
+        # runs on four stage buffers and its output buffer, so any aliasing
+        # among them shows here bit for bit
+        p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
+        sys = make_ordered_system(p) if ordered else make_disordered_system(p)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        forcing = None
+        if forced:
+            fhat = single_mode_field(grid, [0.2, 0.1], [-0.1, 0.2], 0.05)
+            forcing = lambda t: SpectralField(grid, math.cos(t) * fhat.coeffs)
+        stepper = Stepper(sys, grid, dt=0.05, forcing=forcing)
+        a = stepper.from_state(
+            random_solenoidal_field(grid, 0.5, 0.5, 3, zero_mean=not mean))
+        E2, Q, f1, f2x2, f3 = stepper._stages[0]
+        h = stepper.dt
+
+        def rhs(b, t):
+            return stepper.rhs(b, t, np.empty_like(b))
+
+        for i in range(4):
+            t = i * h
+            N0 = rhs(a, t)
+            A = E2 * a + Q * N0
+            Na = rhs(A, t + 0.5 * h)
+            B = E2 * a + Q * Na
+            Nb = rhs(B, t + 0.5 * h)
+            C = E2 * A + Q * (2.0 * Nb - N0)
+            Nc = rhs(C, t + h)
+            want = stepper.E * a + f1 * N0 + f2x2 * (Na + Nb) + f3 * Nc
+            prev, a = a, stepper.step(a, t)
+            assert np.array_equal(a, want)
+        assert np.max(np.abs(a)) > 0.0
+        # again from the last input, one of the stepper's own buffers
+        assert np.array_equal(stepper.step(prev, t), want)
+
     def test_zero_is_fixed_point(self, grid32):
         for sys in (make_disordered_system(params()),
                     make_ordered_system(params(alpha=-1.0))):
@@ -984,20 +1025,41 @@ class TestStepAllocations:
         # one slab covers the 2D n = 64 lattice: 2650 KB before, 2645 now
         (2, 64, True, 2650)])
     def test_persistent_lattice_memory(self, dim, n, ordered, limit_kb):
+        assert _held_after_one_step_kb(dim, n, ordered) <= limit_kb
+
+    @pytest.mark.parametrize("n,limit_kb", [
+        # with nine state-sized buffers (two outputs, four tendencies, three
+        # stages, one of which held the samples' u) and a complex copy of k,
+        # a 3D rest stepper held 3776 KB (n = 16) and 16870 KB (n = 32)
+        # after one step; on two outputs and four stage buffers, k cast
+        # only for the Cartesian tendency, it holds 3343 KB and 13606 KB
+        (16, 3400), (32, 13700)])
+    def test_held_heap_after_one_step(self, n, limit_kb):
+        assert _held_after_one_step_kb(3, n, False) <= limit_kb
+
+    @pytest.mark.parametrize("dim,n", [(2, 64), (3, 16), (3, 32)])
+    def test_snapshot_transient_is_its_array(self, dim, n):
+        # u is staged in the lattice's physical buffer; with a state-sized
+        # Cartesian copy of its own, a 3D n = 32 snapshot peaked at 1586 KB
+        # for its 768 KB of samples
         import tracemalloc
-        p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
-        sys = make_ordered_system(p) if ordered else make_disordered_system(p)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
-        u0 = random_solenoidal_field(grid, 0.05, 0.5, 3)
+        stepper = Stepper(make_disordered_system(params(dim=dim, alpha=0.5)),
+                          grid, dt=1e-3)
+        a = stepper.from_state(random_solenoidal_field(grid, 0.05, 0.5, 3))
+        half = stepper.cartesian(a).reshape((dim,) + grid.half_shape)
+        want = _irfft_spatial(half, n, dim, n // 2)
+        stepper.physical(a)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            stepper = Stepper(sys, grid, dt=1e-3)
-            stepper.step(stepper.from_state(u0), 0.0)
-            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            snap = stepper.physical(a)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (held - before) / 1024 <= limit_kb
+        assert np.array_equal(snap, want)
+        assert (peak - before) / 1024 <= snap.nbytes / 1024 + 8
 
 
     def test_run_peak_is_a_step_or_sample_peak(self, monkeypatch):
@@ -1026,6 +1088,24 @@ class TestStepAllocations:
             tracemalloc.stop()
         assert len(peaks) == 1
         assert (peak - peaks[0]) / 1024 <= 64
+
+
+def _held_after_one_step_kb(dim, n, ordered):
+    """The heap a fresh stepper holds after one step from a random state."""
+    import tracemalloc
+    p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
+    sys = make_ordered_system(p) if ordered else make_disordered_system(p)
+    grid = SpectralGrid(dim, n, 20.0 * np.pi)
+    u0 = random_solenoidal_field(grid, 0.05, 0.5, 3)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        stepper = Stepper(sys, grid, dt=1e-3)
+        stepper.step(stepper.from_state(u0), 0.0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (held - before) / 1024
 
 
 def _irfft_unpruned(arr, n_out, dim):

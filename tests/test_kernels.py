@@ -73,7 +73,7 @@ def test_stage_and_final_agreement():
     E, E2, Q, f1, f2, f3 = (RNG.standard_normal(m) for _ in range(6))
     stage = _kernels.stage_combine(E2, u, Q, n0, np.empty_like(u),
                                    np.empty_like(u))
-    final = _kernels.etdrk4_final(E, u, f1, n0, 2.0 * f2, n1, n2, f3, n3,
+    final = _kernels.etdrk4_final(E, u, f1, n0, 2.0 * f2, n1 + n2, f3, n3,
                                   np.empty_like(u), np.empty_like(u))
     for j in range(m):
         assert_close(stage[:, j], E2[j] * u[:, j] + Q[j] * n0[:, j])
