@@ -257,8 +257,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
             raise ValidationError(
                 f"state.direction must have {params.dim} components")
         norm = float(np.linalg.norm(direction))
-        if norm == 0:
-            raise ValidationError("state.direction must be nonzero")
+        if not (math.isfinite(norm) and norm > 0):   # nan or inf too
+            raise ValidationError("state.direction must have a finite nonzero norm")
         direction = direction / norm
 
     t_end = get("solver.t_end")
@@ -300,8 +300,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
         tracked.append(tuple(float(c) for c in vec))
 
     amplitude = get("perturbation.amplitude")
-    if not (amplitude > 0):
-        raise ValidationError(f"perturbation.amplitude must be > 0, got {amplitude}")
+    if not (math.isfinite(amplitude) and amplitude > 0):
+        raise ValidationError(
+            f"perturbation.amplitude must be finite and > 0, got {amplitude}")
     scale = get("perturbation.spectrum_scale")
     if not (scale > 0):
         raise ValidationError(f"perturbation.spectrum_scale must be > 0, got {scale}")

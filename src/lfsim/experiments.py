@@ -136,7 +136,7 @@ def _default_instability_modes(system: TransformedSystem, grid: SpectralGrid,
         if not np.isfinite(flat_rates[idx]):
             break
         pos = np.unravel_index(idx, grid.shape)
-        modes.append(tuple(float(grid.k[(a,) + pos]) for a in range(grid.dim)))
+        modes.append(tuple(float(grid.dk * mi) for mi in m[(slice(None),) + pos]))
     return modes
 
 

@@ -248,23 +248,18 @@ class Tendency:
         self.linearized = bool(linearized)
         self.forcing = forcing
 
-        p = system.params
         d = grid.dim
         self.half_shape = grid.half_shape
         self.n_modes = int(np.prod(self.half_shape))
-        M = self.n_modes
 
-        self.ksq_flat = np.ascontiguousarray(grid.ksq_half.reshape(M))
-        kd_flat = grid.k_deriv_half.reshape(d, M)
-        self.kv = np.ascontiguousarray(
-            p.lambda0 * np.einsum("a,am->m", system.V, kd_flat))
+        self.ksq_flat = grid.ksq_half.reshape(self.n_modes)
         self.Mmat = np.ascontiguousarray(system.M)
 
         # dealiased products: u and curl u in, G out; a linearized tendency
         # only samples u there (`fine_physical`), so it has no curl rows
         self._lattice = FineLattice(
             grid, d if self.linearized else d + (1 if d == 2 else 3))
-        self._row = np.empty(M, np.complex128)   # `rotate`'s scratch row
+        self._row = np.empty(self.n_modes, np.complex128)   # `rotate`'s scratch row
 
     # -- slot basis and state conversion ------------------------------------
 
@@ -346,6 +341,12 @@ class Tendency:
         return self.grid.k_half.reshape(self.grid.dim, -1).astype(complex)
 
     @functools.cached_property
+    def kv(self) -> np.ndarray:
+        """lambda0 V.k per mode, odd-derivative k, for `cartesian_rhs`."""
+        kd = self.grid.k_deriv_half.reshape(self.grid.dim, -1)
+        return self.system.params.lambda0 * np.einsum("a,am->m", self.system.V, kd)
+
+    @functools.cached_property
     def _ik(self) -> np.ndarray:
         """i|k| per mode, which turns the slot coefficients into the curl's."""
         return 1j * np.sqrt(self.ksq_flat)
@@ -422,8 +423,8 @@ class Tendency:
     def _forcing_half(self, t: float) -> np.ndarray:
         f = self.forcing(t)
         coeffs = f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
-        coeffs = zero_nyquist(self.grid, project_coeffs(self.grid, coeffs))
-        return to_half(self.grid, coeffs).reshape(self.grid.dim, self.n_modes)
+        coeffs = project_coeffs(self.grid, to_half(self.grid, coeffs))
+        return zero_nyquist(self.grid, coeffs).reshape(self.grid.dim, self.n_modes)
 
 
 class Stepper(Tendency):
@@ -669,6 +670,8 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
                       linearized=linearized, tracked=recorder.tracked)
 
     def finalize(t, uh_flat):
+        # no step follows: the stage buffers make room for the final field
+        stepper.__dict__.pop("_stages", None)
         traj.final = SolverState(t, stepper.to_state(uh_flat), system, grid)
         traj.times, traj.series = recorder.columns()
         return traj

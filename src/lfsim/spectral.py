@@ -60,10 +60,17 @@ def _mode_numbers(n: int) -> np.ndarray:
     return m
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class SpectralGrid:
     """Periodic grid bookkeeping: wavevector tables.
 
-    Immutable and shareable; all arrays are read-only views.
+    Immutable and shareable; all arrays are read-only.  Only the rfft
+    half-spectrum tables are held; the full-lattice ones are built on each
+    use, so a caller reads each at most once.
     """
 
     def __init__(self, dim: int, points_per_axis: int, box_length: float):
@@ -82,18 +89,33 @@ class SpectralGrid:
         self.volume = self.length**dim
         self.dk = 2.0 * np.pi / self.length
 
+    def _modes(self, cols: int, scale: float | None = None,
+               deriv: bool = False) -> np.ndarray:
+        """Read-only mode numbers of the first `cols` last-axis columns, times
+        `scale` as floats when given; `deriv` zeroes m = n/2, unpaired in odd
+        derivatives (cf. Johnson, "Notes on FFT-based differentiation")."""
         m1 = _mode_numbers(self.n)
-        grids = np.meshgrid(*([m1] * dim), indexing="ij")
-        self.mode_numbers = np.stack(grids).astype(np.int64)
-        self.k = self.dk * self.mode_numbers.astype(float)
-        # No conjugate partner at m = n/2: zero it out of odd derivatives
-        # (cf. Johnson, "Notes on FFT-based differentiation").
-        kd = self.k.copy()
-        kd[self.mode_numbers == self.n // 2] = 0.0
-        self.k_deriv = kd
-        self.ksq = np.sum(self.k**2, axis=0)
-        for arr in (self.mode_numbers, self.k, self.k_deriv, self.ksq):
-            arr.setflags(write=False)
+        m = np.stack(np.meshgrid(*[m1] * (self.dim - 1), m1[:cols],
+                                 indexing="ij"))
+        if deriv:
+            m[m == self.n // 2] = 0
+        return _frozen(m if scale is None else scale * m.astype(float))
+
+    @property
+    def mode_numbers(self) -> np.ndarray:
+        return self._modes(self.n)
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._modes(self.n, self.dk)
+
+    @property
+    def k_deriv(self) -> np.ndarray:
+        return self._modes(self.n, self.dk, deriv=True)
+
+    @property
+    def ksq(self) -> np.ndarray:
+        return _frozen(np.sum(self.k**2, axis=0))
 
     # positions of the axis samples: x_i = i*L/n
     @cached_property
@@ -104,28 +126,20 @@ class SpectralGrid:
     def mesh(self) -> np.ndarray:
         """Physical coordinates, shape (dim, n, ..., n)."""
         coords = np.meshgrid(*([self.axis_points] * self.dim), indexing="ij")
-        out = np.stack(coords)
-        out.setflags(write=False)
-        return out
+        return _frozen(np.stack(coords))
 
     # --- half-spectrum (rfft layout along the last axis) tables -----------
     @cached_property
     def k_half(self) -> np.ndarray:
-        out = np.ascontiguousarray(self.k[(...,) + (slice(None, self.n // 2 + 1),)])
-        out.setflags(write=False)
-        return out
+        return self._modes(self.n // 2 + 1, self.dk)
 
     @cached_property
     def k_deriv_half(self) -> np.ndarray:
-        out = np.ascontiguousarray(self.k_deriv[..., : self.n // 2 + 1])
-        out.setflags(write=False)
-        return out
+        return self._modes(self.n // 2 + 1, self.dk, deriv=True)
 
     @cached_property
     def ksq_half(self) -> np.ndarray:
-        out = np.ascontiguousarray(self.ksq[..., : self.n // 2 + 1])
-        out.setflags(write=False)
-        return out
+        return _frozen(np.sum(self.k_half**2, axis=0))
 
     @cached_property
     def parseval_weight_half(self) -> np.ndarray:
@@ -133,8 +147,7 @@ class SpectralGrid:
         w = np.full(self.half_shape, 2.0)
         w[..., 0] = 1.0
         w[..., self.n // 2] = 1.0
-        w.setflags(write=False)
-        return w
+        return _frozen(w)
 
     def mode_index(self, k: Sequence[float]) -> tuple[int, ...]:
         """Lattice index tuple of the wavevector k; rejects off-lattice k."""
@@ -226,11 +239,11 @@ def inverse(field: SpectralField) -> np.ndarray:
 
 def project_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Apply I - k k^T/|k|^2 modewise; identity at k = 0.  Returns new array."""
-    ksq = grid.ksq.copy()
-    zero = ksq == 0.0
-    ksq[zero] = 1.0
-    kdotu = np.einsum("a...,a...->...", grid.k, coeffs)
-    return coeffs - grid.k * (kdotu / ksq)
+    k = grid._modes(coeffs.shape[-1], grid.dk)   # full lattice or rfft half
+    ksq = np.sum(k**2, axis=0)
+    ksq[ksq == 0.0] = 1.0
+    kdotu = np.einsum("a...,a...->...", k, coeffs)
+    return coeffs - k * (kdotu / ksq)
 
 
 def leray_project(field: SpectralField) -> SpectralField:

@@ -318,10 +318,10 @@ def lattice_max_growth(system: TransformedSystem, grid: SpectralGrid
 
     Used for experiment design; classifications always use the continuum.
     """
-    rates = lattice_growth_rates(system, grid)
-    idx = np.unravel_index(int(np.argmax(rates)), grid.shape)
-    kvec = grid.k[(slice(None),) + idx]
-    return float(rates[idx]), np.asarray(kvec, dtype=float)
+    k = grid.k.reshape(grid.dim, -1)
+    rates = _slot_rates(system, k)
+    i = int(np.argmax(rates))
+    return float(rates[i]), k[:, i].copy()
 
 
 # --------------------------------------------------------------------------

@@ -428,7 +428,16 @@ solver.diagnostics_interval = 0.01
         ("phase_diagram.cfg", ["phase.resolution=2", "phase.alpha_min=1",
                                "phase.alpha_max=-1"], "[1.0, -1.0]"),
         ("phase_diagram.cfg", ["phase.gamma0_min=2", "phase.gamma0_max=-2"],
-         "[2.0, -2.0]")])
+         "[2.0, -2.0]"),
+        # inf passed the > 0 check, and the run then failed as "initial
+        # data is not solenoidal" with an empty output directory behind
+        ("free_run.cfg", ["perturbation.amplitude=inf"],
+         "perturbation.amplitude must be finite and > 0, got inf"),
+        # a nan component made a nan direction, rejected as "M must be
+        # symmetric"
+        ("free_run.cfg", ["state.kind=ordered", "params.alpha=-0.5",
+                          "state.direction=1,nan"],
+         "state.direction must have a finite nonzero norm")])
     def test_run_that_cannot_pass_rejected_before_stepping(
             self, tmp_path, capsys, monkeypatch, name, overrides, message):
         def no_step(*args, **kwargs):

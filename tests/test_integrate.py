@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -1032,10 +1033,67 @@ class TestStepAllocations:
         # stages, one of which held the samples' u) and a complex copy of k,
         # a 3D rest stepper held 3776 KB (n = 16) and 16870 KB (n = 32)
         # after one step; on two outputs and four stage buffers, k cast
-        # only for the Cartesian tendency, it holds 3343 KB and 13606 KB
-        (16, 3400), (32, 13700)])
+        # only for the Cartesian tendency, it held 3343 KB and 13606 KB;
+        # with kv and the grid's k_deriv_half built only for the Cartesian
+        # tendency, it holds 3272 KB and 13064 KB
+        (16, 3300), (32, 13100)])
     def test_held_heap_after_one_step(self, n, limit_kb):
         assert _held_after_one_step_kb(3, n, False) <= limit_kb
+
+    @pytest.mark.parametrize("dim,n,ordered,linearized", [
+        (2, 16, True, False), (2, 16, True, True), (3, 8, False, False),
+        (3, 8, True, False)])
+    def test_steps_build_neither_kv_nor_k_deriv_half(self, dim, n, ordered,
+                                                     linearized):
+        # only the Cartesian tendency reads them; they were built with
+        # every Stepper
+        p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
+        sys = make_ordered_system(p) if ordered else make_disordered_system(p)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        stepper = Stepper(sys, grid, dt=1e-3, linearized=linearized)
+        a = stepper.from_state(random_solenoidal_field(grid, 0.05, 0.5, 3))
+        recorder = integrate._SeriesRecorder(stepper, ())
+        for i in range(3):
+            a = stepper.step(a, i * 1e-3)
+            recorder.sample(i * 1e-3, stepper.cartesian(a))
+        stepper.physical(a)
+        stepper.to_state(a)
+        assert "kv" not in vars(stepper)
+        assert "k_deriv_half" not in vars(grid)
+        u = stepper.cartesian(a)
+        stepper.cartesian_rhs(u, 0.0, np.empty_like(u))
+        kd = grid.k_deriv_half.reshape(dim, -1)
+        assert np.array_equal(stepper.kv, p.lambda0 * (sys.V @ kd))
+
+    def test_run_builds_no_full_table_after_its_stepper(self, tmp_path,
+                                                        monkeypatch):
+        # `lf run` of the 3D decay config, with snapshots: once its Stepper
+        # exists, no step, sample, snapshot or check reads a full-lattice
+        # table (the grid held all four, 2.5 MB at n = 32, through a run)
+        from lfsim.cli import main
+        built, late = [], []
+        init = Stepper.__init__
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(True)
+        monkeypatch.setattr(Stepper, "__init__", spy_init)
+        for name in ("mode_numbers", "k", "k_deriv", "ksq"):
+            def spy(grid, name=name, table=getattr(SpectralGrid, name)):
+                if built:
+                    late.append(name)
+                return table.fget(grid)
+            monkeypatch.setattr(SpectralGrid, name, property(spy))
+        config = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "configs", "nonlinear_decay.cfg")
+        argv = ["run", config, "--out", str(tmp_path)]
+        for override in ("params.dim=3", "grid.n_per_axis=16",
+                         "solver.t_end=0.012",
+                         "solver.diagnostics_interval=0.003",
+                         "solver.snapshot_interval=0.006"):
+            argv += ["--override", override]
+        assert main(argv) == 0
+        assert built == [True] and late == []
 
     @pytest.mark.parametrize("dim,n", [(2, 64), (3, 16), (3, 32)])
     def test_snapshot_transient_is_its_array(self, dim, n):
@@ -1067,11 +1125,10 @@ class TestStepAllocations:
         # from_half builds the conjugate tail in place: with a Cartesian
         # buffer of its own and the conj and take temporaries, to_state
         # took this run (3D n = 16) from the 4105 KB peak of its steps and
-        # samples to 4441 KB
+        # samples to 4441 KB; at 3D n = 32 its 1.5 MB field rose 310 KB
+        # above that peak until the run freed the stage buffers first
         import tracemalloc
-        grid = SpectralGrid(3, 16, 20.0 * np.pi)
         sys = make_disordered_system(params(dim=3, alpha=0.5))
-        u0 = random_solenoidal_field(grid, 0.05, 0.5, 3)
         cfg = SolverConfig(dt=1e-3, t_end=2e-3, diagnostics_interval=1e-3)
         peaks = []
         to_state = Stepper.to_state
@@ -1080,14 +1137,18 @@ class TestStepAllocations:
             peaks.append(tracemalloc.get_traced_memory()[1])
             return to_state(self, a)
         monkeypatch.setattr(Stepper, "to_state", traced)
-        tracemalloc.start()
-        try:
-            run(u0, sys, grid, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(peaks) == 1
-        assert (peak - peaks[0]) / 1024 <= 64
+        for n in (16, 32):
+            grid = SpectralGrid(3, n, 20.0 * np.pi)
+            u0 = random_solenoidal_field(grid, 0.05, 0.5, 3)
+            peaks.clear()
+            tracemalloc.start()
+            try:
+                run(u0, sys, grid, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(peaks) == 1
+            assert (peak - peaks[0]) / 1024 <= 64, n
 
 
 def _held_after_one_step_kb(dim, n, ordered):

@@ -12,8 +12,8 @@ from lfsim.lattice import dealiased_product, l4_norm_4
 from lfsim.spectral import (SpectralField, SpectralGrid, divergence_coeffs,
                             forward, from_half, gradient_coeffs, inner_l2,
                             inverse, l2_norm_sq, leray_project, pad_spectrum,
-                            read_snapshot, to_half, truncate_spectrum,
-                            write_snapshot, zero_nyquist)
+                            project_coeffs, read_snapshot, to_half,
+                            truncate_spectrum, write_snapshot, zero_nyquist)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,48 @@ class TestGrid:
         # unpaired mode mapped to +n/2, and excluded from odd derivatives
         assert g.mode_numbers[0, 4, 0] == 4
         assert g.k_deriv[0, 4, 0] == 0.0
+
+    @pytest.mark.parametrize("dim,n,length", [(2, 16, 2.0 * np.pi),
+                                              (2, 10, 3.7), (3, 8, 20.0)])
+    def test_tables_are_the_formulas(self, dim, n, length):
+        g = SpectralGrid(dim, n, length)
+        m1 = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+        m1[n // 2] = n // 2
+        m = np.stack(np.meshgrid(*([m1] * dim), indexing="ij"))
+        k = g.dk * m.astype(float)
+        kd = np.where(m == n // 2, 0.0, k)
+        h = n // 2 + 1
+        want = {"mode_numbers": m, "k": k, "k_deriv": kd,
+                "ksq": np.sum(k**2, axis=0), "k_half": k[..., :h],
+                "k_deriv_half": kd[..., :h],
+                "ksq_half": np.sum(k**2, axis=0)[..., :h]}
+        for name, ref in want.items():
+            got = getattr(g, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert np.array_equal(got, ref), name
+            assert not got.flags.writeable, name
+            with pytest.raises(ValueError):
+                got[(0,) * got.ndim] = 1
+
+    def test_grid_holds_only_its_half_tables(self):
+        # the full-lattice mode numbers, k, k_deriv and ksq, held from
+        # __init__, took a 3D n = 32 grid with the half tables that a run
+        # reads to 3241 KB; they are now built on each use and dropped,
+        # up to first-call caches of the interpreter and numpy (< 1 KB)
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            g = SpectralGrid(3, 32, 20.0 * np.pi)
+            g.k_half, g.ksq_half, g.parseval_weight_half
+            held, _ = tracemalloc.get_traced_memory()
+            assert g.k.shape == (3, 32, 32, 32) and g.ksq.shape == (32,) * 3
+            g.mode_numbers, g.k_deriv
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (held - before) / 1024 <= 1024
+        assert (after - held) / 1024 <= 4
 
     def test_mode_index_roundtrip(self, grid16):
         idx = grid16.mode_index([3.0, -2.0])
@@ -152,6 +194,15 @@ class TestLeray:
         assert once.divergence_residual() < 1e-13
         div = divergence_coeffs(grid16, once.coeffs)
         assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(f.coeffs))
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_half_spectrum_projection_is_the_full_ones_half(self, dim, n):
+        # a forced run projects its forcing on the rfft half, where it
+        # projected on the full lattice and then sliced the half
+        g = SpectralGrid(dim, n, 5.0)
+        c = random_field(g, 8).coeffs
+        want = to_half(g, leray_project(SpectralField(g, c)).coeffs)
+        assert np.array_equal(project_coeffs(g, to_half(g, c)), want)
 
     def test_self_adjoint(self, grid16):
         f = random_field(grid16, 6)
