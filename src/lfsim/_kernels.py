@@ -11,8 +11,10 @@ The products take the model's nonlinearity in closed form, from lambda0,
 beta and the steady state's V: there is no generic quadratic tensor.
 `rotate` is every product of the slot basis with coefficients: in the
 tendency's transfers, the one-state callers and the samples.  `assemble_rhs`
-and `leray` form the Cartesian tendency of `integrate.nonlinear_rhs`; a step
-does not need them: its slot basis carries M, the drift and the projection.
+and `leray`, the Cartesian tendency -P[G + M u] - i kv u, have no caller in
+the package: the slot basis carries M, the drift and the projection, for a
+step and for `integrate.nonlinear_rhs` alike.  They stay as the tests'
+reference for `nonlinear_rhs` and as names the benchmark's hooks time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = ["leray", "rotate", "stage_combine", "etdrk4_final",
 
 def leray(u, k, ksq):
     """In place: u -= k (k.u)/|k|^2, skipping the k = 0 mode.  A complex
-    k, as the `Tendency` holds it, spares a cast of k on every call."""
+    k spares a cast of k on every call."""
     kdotu = np.einsum("am,am->m", k, u)
     c = np.where(ksq > 0.0, kdotu, 0.0) / np.where(ksq > 0.0, ksq, 1.0)
     for ka, ua in zip(k, u):

@@ -288,7 +288,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
         try:
             index = grid.mode_index(vec)
         except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+            raise ValidationError(
+                f"perturbation.tracked_wavevectors: {exc}") from exc
         if n // 2 in index:
             raise ValidationError(
                 f"tracked wavevector {vec} is on a Nyquist slot (m = n/2), "

@@ -18,11 +18,11 @@ is a slot map too (i|k| a0 in 2D; i|k| (a0 b2 - a1 b1) in 3D, as
 k-hat x b1 = b2).  u, curl u and the products, formed with the sign of the
 tendency, pass between a and the lattice only through `_kernels.rotate`,
 on rows staged in its idle physical buffer.  The products are in closed form,
-lambda0 (-u x curl u) + beta|u|^2 (u + V) + 2 beta (u.V) u.  A `Tendency`
-also evaluates the Cartesian tendency -P[G + M u] - i*lambda0*(V.k)u + P f
-of `nonlinear_rhs`, whose products see the solenoidal part of u only;
-one-state callers build only a `Tendency`.  A `Stepper` is a `Tendency` plus
-its step coefficients, the stage ones built on its first staged step.
+lambda0 (-u x curl u) + beta|u|^2 (u + V) + 2 beta (u.V) u.  The Cartesian
+tendency of `nonlinear_rhs` is Q [rhs(a) - (mu + i lambda0 (V.k)) a]: the
+symbol's moved rows added back, without its stiff row; one-state callers
+build only a `Tendency`.  A `Stepper` is a `Tendency` plus its step
+coefficients, the stage ones built on its first staged step.
 `SolverConfig` owns the step cadence: `run` samples and snapshots on its
 `sample_steps`/`snapshot_steps`, and stops at the first non-finite state or
 diagnostic sample.
@@ -253,7 +253,6 @@ class Tendency:
         self.n_modes = int(np.prod(self.half_shape))
 
         self.ksq_flat = grid.ksq_half.reshape(self.n_modes)
-        self.Mmat = np.ascontiguousarray(system.M)
 
         # dealiased products: u and curl u in, G out; a linearized tendency
         # only samples u there (`fine_physical`), so it has no curl rows
@@ -265,25 +264,22 @@ class Tendency:
 
     @functools.cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(basis, symbol), built on first use."""
-        basis, symbol = _slot_basis(
+        """(basis, the rows `_linear` keeps), built on first use."""
+        basis, stiff, moved = _slot_basis(
             self.system, self.grid.k_half.reshape(self.grid.dim, -1))
         basis[:, -1, self.ksq_flat > 0.0] = 0.0   # the k-hat slot stays 0
-        if not np.any(symbol.imag) and np.all(symbol == symbol[:1]):
-            symbol = symbol[:1].real
-        return basis, np.ascontiguousarray(symbol)
+        return basis, self._linear(stiff, moved)
+
+    def _linear(self, stiff: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """The moved rows mu + i lambda0 (V.k), (dim, n_modes), which
+        `nonlinear_rhs` adds back; a `Stepper` keeps its symbol instead."""
+        return moved
 
     @property
     def basis(self) -> np.ndarray:
         """Q (dim, dim, n_modes) of `_slot_basis`, the k-hat columns of
         k != 0 zeroed."""
         return self._slots[0]
-
-    @property
-    def symbol(self) -> np.ndarray:
-        """The linear symbol per slot, (dim, n_modes) complex, or one real
-        row when every slot has the same real symbol (V = 0, M = alpha I)."""
-        return self._slots[1]
 
     def cartesian(self, a: np.ndarray, out: np.ndarray | None = None
                   ) -> np.ndarray:
@@ -336,17 +332,6 @@ class Tendency:
             0, visit, uh_flat.reshape((self.grid.dim,) + self.half_shape))
 
     @functools.cached_property
-    def k_flat(self) -> np.ndarray:
-        """k per mode, complex, for `cartesian_rhs` (`_kernels.leray`)."""
-        return self.grid.k_half.reshape(self.grid.dim, -1).astype(complex)
-
-    @functools.cached_property
-    def kv(self) -> np.ndarray:
-        """lambda0 V.k per mode, odd-derivative k, for `cartesian_rhs`."""
-        kd = self.grid.k_deriv_half.reshape(self.grid.dim, -1)
-        return self.system.params.lambda0 * np.einsum("a,am->m", self.system.V, kd)
-
-    @functools.cached_property
     def _ik(self) -> np.ndarray:
         """i|k| per mode, which turns the slot coefficients into the curl's."""
         return 1j * np.sqrt(self.ksq_flat)
@@ -382,14 +367,12 @@ class Tendency:
             fine[:d], fine[d:], sign * p.lambda0, sign * p.beta,
             self.system.V, out, scratch))
 
-    def _nonlinear_G(self, u: np.ndarray, out: np.ndarray | None = None
-                     ) -> np.ndarray:
+    def _nonlinear_G(self, u: np.ndarray) -> np.ndarray:
         """Transforms of lam0 (-u x curl u) + beta|u|^2 u - N(u), coarse
-        band, of the solenoidal part Q Q^T u of the Cartesian u, into `out`
-        (not u's buffer) when given."""
-        G = np.empty_like(u) if out is None else out
+        band, of the solenoidal part Q Q^T u of the Cartesian u."""
         # G holds the slot coefficients until the lattice has read them
-        self._products(self._slot_coeffs(u, G), 1.0)
+        G = self._slot_coeffs(u)
+        self._products(G, 1.0)
         return self._lattice.band(G)
 
     # -- tendency -------------------------------------------------------------
@@ -404,20 +387,6 @@ class Tendency:
             self._slot_coeffs(self._lattice.band(self._stage(len(a))), out)
         if self.forcing is not None:
             out += self._slot_coeffs(self._forcing_half(t))
-        return out
-
-    def cartesian_rhs(self, u: np.ndarray, t: float, out: np.ndarray
-                      ) -> np.ndarray:
-        """The whole explicit tendency of the Cartesian u,
-        -P[lam0 (u.grad)u + M u + beta|u|^2 u - N(u)] - i lam0 (V.k) u + P f
-        (what `nonlinear_rhs` returns); the products see the solenoidal part
-        of u only."""
-        # G sits in out, which assemble_rhs reads before it writes it
-        G = 0.0 if self.linearized else self._nonlinear_G(u, out)
-        _kernels.assemble_rhs(G, u, self.Mmat, self.k_flat, self.ksq_flat,
-                              self.kv, out)
-        if self.forcing is not None:
-            out += self._forcing_half(t)
         return out
 
     def _forcing_half(self, t: float) -> np.ndarray:
@@ -447,6 +416,20 @@ class Stepper(Tendency):
         self.E = np.exp(-self.dt * self.symbol)
         self._out_bufs = [np.empty((grid.dim, self.n_modes), np.complex128)
                           for _ in range(2)]
+
+    def _linear(self, stiff: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """The symbol stiff + moved per slot, (dim, n_modes) complex, or one
+        real row when every slot has the same real symbol (V = 0,
+        M = alpha I)."""
+        symbol = stiff + moved
+        if not np.any(symbol.imag) and np.all(symbol == symbol[:1]):
+            symbol = symbol[:1].real
+        return np.ascontiguousarray(symbol)
+
+    @property
+    def symbol(self) -> np.ndarray:
+        """The linear symbol per slot (`_linear`)."""
+        return self._slots[1]
 
     @functools.cached_property
     def _stages(self) -> tuple:
@@ -493,16 +476,19 @@ def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
 
     The stiff diagonal Gamma2|k|^4 + Gamma0|k|^2 is not included (the
     integrating factor handles it); the constant drift enters spectrally as
-    -i lam0 (V.k) u.  The products are formed from the slot coefficients of
-    u, so for a non-solenoidal u they see its solenoidal part only (M u and
-    the drift see all of it).  Raises BlowUpError on non-finite input.
+    -i lam0 (V.k) u.  It is formed in the slot basis, as
+    Q [rhs(a) - (mu + i lam0 (V.k)) a] of a = Q^T u, so the whole tendency
+    sees the solenoidal part of u only: the gradient part of a
+    non-solenoidal u is dropped, from the drift and M u too (a pure
+    gradient gives 0).  Raises BlowUpError on non-finite input.
     """
     if not np.all(np.isfinite(state.u_hat.coeffs.view(np.float64))):
         raise BlowUpError(state.t, state)
     tendency = Tendency(state.system, state.grid, linearized, forcing)
-    u = tendency._half(state.u_hat)
-    return tendency._field(
-        tendency.cartesian_rhs(u, state.t, np.empty_like(u)))
+    a = tendency.from_state(state.u_hat)
+    out = tendency.rhs(a, state.t, np.empty_like(a))
+    out -= tendency._slots[1] * a   # the moved rows (`Tendency._linear`)
+    return tendency._field(tendency.cartesian(out, a))
 
 
 def step(state: SolverState, config: SolverConfig, *, linearized: bool = False,
@@ -553,8 +539,8 @@ class _SeriesRecorder:
         self.rows: list[dict[str, float]] = []
 
     def _half_index(self, k) -> tuple[int, ...]:
-        m = [int(round(c / self.grid.dk)) for c in k]
         self.grid.mode_index(k)  # validates lattice membership
+        m = [int(round(c / self.grid.dk)) for c in k]
         if m[-1] < 0:
             m = [-c for c in m]  # conjugate partner, same amplitude
         return tuple(mi % self.grid.n for mi in m[:-1]) + (m[-1],)
@@ -618,7 +604,7 @@ class _SeriesRecorder:
             "lap_norm_sq": float(lap),
             "div_residual": (math.sqrt(div_sq / denom_sq) if denom_sq > 0
                              else 0.0),
-            "m_form": float(np.sum(st.Mmat * gram)),
+            "m_form": float(np.sum(st.system.M * gram)),
             "ordered_proj_sq": float(np.einsum("i,ij,j->", self.V, gram,
                                                self.V)),
             "n_inner": n_inner,
@@ -783,7 +769,7 @@ def recover_pressure(state: SolverState, with_physical_pressure: bool = True
     d = grid.dim
     tendency = Tendency(system, grid)
     uh = tendency._half(state.u_hat)
-    B = (tendency._nonlinear_G(uh) + tendency.Mmat @ uh).reshape(
+    B = (tendency._nonlinear_G(uh) + system.M @ uh).reshape(
         (d,) + grid.half_shape)
 
     def squares(u, out, scratch):   # |u|^2/2 and, for p, |u + V|^2

@@ -150,10 +150,13 @@ class SpectralGrid:
         return _frozen(w)
 
     def mode_index(self, k: Sequence[float]) -> tuple[int, ...]:
-        """Lattice index tuple of the wavevector k; rejects off-lattice k."""
+        """Lattice index tuple of the wavevector k; rejects non-finite and
+        off-lattice k."""
         k = np.asarray(k, dtype=float)
         if k.shape != (self.dim,):
             raise ValueError(f"wavevector must have shape ({self.dim},)")
+        if not np.all(np.isfinite(k)):
+            raise ValueError(f"wavevector {k} is not finite")
         m = np.rint(k / self.dk).astype(int)
         if np.max(np.abs(k - m * self.dk)) > 1e-9 * max(1.0, float(np.max(np.abs(k)))):
             raise ValueError(f"wavevector {k} is not on the grid lattice")

@@ -151,14 +151,18 @@ def _diagonalize_pair(M: np.ndarray, b1: np.ndarray, b2: np.ndarray
 
 
 def _slot_basis(system: TransformedSystem, k: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The slot basis of every wavevector in k (dim, n_modes) and the linear
-    symbol in it: Q (dim, dim, n_modes), real, orthonormal, one slot per
-    column, and lam (dim, n_modes), complex, with
+    symbol in it, in two parts: Q (dim, dim, n_modes), real, orthonormal,
+    one slot per column, the stiff row s = Gamma2|k|^4 + Gamma0|k|^2
+    (n_modes,), real, and the moved rows mu + i lambda0 (V.k) (dim, n_modes),
+    complex, with lam = s + (mu + i lambda0 (V.k)) and
 
         Gamma2|k|^4 + Gamma0|k|^2 + i lambda0 (V.k) + P M P = Q diag(lam) Q^T
 
-    on k-perp, and M = Q diag(lam) Q^T at k = 0.  For k != 0 the first
+    on k-perp, and M = Q diag(lam) Q^T at k = 0.  The parts come apart so
+    that the moved rows keep their digits: lam - s would lose them where the
+    stiff row is large (the band edge).  For k != 0 the first
     dim - 1 slots span k-perp: e_perp in 2D; in 3D the pair P e_j/|P e_j|,
     k-hat x that (e_j the axis least aligned with k), turned to diagonalize
     P M P.  The last slot is k-hat, with k-hat's Rayleigh quotient of M as
@@ -195,15 +199,16 @@ def _slot_basis(system: TransformedSystem, k: np.ndarray
         Q[:, :, zero] = Q0[:, :, None]
         mu = np.einsum("ism,ij,jsm->sm", Q, M, Q)
     drift = p.lambda0 * np.einsum("a,am->m", system.V, k)
-    return Q, p.gamma2 * ksq**2 + p.gamma0 * ksq + mu + 1j * drift
+    return Q, p.gamma2 * ksq**2 + p.gamma0 * ksq, mu + 1j * drift
 
 
 def _slot_rates(system: TransformedSystem, k: np.ndarray) -> np.ndarray:
     """Growth rate of every wavevector in k (dim, n_modes): -min Re of the
     symbol over the live slots, all dim at k = 0 and the first dim - 1
     elsewhere (the k-hat slot holds no solenoidal state)."""
-    mu = _slot_basis(system, k)[1].real
-    return -np.where(np.any(k, axis=0), mu[:-1].min(axis=0), mu.min(axis=0))
+    _, stiff, moved = _slot_basis(system, k)
+    lam = (stiff + moved).real
+    return -np.where(np.any(k, axis=0), lam[:-1].min(axis=0), lam.min(axis=0))
 
 
 def growth_rate(system: TransformedSystem, k: Sequence[float]) -> float:

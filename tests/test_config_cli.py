@@ -437,7 +437,17 @@ solver.diagnostics_interval = 0.01
         # symmetric"
         ("free_run.cfg", ["state.kind=ordered", "params.alpha=-0.5",
                           "state.direction=1,nan"],
-         "state.direction must have a finite nonzero norm")])
+         "state.direction must have a finite nonzero norm"),
+        # a nan wavevector passed the lattice check and failed the run in
+        # an integer cast, or read as k = 0 where the seeding checks it
+        ("free_run.cfg", ["perturbation.tracked_wavevectors=nan,0",
+                          "solver.t_end=0.1"],
+         "perturbation.tracked_wavevectors: wavevector [nan  0.] is not "
+         "finite"),
+        ("disordered_instability.cfg",
+         ["perturbation.tracked_wavevectors=nan,0"],
+         "perturbation.tracked_wavevectors: wavevector [nan  0.] is not "
+         "finite")])
     def test_run_that_cannot_pass_rejected_before_stepping(
             self, tmp_path, capsys, monkeypatch, name, overrides, message):
         def no_step(*args, **kwargs):

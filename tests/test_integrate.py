@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lfsim.model import ModelParams, make_disordered_system, make_ordered_system
-from lfsim import integrate
+from lfsim import _kernels, integrate
 from lfsim.spectral import (SpectralField, SpectralGrid, forward, inverse,
                             project_coeffs, to_half, zero_nyquist)
 from lfsim.integrate import (BlowUpError, SolverConfig, SolverState,
@@ -421,20 +421,6 @@ class TestNonlinearRhs:
             nonlinear_rhs(SolverState(0.0, SpectralField(grid32, bad),
                                       sys, grid32))
 
-    @pytest.mark.parametrize("linearized", [False, True])
-    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
-    def test_equals_stepper_rhs(self, dim, n, linearized):
-        grid = SpectralGrid(dim, n, 20.0 * np.pi)
-        sys = make_ordered_system(params(alpha=-1.0, dim=dim))
-        u0 = random_solenoidal_field(grid, 0.3, 0.6, 5)
-        stepper = Stepper(sys, grid, dt=1e-3, linearized=linearized)
-        uh = stepper._half(u0)
-        expect = stepper._field(
-            stepper.cartesian_rhs(uh, 0.0, np.empty_like(uh)))
-        got = nonlinear_rhs(SolverState(0.0, u0, sys, grid),
-                            linearized=linearized)
-        assert np.array_equal(got.coeffs, expect.coeffs)
-
     @pytest.mark.parametrize("dim,n,kind,mean", [
         (2, 32, "polar", False), (3, 8, "polar", False),
         (2, 32, "polar", True), (3, 8, "polar", True),
@@ -443,9 +429,11 @@ class TestNonlinearRhs:
              "2-32-polar_oblique-mean", "3-8-polar_oblique-mean"])
     def test_slot_rhs_is_the_cartesian_tendency_less_the_symbol(
             self, dim, n, kind, mean):
-        # Q [rhs(a) - (mu + i lam0 (V.k)) a] is the Cartesian tendency of
-        # u = Q a: M, the drift and P moved into the integrating factor; with
-        # a mean, every slot of k = 0 is live, the k-hat one included
+        # nonlinear_rhs, Q [rhs(a) - (mu + i lam0 (V.k)) a], is the
+        # Cartesian tendency -P[G + M u] - i lam0 (V.k) u of u = Q a: M, the
+        # drift and P moved into the integrating factor; with a mean, every
+        # slot of k = 0 is live, the k-hat one included; a forcing f enters
+        # as P f
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         sys = TestSlotBasis.SYSTEMS[kind](dim)
         stepper = Stepper(sys, grid, dt=1e-3)
@@ -453,13 +441,52 @@ class TestNonlinearRhs:
             random_solenoidal_field(grid, 0.3, 0.6, 5, zero_mean=not mean))
         if mean:
             a[:, 0] = np.arange(1.0, dim + 1.0) / 10.0
-        p, ksq = sys.params, stepper.ksq_flat
-        moved = stepper.symbol - (p.gamma2 * ksq**2 + p.gamma0 * ksq)
-        got = stepper.cartesian(stepper.rhs(a, 0.0, np.empty_like(a))
-                                - moved * a)
-        u = stepper.cartesian(a)
-        want = stepper.cartesian_rhs(u, 0.0, np.empty_like(u))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        state = SolverState(0.0, stepper.to_state(a), sys, grid)
+        u = stepper._half(state.u_hat)
+        k = grid.k_half.reshape(dim, -1)
+        kv = sys.params.lambda0 * (sys.V @ k)
+        f = forward(grid, np.random.default_rng(9).standard_normal(
+            (dim,) + grid.shape))
+        for linearized, forcing in ((False, None), (True, None),
+                                    (True, lambda t: f)):
+            G = 0.0 if linearized else stepper._nonlinear_G(u)
+            want = stepper._field(_kernels.assemble_rhs(
+                G, u, sys.M, k.astype(complex), stepper.ksq_flat, kv,
+                np.empty_like(u))).coeffs
+            if forcing is not None:
+                want += zero_nyquist(grid, project_coeffs(grid, f.coeffs))
+            got = nonlinear_rhs(state, linearized=linearized,
+                                forcing=forcing).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+    def test_gradient_part_is_dropped(self, dim, n):
+        # the whole tendency is formed from the slot coefficients Q^T u, so
+        # the gradient part of a non-solenoidal u reaches neither the
+        # products nor M u nor the drift -i lam0 (V.k) u
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        sys = make_ordered_system(params(alpha=-1.0, dim=dim))
+        # a pure gradient at k || V: the drift alone would not vanish there
+        k = np.zeros(dim)
+        k[0] = 2.0 * grid.dk
+        coeffs = np.zeros((dim,) + grid.shape, complex)
+        for kk in (k, -k):
+            coeffs[(0,) + grid.mode_index(kk)] = 0.5
+        grad = SolverState(0.0, SpectralField(grid, coeffs), sys, grid)
+        # a random solenoidal u and u plus the gradient of a random scalar
+        u0 = random_solenoidal_field(grid, 0.3, 0.6, 5)
+        phi = np.fft.fftn(np.random.default_rng(8).standard_normal(
+            grid.shape), norm="forward")
+        g = zero_nyquist(grid, 1j * grid.k * phi)
+        g *= np.max(np.abs(u0.coeffs)) / np.max(np.abs(g))
+        u = SolverState(0.0, u0, sys, grid)
+        ug = SolverState(0.0, SpectralField(grid, u0.coeffs + g), sys, grid)
+        for linearized in (False, True):
+            assert np.max(np.abs(
+                nonlinear_rhs(grad, linearized=linearized).coeffs)) == 0.0
+            want = nonlinear_rhs(u, linearized=linearized).coeffs
+            got = nonlinear_rhs(ug, linearized=linearized).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_one_state_callers_build_no_step_coefficients(self, grid32,
                                                           monkeypatch):
@@ -593,7 +620,7 @@ def _reference_row(stepper, t, u, tracked):
     ksq = stepper.ksq_flat
     a2 = np.sum(np.abs(u) ** 2, axis=0)
     Mu = system.M @ u
-    div = np.abs(np.einsum("am,am->m", stepper.k_flat, u))
+    div = np.abs(np.einsum("am,am->m", grid.k_half.reshape(grid.dim, -1), u))
     fine = _samples(FineLattice(grid, grid.dim),
                     u.reshape((grid.dim,) + grid.half_shape))
     s = np.einsum("im,im->m", fine, fine) ** 2
@@ -1045,8 +1072,8 @@ class TestStepAllocations:
         (3, 8, True, False)])
     def test_steps_build_neither_kv_nor_k_deriv_half(self, dim, n, ordered,
                                                      linearized):
-        # only the Cartesian tendency reads them; they were built with
-        # every Stepper
+        # no step, sample, snapshot or state conversion reads the grid's
+        # odd-derivative k
         p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
         sys = make_ordered_system(p) if ordered else make_disordered_system(p)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
@@ -1058,12 +1085,7 @@ class TestStepAllocations:
             recorder.sample(i * 1e-3, stepper.cartesian(a))
         stepper.physical(a)
         stepper.to_state(a)
-        assert "kv" not in vars(stepper)
         assert "k_deriv_half" not in vars(grid)
-        u = stepper.cartesian(a)
-        stepper.cartesian_rhs(u, 0.0, np.empty_like(u))
-        kd = grid.k_deriv_half.reshape(dim, -1)
-        assert np.array_equal(stepper.kv, p.lambda0 * (sys.V @ kd))
 
     def test_run_builds_no_full_table_after_its_stepper(self, tmp_path,
                                                         monkeypatch):
@@ -1551,7 +1573,8 @@ class TestSlotBasis:
         sys = self.SYSTEMS[kind](dim)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         k = grid.k_half.reshape(dim, -1)
-        Q, lam = _slot_basis(sys, k)
+        Q, stiff, moved = _slot_basis(sys, k)
+        lam = stiff + moved
         eye = np.eye(dim)
         assert np.max(np.abs(np.einsum("ism,itm->stm", Q, Q)
                              - eye[:, :, None])) <= 1e-14
@@ -1608,7 +1631,8 @@ class TestSlotBasis:
         # of Q(-k) is +-Q(k) and lam(-k) = conj(lam(k)), bit for bit
         sys = self.SYSTEMS[kind](dim)
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
-        Q, lam = _slot_basis(sys, grid.k_half.reshape(dim, -1))
+        Q, stiff, moved = _slot_basis(sys, grid.k_half.reshape(dim, -1))
+        lam = stiff + moved
         Q = Q.reshape((dim, dim) + grid.half_shape)
         lam = lam.reshape((dim,) + grid.half_shape)
         rows = [i for i in range(n) if i != n // 2]   # no partner at n/2

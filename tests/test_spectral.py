@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestGrid:
         assert np.allclose(grid16.k[(slice(None),) + idx], [3.0, -2.0])
         with pytest.raises(ValueError, match="lattice"):
             grid16.mode_index([0.5, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_mode_index_rejects_non_finite(self, grid16, bad):
+        # the off-lattice check alone is False for nan, which would then
+        # reach the integer cast (numpy warns there) or read as k = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="is not finite"):
+                grid16.mode_index([bad, 0.0])
 
 
 class TestTransforms:
@@ -317,9 +328,11 @@ class TestDealiasedProduct:
 
 def test_src_does_not_use_the_padding_oracle():
     # pad_spectrum/truncate_spectrum are the exact side that the lattice's
-    # products are tested against, so no program code may call, import or
-    # alias them outside their own definitions
-    oracle = {"pad_spectrum", "truncate_spectrum"}
+    # products are tested against, and _kernels.assemble_rhs/leray the
+    # Cartesian tendency that nonlinear_rhs is tested against, so no
+    # program code may call, import or alias them outside their own
+    # definitions
+    oracle = {"pad_spectrum", "truncate_spectrum", "assemble_rhs", "leray"}
     uses = []
     for path in sorted(pathlib.Path(lfsim.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
