@@ -1,10 +1,11 @@
 """Mode-local hot kernels.
 
 All kernels operate on flattened views: spectral arrays are complex128 of
-shape (dim, n_modes) with per-mode tables (..., n_modes), physical arrays
-are float64 of shape (dim, n_points).  FFTs are not handled here; these
-kernels fuse the elementwise passes between transforms and write into
-caller-owned `out` arrays.
+shape (rows, columns) with per-mode tables (..., columns), physical arrays
+are float64 of shape (dim, n_points).  A state is (dim - 1, n_modes + 1)
+slot coefficients, a Cartesian half-spectrum (dim, n_modes).  FFTs are not
+handled here; these kernels fuse the elementwise passes between transforms
+and write into caller-owned `out` arrays.
 
 A step runs `products_2d`/`products_3d`, `rotate` and the ETDRK4 combines.
 The products take the model's nonlinearity in closed form, from lambda0,
@@ -36,9 +37,9 @@ def leray(u, k, ksq):
 
 
 def rotate(Q, a, tmp, out):
-    """out_i = sum_s Q[i, s] a_s per mode: a real (dim, dim, n_modes) basis
-    applied to complex coefficients, one row at a time through the complex
-    scratch row tmp.  Pass Q.transpose(1, 0, 2) for Q^T."""
+    """out_i = sum_s Q[i, s] a_s per mode: a real (rows, slots, columns)
+    basis applied to complex coefficients, one row at a time through the
+    complex scratch row tmp.  Pass Q.transpose(1, 0, 2) for Q^T."""
     for row, Qrow in zip(out, Q):
         np.multiply(Qrow[0], a[0], out=row)
         for q, a_s in zip(Qrow[1:], a[1:]):

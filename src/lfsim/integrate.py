@@ -1,11 +1,13 @@
 """Time integration of the transformed system in Fourier space.
 
 The stepper carries the state as coefficients a(k) in a per-mode real
-orthonormal basis Q(k), d slots per mode (`stability._slot_basis`, which
-also gives the growth rates).  For k != 0 the first d - 1 slots span k-perp
-and diagonalize P M P there (the Craya-Herring frame, Sagaut & Cambon 2008),
-and the last slot, k/|k|, is held at zero; at k = 0 the slots are M's
-eigenvectors.  The whole linear symbol
+orthonormal basis Q(k) (`stability._slot_basis`, which also gives the growth
+rates).  For k != 0 the first d - 1 slots span k-perp and diagonalize P M P
+there (the Craya-Herring frame, Sagaut & Cambon 2008); the last, k/|k|,
+holds no solenoidal state and is dropped.  At k = 0 the d slots are M's
+eigenvectors.  A state is one (d - 1, n_modes + 1) array: the first d - 1
+slots of every mode, and in a trailing column the mean's last slot, which
+`Tendency.cartesian` folds back into k = 0.  The whole linear symbol
 Gamma2|k|^4 + Gamma0|k|^2 + i*lambda0*(V.k) + P M P is diagonal in that basis,
 so the ETDRK4 integrating factor (Cox & Matthews 2002; Kassam & Trefethen
 2005: Taylor series near z = 0, direct formulas elsewhere) treats all of it
@@ -230,9 +232,10 @@ def _phi(z: np.ndarray, j: int) -> np.ndarray:
 
 class Tendency:
     """The explicit tendency, with its fine lattice and buffers, on the rfft
-    half-spectrum flattened to (dim, n_modes).
+    half-spectrum flattened to n_modes columns.
 
-    The state is slot coefficients a, u = Q a (`cartesian`); `to_state`/
+    The state is slot coefficients a (dim - 1, n_modes + 1), and the
+    Cartesian u = Q a (dim, n_modes) (`cartesian`); `to_state`/
     `from_state` convert to and from the public full-lattice SpectralField.
     The products take N(u) from V and beta in the closed form of both steady
     states (`model.make_ordered_system`; V = 0 at rest).
@@ -251,6 +254,7 @@ class Tendency:
         d = grid.dim
         self.half_shape = grid.half_shape
         self.n_modes = int(np.prod(self.half_shape))
+        self.state_shape = (d - 1, self.n_modes + 1)   # the live slots
 
         self.ksq_flat = grid.ksq_half.reshape(self.n_modes)
 
@@ -264,36 +268,50 @@ class Tendency:
 
     @functools.cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(basis, the rows `_linear` keeps), built on first use."""
+        """(basis, the rows `_linear` keeps), built on first use, on the
+        live slots: the first dim - 1 of every mode, and the mean's last
+        one as a trailing column (in the first slot row of the basis)."""
+        d = self.grid.dim
         basis, stiff, moved = _slot_basis(
-            self.system, self.grid.k_half.reshape(self.grid.dim, -1))
-        basis[:, -1, self.ksq_flat > 0.0] = 0.0   # the k-hat slot stays 0
-        return basis, self._linear(stiff, moved)
+            self.system, self.grid.k_half.reshape(d, -1))
+
+        def live(rows):   # (..., dim, n_modes) -> (..., dim - 1, n_modes + 1)
+            last = np.repeat(rows[..., -1:, :1], d - 1, axis=-2)
+            return np.concatenate([rows[..., :-1, :], last], axis=-1)
+        basis = live(basis)
+        basis[:, 1:, -1] = 0.0
+        return basis, self._linear(np.append(stiff, stiff[0]), live(moved))
 
     def _linear(self, stiff: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        """The moved rows mu + i lambda0 (V.k), (dim, n_modes), which
-        `nonlinear_rhs` adds back; a `Stepper` keeps its symbol instead."""
+        """The moved rows mu + i lambda0 (V.k), (dim - 1, n_modes + 1),
+        which `nonlinear_rhs` adds back; a `Stepper` keeps its symbol
+        instead."""
         return moved
 
     @property
     def basis(self) -> np.ndarray:
-        """Q (dim, dim, n_modes) of `_slot_basis`, the k-hat columns of
-        k != 0 zeroed."""
+        """Q (dim, dim - 1, n_modes + 1): the live slots of `_slot_basis`."""
         return self._slots[0]
 
     def cartesian(self, a: np.ndarray, out: np.ndarray | None = None
                   ) -> np.ndarray:
-        """u = Q a: the Cartesian half-spectrum of slot coefficients a."""
-        out = np.empty_like(a) if out is None else out
-        return _kernels.rotate(self.basis, a, self._row, out)
+        """u = Q a: the Cartesian half-spectrum (dim, n_modes) of slot
+        coefficients a, the trailing column folded into the mean."""
+        out = np.empty((self.grid.dim, self.n_modes), complex) \
+            if out is None else out
+        _kernels.rotate(self.basis[..., :-1], a[:, :-1], self._row, out)
+        out[:, 0] += self.basis[:, 0, -1] * a[0, -1]
+        return out
 
     def _slot_coeffs(self, u: np.ndarray, out: np.ndarray | None = None
                      ) -> np.ndarray:
         """a = Q^T u: the slot coefficients of a Cartesian half-spectrum,
         its gradient part dropped."""
-        out = np.empty_like(u) if out is None else out
-        return _kernels.rotate(self.basis.transpose(1, 0, 2), u, self._row,
-                               out)
+        QT = self.basis.transpose(1, 0, 2)
+        out = np.empty(self.state_shape, complex) if out is None else out
+        _kernels.rotate(QT[..., :-1], u, self._row, out[:, :-1])
+        _kernels.rotate(QT[..., -1:], u[:, :1], self._row[:1], out[:, -1:])
+        return out
 
     def _half(self, u_hat: SpectralField) -> np.ndarray:
         """The Cartesian half-spectrum of a field, Nyquist slots zeroed."""
@@ -313,11 +331,11 @@ class Tendency:
     def to_state(self, a: np.ndarray) -> SpectralField:
         """The field of slot coefficients a, through Cartesian rows staged
         in the fine lattice's physical buffer (`_stage`)."""
-        return self._field(self.cartesian(a, self._stage(len(a))))
+        return self._field(self.cartesian(a, self._stage(self.grid.dim)))
 
     def physical(self, a: np.ndarray) -> np.ndarray:
         """Real samples of slot coefficients a, staged as in `to_state`."""
-        u = self.cartesian(a, self._stage(len(a)))
+        u = self.cartesian(a, self._stage(self.grid.dim))
         return _irfft_spatial(u.reshape((self.grid.dim,) + self.half_shape),
                               self.grid.n, self.grid.dim, self.grid.n // 2)
 
@@ -346,19 +364,18 @@ class Tendency:
         """The transforms of sign * [lam0 (-u x curl u) + beta|u|^2 u
         - N(u)], of u = Q a, into the fine lattice's band.  u and curl u
         are staged on whole rows and copied into `pad_band`: in the slot
-        basis the curl is a slot map too (the k-hat slot of k != 0 is zero,
-        and i k x b1 = i|k| b2, i k x b2 = -i|k| b1)."""
+        basis the curl is a slot map too (i k x b1 = i|k| b2,
+        i k x b2 = -i|k| b1, and the mean has none)."""
         d = self.grid.dim
         p = self.system.params
         lattice = self._lattice
         stage = self._stage(d + 1)
         lattice.pad_band[:d] = lattice.coarse_band(self.cartesian(a, stage[:d]))
         if d == 2:   # curl u = i|k| a0
-            w = np.multiply(self._ik, a[0], out=stage[:1])
+            w = np.multiply(self._ik, a[0, :-1], out=stage[:1])
         else:        # curl u = i|k| (a0 b2 - a1 b1)
-            w = _kernels.rotate(self.basis[:, :2],
-                                (np.negative(a[1], out=stage[d]), a[0]),
-                                self._row, stage[:d])
+            w = _kernels.rotate(self.basis[..., :-1], (np.negative(
+                a[1, :-1], out=stage[d]), a[0, :-1]), self._row, stage[:d])
             w *= self._ik
         lattice.pad_band[d:] = lattice.coarse_band(w)
         del stage, w   # the product pass may replace the physical buffer
@@ -370,21 +387,20 @@ class Tendency:
     def _nonlinear_G(self, u: np.ndarray) -> np.ndarray:
         """Transforms of lam0 (-u x curl u) + beta|u|^2 u - N(u), coarse
         band, of the solenoidal part Q Q^T u of the Cartesian u."""
-        # G holds the slot coefficients until the lattice has read them
-        G = self._slot_coeffs(u)
-        self._products(G, 1.0)
-        return self._lattice.band(G)
+        self._products(self._slot_coeffs(u), 1.0)
+        return self._lattice.band(np.empty_like(u))
 
     # -- tendency -------------------------------------------------------------
 
     def rhs(self, a: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """Tendency of the slot coefficients a outside the integrating
-        factor: -Q^T G(Q a) + Q^T f, zero in the k-hat slots of k != 0."""
+        factor: -Q^T G(Q a) + Q^T f."""
         if self.linearized:
             out.fill(0.0)
         else:   # -G is formed on the lattice, so Q^T of it is the tendency
             self._products(a, -1.0)
-            self._slot_coeffs(self._lattice.band(self._stage(len(a))), out)
+            self._slot_coeffs(
+                self._lattice.band(self._stage(self.grid.dim)), out)
         if self.forcing is not None:
             out += self._slot_coeffs(self._forcing_half(t))
         return out
@@ -414,13 +430,13 @@ class Stepper(Tendency):
                 "per step - consider a smaller dt", RuntimeWarning,
                 stacklevel=2)
         self.E = np.exp(-self.dt * self.symbol)
-        self._out_bufs = [np.empty((grid.dim, self.n_modes), np.complex128)
+        self._out_bufs = [np.empty(self.state_shape, np.complex128)
                           for _ in range(2)]
 
     def _linear(self, stiff: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        """The symbol stiff + moved per slot, (dim, n_modes) complex, or one
-        real row when every slot has the same real symbol (V = 0,
-        M = alpha I)."""
+        """The symbol stiff + moved per slot, (dim - 1, n_modes + 1)
+        complex, or one real row when every slot has the same real symbol
+        (V = 0, M = alpha I)."""
         symbol = stiff + moved
         if not np.any(symbol.imag) and np.all(symbol == symbol[:1]):
             symbol = symbol[:1].real
@@ -488,7 +504,7 @@ def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
     a = tendency.from_state(state.u_hat)
     out = tendency.rhs(a, state.t, np.empty_like(a))
     out -= tendency._slots[1] * a   # the moved rows (`Tendency._linear`)
-    return tendency._field(tendency.cartesian(out, a))
+    return tendency._field(tendency.cartesian(out))
 
 
 def step(state: SolverState, config: SolverConfig, *, linearized: bool = False,
@@ -668,7 +684,7 @@ def run(initial: SpectralField, system: TransformedSystem, grid: SpectralGrid,
     def record(i, uh_flat):
         t = i * config.dt
         if i in sample_steps:   # u staged in the lattice, as for snapshots
-            u = stepper.cartesian(uh_flat, stepper._stage(len(uh_flat)))
+            u = stepper.cartesian(uh_flat, stepper._stage(grid.dim))
             if not recorder.sample(t, u):
                 recorder.rows.pop()   # a non-finite sample is not recorded
                 blow_up(t, t, uh_flat)

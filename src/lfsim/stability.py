@@ -166,8 +166,8 @@ def _slot_basis(system: TransformedSystem, k: np.ndarray
     dim - 1 slots span k-perp: e_perp in 2D; in 3D the pair P e_j/|P e_j|,
     k-hat x that (e_j the axis least aligned with k), turned to diagonalize
     P M P.  The last slot is k-hat, with k-hat's Rayleigh quotient of M as
-    its mu; no state uses it.  Every column is even or odd in k bit for bit,
-    so the +-k pairs of the half layout stay conjugate.
+    its mu; the tendency drops it.  Every column is even or odd in k bit for
+    bit, so the +-k pairs of the half layout stay conjugate.
     """
     p, M = system.params, system.M
     scalar = system.scalar_m is not None

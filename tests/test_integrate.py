@@ -29,6 +29,13 @@ def params(**kw):
     return ModelParams(**base)
 
 
+def _set_mean_slots(a, values):
+    """Set the dim slot coefficients of the mean (k = 0) in a state a: the
+    first dim - 1 in column 0, the last in the trailing column."""
+    a[:, 0] = values[:-1]
+    a[0, -1] = values[-1]
+
+
 @pytest.fixture(scope="module")
 def grid32():
     return SpectralGrid(2, 32, 20.0 * np.pi)
@@ -432,15 +439,15 @@ class TestNonlinearRhs:
         # nonlinear_rhs, Q [rhs(a) - (mu + i lam0 (V.k)) a], is the
         # Cartesian tendency -P[G + M u] - i lam0 (V.k) u of u = Q a: M, the
         # drift and P moved into the integrating factor; with a mean, every
-        # slot of k = 0 is live, the k-hat one included; a forcing f enters
-        # as P f
+        # slot of k = 0 is live, the trailing one included; a forcing f
+        # enters as P f
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         sys = TestSlotBasis.SYSTEMS[kind](dim)
         stepper = Stepper(sys, grid, dt=1e-3)
         a = stepper.from_state(
             random_solenoidal_field(grid, 0.3, 0.6, 5, zero_mean=not mean))
         if mean:
-            a[:, 0] = np.arange(1.0, dim + 1.0) / 10.0
+            _set_mean_slots(a, np.arange(1.0, dim + 1.0) / 10.0)
         state = SolverState(0.0, stepper.to_state(a), sys, grid)
         u = stepper._half(state.u_hat)
         k = grid.k_half.reshape(dim, -1)
@@ -1050,22 +1057,30 @@ class TestStepAllocations:
         # passes in the slab loop, and the samples visited slab by slab, it
         # holds 16870 KB
         (3, 32, False, 17200),
-        # one slab covers the 2D n = 64 lattice: 2650 KB before, 2645 now
-        (2, 64, True, 2650)])
+        # one slab covers the 2D n = 64 lattice: 2650 KB before, 2645 after,
+        # 2331 with the grid's half tables; on the live slots alone (no
+        # k-hat row in the basis, the step coefficients and the state
+        # buffers) it holds 1868 KB
+        (2, 64, True, 1900)])
     def test_persistent_lattice_memory(self, dim, n, ordered, limit_kb):
         assert _held_after_one_step_kb(dim, n, ordered) <= limit_kb
 
-    @pytest.mark.parametrize("n,limit_kb", [
+    @pytest.mark.parametrize("n,ordered,limit_kb", [
         # with nine state-sized buffers (two outputs, four tendencies, three
         # stages, one of which held the samples' u) and a complex copy of k,
         # a 3D rest stepper held 3776 KB (n = 16) and 16870 KB (n = 32)
         # after one step; on two outputs and four stage buffers, k cast
         # only for the Cartesian tendency, it held 3343 KB and 13606 KB;
         # with kv and the grid's k_deriv_half built only for the Cartesian
-        # tendency, it holds 3272 KB and 13064 KB
-        (16, 3300), (32, 13100)])
-    def test_held_heap_after_one_step(self, n, limit_kb):
-        assert _held_after_one_step_kb(3, n, False) <= limit_kb
+        # tendency, it held 3272 KB and 13064 KB; on the live slots alone
+        # (no k-hat row in the basis, the step coefficients and the state
+        # buffers) it holds 3002 KB and 11024 KB
+        (16, False, 3030), (32, False, 11100),
+        # the polar stepper's per-slot coefficients are complex: it held
+        # 3900 KB with the k-hat row, 3379 KB without
+        (16, True, 3410)])
+    def test_held_heap_after_one_step(self, n, ordered, limit_kb):
+        assert _held_after_one_step_kb(3, n, ordered) <= limit_kb
 
     @pytest.mark.parametrize("dim,n,ordered,linearized", [
         (2, 16, True, False), (2, 16, True, True), (3, 8, False, False),
@@ -1275,7 +1290,8 @@ class TestPrunedTransforms:
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         sys = make_ordered_system(params(dim=dim, alpha=-0.5))
         stepper = Stepper(sys, grid, dt=1e-3)
-        u = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.5, 4))
+        u = stepper.cartesian(stepper.from_state(
+            random_solenoidal_field(grid, 0.3, 0.5, 4)))
         other = stepper.from_state(random_solenoidal_field(grid, 0.7, 0.8, 5))
         stepper.rhs(other, 0.0, np.empty_like(other))
         got = _collect(lambda visit: stepper.fine_physical(u, visit))
@@ -1336,7 +1352,7 @@ class TestFusedTransfers:
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         stepper = Stepper(sys, grid, dt=1e-3)
         a = stepper.from_state(random_solenoidal_field(grid, 0.3, 0.5, 4))
-        a[:, 0] = np.arange(1.0, dim + 1.0) / 10.0   # every slot of k = 0
+        _set_mean_slots(a, np.arange(1.0, dim + 1.0) / 10.0)
         slabs = []   # u and curl u as the product pass samples them
         monkeypatch.setattr(
             integrate._kernels, f"products_{dim}d",
@@ -1646,3 +1662,76 @@ class TestSlotBasis:
                 assert lam[(s,) + there] == np.conj(lam[(s,) + here])
             checked += 1
         assert checked == (n - 1) ** (dim - 1)
+
+
+class TestMeanSlot:
+    """A state carries the live slots only: the first dim - 1 of every mode
+    and, in one trailing column, the mean's last slot, which `cartesian`
+    folds back into k = 0."""
+
+    @pytest.mark.parametrize("kind", ["polar", "polar_oblique"])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_mean_decays_at_its_last_slot_rate(self, dim, n, kind):
+        # a pure mean along the last slot of k = 0, whose rate differs from
+        # the other slots' there: a dropped or misfolded trailing column
+        # loses the mean or moves it at another rate
+        sys = TestSlotBasis.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        Q, stiff, moved = _slot_basis(sys, np.zeros((dim, 1)))
+        lam = (stiff + moved)[:, 0]
+        mu = lam[-1].real
+        assert lam[-1].imag == 0.0 and np.all(np.abs(lam[:-1] - mu) > 0.5)
+        mean = (slice(None),) + (0,) * dim
+        coeffs = np.zeros((dim,) + grid.shape, complex)
+        coeffs[mean] = 0.3 * Q[:, -1, 0]
+        config = SolverConfig(dt=1e-2, t_end=1.0, diagnostics_interval=0.1)
+        traj = run(SpectralField(grid, coeffs), sys, grid, config,
+                   linearized=True)
+        decay = np.exp(-mu * traj.times)
+        l2 = traj.series["l2_norm_sq"]
+        assert np.max(np.abs(l2 / (l2[0] * decay**2) - 1.0)) <= 1e-13
+        got = traj.final.u_hat.coeffs
+        want = coeffs[mean] * decay[-1]
+        assert np.max(np.abs(got[mean] - want)) <= 1e-13 * np.max(np.abs(want))
+        got[mean] = 0.0
+        assert np.max(np.abs(got)) == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(TestSlotBasis.SYSTEMS))
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_round_trip_keeps_every_mean_component(self, dim, n, kind):
+        # to_state(from_state(u)) at k = 0 is Q Q^T u of the whole basis
+        # there, the last slot's term added last, bit for bit; where that
+        # basis is a signed permutation (rest, polar along e1) it is u
+        sys = TestSlotBasis.SYSTEMS[kind](dim)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        tendency = integrate.Tendency(sys, grid)
+        mean = (slice(None),) + (0,) * dim
+        Q = _slot_basis(sys, np.zeros((dim, 1)))[0]
+        row = np.empty(1, complex)
+        for seed in range(4):
+            u = random_solenoidal_field(grid, 0.3, 0.5, seed, zero_mean=False)
+            got = tendency.to_state(tendency.from_state(u)).coeffs[mean]
+            a = _kernels.rotate(Q.transpose(1, 0, 2), u.coeffs[mean][:, None],
+                                row, np.empty((dim, 1), complex))
+            want = _kernels.rotate(Q, a, row, np.empty((dim, 1), complex))
+            assert np.array_equal(got, want[:, 0])
+            if kind != "polar_oblique":
+                assert np.array_equal(got, u.coeffs[mean])
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_stepper_holds_no_k_hat_row(self, dim, n, ordered):
+        # the basis, the step coefficients and every state buffer hold at
+        # most dim - 1 slot rows of n_modes + 1 columns
+        p = params(dim=dim, alpha=-0.5 if ordered else 0.5)
+        sys = make_ordered_system(p) if ordered else make_disordered_system(p)
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        stepper = Stepper(sys, grid, dt=1e-3)
+        a = stepper.from_state(random_solenoidal_field(grid, 0.05, 0.5, 3))
+        stepper.step(a, 0.0)
+        cols = stepper.n_modes + 1
+        assert stepper.basis.shape == (dim, dim - 1, cols)
+        coeffs, buffers = stepper._stages
+        for arr in (a, stepper.symbol, stepper.E, *coeffs, *buffers,
+                    *stepper._out_bufs):
+            assert arr.shape[-1] == cols and len(arr) <= dim - 1
