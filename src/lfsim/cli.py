@@ -4,8 +4,8 @@
     lf classify --gamma0 X --alpha Y [--gamma2 Z --beta W --ordered ...]
     lf dispersion --gamma0 X --alpha Y [--measure ...]
 
-Exit codes: 0 all checks pass, 1 check failure, 2 numerical failure
-(blow-up), 3 config error.
+Exit codes: 0 all checks pass (or --help), 1 check failure, 2 numerical
+failure (blow-up), 3 config or usage error.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ def _cmd_dispersion(args) -> int:
     from .spectral import SpectralGrid
     from .stability import growth_rate
 
+    if args.modes < 1:
+        raise ValueError(f"--modes must be >= 1, got {args.modes}")
     params = _params_from_args(args)
     grid = SpectralGrid(params.dim, args.n, args.box_length)
     system = (make_ordered_system(params) if args.ordered
@@ -138,7 +140,10 @@ def _cmd_dispersion(args) -> int:
 
 def main(argv=None) -> int:
     from .integrate import BlowUpError
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 for --help, 2 on misuse
+        return 3 if exc.code else 0
     cmd = {"run": _cmd_run, "classify": _cmd_classify,
            "dispersion": _cmd_dispersion}[args.command]
     try:

@@ -286,7 +286,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
             raise ValidationError(
                 f"tracked wavevector {vec} must have {params.dim} components")
         try:
-            index = grid.mode_index(vec)
+            index, _ = grid.mode_index(vec)
         except ValueError as exc:
             raise ValidationError(
                 f"perturbation.tracked_wavevectors: {exc}") from exc

@@ -27,7 +27,7 @@ import numpy as np
 from .model import ModelParams, StateKind
 from .integrate import SolverState, Tendency, Trajectory, _SeriesRecorder
 from .lattice import FineLattice
-from .spectral import SpectralField, SpectralGrid, to_half, zero_nyquist
+from .spectral import SpectralField, SpectralGrid, zero_nyquist
 
 __all__ = [
     "EnergyBudget",
@@ -255,7 +255,7 @@ def advection_skew_inner(grid: SpectralGrid, field: SpectralField,
     for solenoidal u (this is what removes advection from the budget)."""
     d = grid.dim
     V = np.zeros(d) if V is None else np.asarray(V, dtype=float)
-    uh = zero_nyquist(grid, to_half(grid, field.coeffs))
+    uh = zero_nyquist(grid, field.coeffs.copy())
     grads = 1j * grid.k_deriv_half[:, None] * uh   # [a, i]: d_a u_i
     lattice, total = FineLattice(grid, d + d * d), [0.0]
 
@@ -270,7 +270,7 @@ def advection_skew_inner(grid: SpectralGrid, field: SpectralField,
 def quartic_gradient_inner(grid: SpectralGrid, field: SpectralField) -> float:
     """int grad(|u|^2 u) . grad u dx; non-negative (a sum of squares)."""
     d = grid.dim
-    uh = zero_nyquist(grid, to_half(grid, field.coeffs))
+    uh = zero_nyquist(grid, field.coeffs.copy())
     lattice = FineLattice(grid, d)
     lattice.products(d, lambda u, out, scratch: np.multiply(   # |u|^2 u
         u, np.einsum("im,im->m", u, u), out=out), uh)

@@ -118,26 +118,20 @@ def write_report_csv(path, checks: list[Check]) -> None:
 
 def _default_instability_modes(system: TransformedSystem, grid: SpectralGrid,
                                count: int = 3) -> list[tuple[float, ...]]:
-    """The `count` fastest-growing lattice modes (one per +-k pair)."""
-    rates = lattice_growth_rates(system, grid)
-    m = grid.mode_numbers
-    # one representative per conjugate pair, skip k=0 and Nyquist rows
-    first_nonzero = np.zeros(grid.shape, dtype=np.int64)
-    seen = np.zeros(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        pick = (~seen) & (m[a] != 0)
-        first_nonzero[pick] = np.sign(m[a][pick])
-        seen |= m[a] != 0
-    canonical = seen & (first_nonzero > 0) & np.all(np.abs(m) < grid.n // 2, axis=0)
-    flat_rates = np.where(canonical, rates, -np.inf).ravel()
-    order = np.argsort(flat_rates)[::-1]
-    modes = []
-    for idx in order[: count]:
-        if not np.isfinite(flat_rates[idx]):
-            break
-        pos = np.unravel_index(idx, grid.shape)
-        modes.append(tuple(float(grid.dk * mi) for mi in m[(slice(None),) + pos]))
-    return modes
+    """The `count` fastest-growing lattice modes, one per +-k pair: the one
+    whose first nonzero mode number is positive.  k = 0 and the Nyquist
+    rows are skipped, and equal rates keep the half-spectrum's order."""
+    rates = lattice_growth_rates(system, grid).ravel()
+    m = grid._modes().reshape(grid.dim, -1)
+    first = np.zeros(m.shape[1], np.int64)   # sign of the first nonzero m
+    for row in m[::-1]:
+        first = np.where(row != 0, np.sign(row), first)
+    # every pair has one member with m_last > 0, or both on m_last = 0
+    keep = ((m[-1] > 0) | (first > 0)) & np.all(np.abs(m) < grid.n // 2,
+                                               axis=0)
+    order = np.argsort(np.where(keep, -rates, np.inf), kind="stable")
+    return [tuple(float(grid.dk * c) for c in first[i] * m[:, i])
+            for i in order[:count] if keep[i]]
 
 
 def _polarization(system: TransformedSystem, k: np.ndarray) -> np.ndarray:
@@ -475,9 +469,9 @@ def _band_coverage_warning(cfg: ExperimentConfig) -> str | None:
     if not band.has_band:
         return None
     grid = cfg.make_grid()
-    ksq = grid.ksq.ravel()
-    count = int(np.count_nonzero((ksq > band.s_minus_sq)
-                                 & (ksq < band.s_plus_sq)))
+    ksq = grid.ksq_half
+    count = int(np.sum(grid.parseval_weight_half,   # over the whole lattice
+                       where=(ksq > band.s_minus_sq) & (ksq < band.s_plus_sq)))
     if count >= 3:
         return None
     return (f"unstable band ({band.s_minus_sq:.4g}, {band.s_plus_sq:.4g}) in "

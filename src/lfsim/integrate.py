@@ -51,14 +51,7 @@ import numpy as np
 from . import _kernels
 from .lattice import FineLattice, _irfft_spatial
 from .model import TransformedSystem
-from .spectral import (
-    SpectralField,
-    SpectralGrid,
-    from_half,
-    project_coeffs,
-    to_half,
-    zero_nyquist,
-)
+from .spectral import SpectralField, SpectralGrid, project_coeffs, zero_nyquist
 from .stability import _slot_basis
 
 __all__ = [
@@ -236,7 +229,8 @@ class Tendency:
 
     The state is slot coefficients a (dim - 1, n_modes + 1), and the
     Cartesian u = Q a (dim, n_modes) (`cartesian`); `to_state`/
-    `from_state` convert to and from the public full-lattice SpectralField.
+    `from_state` convert to and from the public SpectralField, which holds
+    the same half-spectrum.
     The products take N(u) from V and beta in the closed form of both steady
     states (`model.make_ordered_system`; V = 0 at rest).
     """
@@ -316,12 +310,7 @@ class Tendency:
     def _half(self, u_hat: SpectralField) -> np.ndarray:
         """The Cartesian half-spectrum of a field, Nyquist slots zeroed."""
         coeffs = zero_nyquist(self.grid, u_hat.coeffs.copy())
-        return np.ascontiguousarray(
-            to_half(self.grid, coeffs).reshape(self.grid.dim, self.n_modes))
-
-    def _field(self, u_flat: np.ndarray) -> SpectralField:
-        half = u_flat.reshape((self.grid.dim,) + self.half_shape)
-        return SpectralField(self.grid, from_half(self.grid, half))
+        return coeffs.reshape(self.grid.dim, self.n_modes)
 
     def from_state(self, u_hat: SpectralField) -> np.ndarray:
         """Slot coefficients Q^T u of a field: its Nyquist slots and its
@@ -329,12 +318,13 @@ class Tendency:
         return self._slot_coeffs(self._half(u_hat))
 
     def to_state(self, a: np.ndarray) -> SpectralField:
-        """The field of slot coefficients a, through Cartesian rows staged
-        in the fine lattice's physical buffer (`_stage`)."""
-        return self._field(self.cartesian(a, self._stage(self.grid.dim)))
+        """The field of slot coefficients a."""
+        return SpectralField(self.grid, self.cartesian(a).reshape(
+            (self.grid.dim,) + self.half_shape))
 
     def physical(self, a: np.ndarray) -> np.ndarray:
-        """Real samples of slot coefficients a, staged as in `to_state`."""
+        """Real samples of slot coefficients a, through Cartesian rows
+        staged in the fine lattice's physical buffer (`_stage`)."""
         u = self.cartesian(a, self._stage(self.grid.dim))
         return _irfft_spatial(u.reshape((self.grid.dim,) + self.half_shape),
                               self.grid.n, self.grid.dim, self.grid.n // 2)
@@ -408,7 +398,7 @@ class Tendency:
     def _forcing_half(self, t: float) -> np.ndarray:
         f = self.forcing(t)
         coeffs = f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
-        coeffs = project_coeffs(self.grid, to_half(self.grid, coeffs))
+        coeffs = project_coeffs(self.grid, coeffs)
         return zero_nyquist(self.grid, coeffs).reshape(self.grid.dim, self.n_modes)
 
 
@@ -504,7 +494,7 @@ def nonlinear_rhs(state: SolverState, *, linearized: bool = False,
     a = tendency.from_state(state.u_hat)
     out = tendency.rhs(a, state.t, np.empty_like(a))
     out -= tendency._slots[1] * a   # the moved rows (`Tendency._linear`)
-    return tendency._field(tendency.cartesian(out))
+    return tendency.to_state(out)
 
 
 def step(state: SolverState, config: SolverConfig, *, linearized: bool = False,
@@ -549,17 +539,11 @@ class _SeriesRecorder:
         self.w_float = np.repeat(w, 2)
         self.V = tendency.system.V
         self.tracked = [tuple(float(c) for c in k) for k in tracked]
-        self.amp_idx = [np.ravel_multi_index(self._half_index(k),
+        # k or its conjugate partner, of the same amplitude
+        self.amp_idx = [np.ravel_multi_index(grid.mode_index(k)[0],
                                              grid.half_shape)
                         for k in self.tracked]
         self.rows: list[dict[str, float]] = []
-
-    def _half_index(self, k) -> tuple[int, ...]:
-        self.grid.mode_index(k)  # validates lattice membership
-        m = [int(round(c / self.grid.dk)) for c in k]
-        if m[-1] < 0:
-            m = [-c for c in m]  # conjugate partner, same amplitude
-        return tuple(mi % self.grid.n for mi in m[:-1]) + (m[-1],)
 
     def sample(self, t: float, uh_flat: np.ndarray) -> bool:
         """Record the row of the state at time t; True if it is all finite.
@@ -719,22 +703,25 @@ def random_solenoidal_field(grid: SpectralGrid, amplitude: float, k0: float,
     """Solenoidal Gaussian field with spectrum exp(-|k|^2/k0^2).
 
     Normalized so the root-mean-square velocity sqrt(<|u|^2>) equals
-    `amplitude`.  Seeded and reproducible.
+    `amplitude`.  Seeded and reproducible: the draws are one complex normal
+    per component and full-lattice mode, made Hermitian by averaging each
+    with its mirrored conjugate, of which the half-spectrum is kept.
     """
     rng = np.random.default_rng(seed)
     shape = (grid.dim,) + grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = raw * np.exp(-grid.ksq / k0**2)
-    # enforce Hermitian symmetry: average with the mirrored conjugate
-    mirrored = coeffs
-    for ax in range(1, grid.dim + 1):
-        mirrored = np.take(mirrored, (-np.arange(grid.n)) % grid.n, axis=ax)
-    coeffs = 0.5 * (coeffs + np.conj(mirrored))
+    h = grid.n // 2 + 1
+    neg = (-np.arange(grid.n)) % grid.n   # the row or column of -m
+    mirrored = raw[(slice(None),) + np.ix_(*[neg] * (grid.dim - 1), neg[:h])]
+    envelope = np.exp(-grid.ksq_half / k0**2)
+    coeffs = 0.5 * (raw[..., :h] * envelope + np.conj(mirrored * envelope))
+    del raw, mirrored   # before the projection's temporaries
     zero_nyquist(grid, coeffs)
     if zero_mean:
         coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
     coeffs = project_coeffs(grid, coeffs)
-    rms = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
+    rms = math.sqrt(float(np.sum(grid.parseval_weight_half
+                                 * np.abs(coeffs) ** 2)))
     if rms == 0.0:
         raise ValueError("degenerate random field (all modes suppressed)")
     return SpectralField(grid, coeffs * (amplitude / rms))
@@ -752,11 +739,11 @@ def single_mode_field(grid: SpectralGrid, k: Sequence[float],
     pol = pol / norm
     if abs(float(np.dot(k, pol))) > 1e-12 * max(1.0, float(np.linalg.norm(k))):
         raise ValueError("polarization must be orthogonal to k")
-    idx = grid.mode_index(k)
-    idx_neg = grid.mode_index(-k)
-    coeffs = np.zeros((grid.dim,) + grid.shape, np.complex128)
-    coeffs[(slice(None),) + idx] = 0.5 * amplitude * pol
-    coeffs[(slice(None),) + idx_neg] += 0.5 * amplitude * pol
+    coeffs = np.zeros((grid.dim,) + grid.half_shape, np.complex128)
+    for kk in (k, -k):   # 1/2 at each of +-k that the half-spectrum holds
+        idx, conjugate = grid.mode_index(kk)
+        if not conjugate:
+            coeffs[(slice(None),) + idx] += 0.5 * amplitude * pol
     return SpectralField(grid, coeffs)
 
 

@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import (SpectralField, SpectralGrid, from_half, to_half,
-                       zero_nyquist)
+from .spectral import SpectralField, SpectralGrid, zero_nyquist
 
 
 def _band_rows(size: int, h: int) -> tuple[slice, slice]:
@@ -200,8 +199,8 @@ def dealiased_product(grid: SpectralGrid, factors: Sequence[np.ndarray]) -> np.n
     """Alias-free pointwise product of 2 or 3 real scalar fields.
 
     Factors are physical-space samples on the grid; their m = n/2 slots are
-    dropped.  Returns the full-lattice coefficients of the product's
-    Nyquist-free band (the unpaired mode slot is zero).
+    dropped.  Returns the half-spectrum coefficients, grid.half_shape, of
+    the product's Nyquist-free band (the unpaired mode slots are zero).
     """
     if len(factors) not in (2, 3):
         raise ValueError(f"need 2 or 3 factors, got {len(factors)}")
@@ -213,14 +212,14 @@ def dealiased_product(grid: SpectralGrid, factors: Sequence[np.ndarray]) -> np.n
     lattice = FineLattice(grid, len(factors))
     lattice.products(1, lambda fine, out, scratch: np.prod(
         fine, axis=0, out=out[0]), zero_nyquist(grid, halves))
-    return from_half(grid, lattice.band(np.empty_like(halves[:1]))[0])
+    return lattice.band(np.empty_like(halves[:1]))[0]
 
 
 def l4_norm_4(field: SpectralField) -> float:
     """Integral of |u|^4, quadrature on the fine lattice (exact for the
     Nyquist-free band; the m = n/2 slots are dropped)."""
     g = field.grid
-    uh = zero_nyquist(g, to_half(g, field.coeffs))
+    uh = zero_nyquist(g, field.coeffs.copy())
     lattice, total = FineLattice(g, g.dim), [0.0]
 
     def visit(fine, out, scratch):

@@ -6,21 +6,28 @@ leading axis) or as Fourier coefficients in the amplitude convention: the
 forward transform carries the 1/N^dim factor, so the coefficient at mode 0
 is the spatial mean and a unit cosine has coefficients 1/2 at +-k.
 
+Coefficients are held in one layout, the rfft half-spectrum (dim,) +
+`SpectralGrid.half_shape`: the last axis keeps m_last = 0..N/2, and a real
+field's other modes are the conjugates c(-k) = conj c(k).  The planes
+m_last = 0 and N/2 hold both k and -k; `hermitian_residual` measures how far
+they are from that symmetry, and `SpectralGrid.mode_index` finds any k in
+the layout.  Sums over the lattice weight each stored mode by its
+multiplicity (`parseval_weight_half`).
+
 Wavevectors are k = (2*pi/L) * m with integer m in {-N/2+1, ..., N/2}; the
 unpaired mode m = N/2 has no conjugate partner, so odd spectral derivatives
-drop it (see the derivative table `k_deriv`) and product truncation excludes
-it from the result band.
+drop it (see the derivative table `k_deriv_half`) and product truncation
+excludes it from the result band.
 
 The Helmholtz/Leray projector is the modewise multiplier I - k k^T/|k|^2,
 extended by the identity at k = 0 so that mean modes are preserved.  Zero
 padding and exact truncation of the full lattice (`pad_spectrum`,
 `truncate_spectrum`) are the reference that the tests hold the products of
-`lattice.FineLattice` to.
+`lattice.FineLattice` to; no program code calls them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -40,8 +47,6 @@ __all__ = [
     "pad_spectrum",
     "truncate_spectrum",
     "zero_nyquist",
-    "to_half",
-    "from_half",
     "l2_norm_sq",
     "grad_norm_sq",
     "inner_l2",
@@ -66,11 +71,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class SpectralGrid:
-    """Periodic grid bookkeeping: wavevector tables.
+    """Periodic grid bookkeeping: the rfft half-spectrum's wavevector tables.
 
-    Immutable and shareable; all arrays are read-only.  Only the rfft
-    half-spectrum tables are held; the full-lattice ones are built on each
-    use, so a caller reads each at most once.
+    Immutable and shareable; all arrays are read-only.
     """
 
     def __init__(self, dim: int, points_per_axis: int, box_length: float):
@@ -89,33 +92,17 @@ class SpectralGrid:
         self.volume = self.length**dim
         self.dk = 2.0 * np.pi / self.length
 
-    def _modes(self, cols: int, scale: float | None = None,
+    def _modes(self, scale: float | None = None,
                deriv: bool = False) -> np.ndarray:
-        """Read-only mode numbers of the first `cols` last-axis columns, times
-        `scale` as floats when given; `deriv` zeroes m = n/2, unpaired in odd
+        """Read-only mode numbers of the half-spectrum, times `scale` as
+        floats when given; `deriv` zeroes m = n/2, unpaired in odd
         derivatives (cf. Johnson, "Notes on FFT-based differentiation")."""
         m1 = _mode_numbers(self.n)
-        m = np.stack(np.meshgrid(*[m1] * (self.dim - 1), m1[:cols],
+        m = np.stack(np.meshgrid(*[m1] * (self.dim - 1), m1[:self.n // 2 + 1],
                                  indexing="ij"))
         if deriv:
             m[m == self.n // 2] = 0
         return _frozen(m if scale is None else scale * m.astype(float))
-
-    @property
-    def mode_numbers(self) -> np.ndarray:
-        return self._modes(self.n)
-
-    @property
-    def k(self) -> np.ndarray:
-        return self._modes(self.n, self.dk)
-
-    @property
-    def k_deriv(self) -> np.ndarray:
-        return self._modes(self.n, self.dk, deriv=True)
-
-    @property
-    def ksq(self) -> np.ndarray:
-        return _frozen(np.sum(self.k**2, axis=0))
 
     # positions of the axis samples: x_i = i*L/n
     @cached_property
@@ -128,14 +115,13 @@ class SpectralGrid:
         coords = np.meshgrid(*([self.axis_points] * self.dim), indexing="ij")
         return _frozen(np.stack(coords))
 
-    # --- half-spectrum (rfft layout along the last axis) tables -----------
     @cached_property
     def k_half(self) -> np.ndarray:
-        return self._modes(self.n // 2 + 1, self.dk)
+        return self._modes(self.dk)
 
     @cached_property
     def k_deriv_half(self) -> np.ndarray:
-        return self._modes(self.n // 2 + 1, self.dk, deriv=True)
+        return self._modes(self.dk, deriv=True)
 
     @cached_property
     def ksq_half(self) -> np.ndarray:
@@ -149,9 +135,11 @@ class SpectralGrid:
         w[..., self.n // 2] = 1.0
         return _frozen(w)
 
-    def mode_index(self, k: Sequence[float]) -> tuple[int, ...]:
-        """Lattice index tuple of the wavevector k; rejects non-finite and
-        off-lattice k."""
+    def mode_index(self, k: Sequence[float]) -> tuple[tuple[int, ...], bool]:
+        """Where the half-spectrum holds the wavevector k: its index and
+        whether the coefficient stored there is its conjugate partner's,
+        c(k) = conj c(-k) (for -n/2 < m_last < 0).  The planes m_last = 0
+        and n/2 hold k itself.  Rejects non-finite and off-lattice k."""
         k = np.asarray(k, dtype=float)
         if k.shape != (self.dim,):
             raise ValueError(f"wavevector must have shape ({self.dim},)")
@@ -162,7 +150,10 @@ class SpectralGrid:
             raise ValueError(f"wavevector {k} is not on the grid lattice")
         if np.any(np.abs(m) > self.n // 2):
             raise ValueError(f"wavevector {k} is beyond the grid Nyquist")
-        return tuple(int(mi) % self.n for mi in m)
+        conjugate = bool(-(self.n // 2) < m[-1] < 0)
+        if conjugate:
+            m = -m
+        return tuple(int(mi) % self.n for mi in m), conjugate
 
     def __repr__(self):
         return f"SpectralGrid(dim={self.dim}, n={self.n}, L={self.length:g})"
@@ -172,17 +163,19 @@ class SpectralGrid:
 class SpectralField:
     """Divergence-free-capable vector field stored as Fourier coefficients.
 
-    coeffs has shape (dim, n, ..., n), complex, amplitude convention.
+    coeffs has shape (dim,) + grid.half_shape, complex, amplitude
+    convention: the rfft half-spectrum of the module docstring.
     """
 
     grid: SpectralGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        expected = (self.grid.dim,) + self.grid.shape
+        expected = (self.grid.dim,) + self.grid.half_shape
         if self.coeffs.shape != expected:
             raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match grid {expected}")
+                f"coeffs shape {self.coeffs.shape} does not match the grid's "
+                f"half-spectrum {expected}")
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
 
@@ -193,12 +186,14 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def hermitian_residual(self) -> float:
-        """max |c(-k) - conj(c(k))| over all modes (0 for real fields)."""
-        axes = tuple(range(1, self.coeffs.ndim))
-        mirrored = self.coeffs.copy()
-        for ax in axes:
-            mirrored = np.take(mirrored, (-np.arange(self.grid.n)) % self.grid.n, axis=ax)
-        return float(np.max(np.abs(mirrored - np.conj(self.coeffs))))
+        """max |c(-k) - conj(c(k))| over the planes m_last = 0 and n/2,
+        which hold both k and -k (0 for real fields)."""
+        n = self.grid.n
+        planes = self.coeffs[..., [0, n // 2]]
+        mirrored = planes
+        for ax in range(1, self.grid.dim):
+            mirrored = np.take(mirrored, (-np.arange(n)) % n, axis=ax)
+        return float(np.max(np.abs(mirrored - np.conj(planes))))
 
     def divergence_residual(self) -> float:
         """max_k |k . u(k)| / max_k |u(k)|; zero field gives zero, and
@@ -210,13 +205,13 @@ class SpectralField:
         if scale == 0.0:
             return 0.0
         c = self.coeffs / scale
-        div = np.sum(self.grid.k * c, axis=0)
+        div = np.sum(self.grid.k_half * c, axis=0)
         denom = np.max(np.sqrt(np.sum(np.abs(c) ** 2, axis=0)))
         return float(np.max(np.abs(div)) / denom)
 
     def mode_amplitude(self, k: Sequence[float]) -> float:
         """Euclidean norm over components of the coefficient at wavevector k."""
-        idx = self.grid.mode_index(k)
+        idx, _ = self.grid.mode_index(k)
         return float(np.sqrt(np.sum(np.abs(self.coeffs[(slice(None),) + idx]) ** 2)))
 
 
@@ -227,13 +222,16 @@ def forward(grid: SpectralGrid, physical: np.ndarray) -> SpectralField:
     if physical.shape != expected:
         raise ValueError(f"physical shape {physical.shape}, expected {expected}")
     axes = tuple(range(1, grid.dim + 1))
-    return SpectralField(grid, np.fft.fftn(physical, axes=axes, norm="forward"))
+    return SpectralField(grid, np.fft.rfftn(physical, axes=axes,
+                                            norm="forward"))
 
 
 def inverse(field: SpectralField) -> np.ndarray:
-    """Coefficients -> real samples (imaginary roundoff discarded)."""
+    """Coefficients -> real samples; an anti-Hermitian part of the planes
+    m_last = 0 and n/2, which a real field does not have, is dropped."""
     axes = tuple(range(1, field.grid.dim + 1))
-    return np.real(np.fft.ifftn(field.coeffs, axes=axes, norm="forward"))
+    return np.fft.irfftn(field.coeffs, s=field.grid.shape, axes=axes,
+                         norm="forward")
 
 
 # --------------------------------------------------------------------------
@@ -242,9 +240,8 @@ def inverse(field: SpectralField) -> np.ndarray:
 
 def project_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Apply I - k k^T/|k|^2 modewise; identity at k = 0.  Returns new array."""
-    k = grid._modes(coeffs.shape[-1], grid.dk)   # full lattice or rfft half
-    ksq = np.sum(k**2, axis=0)
-    ksq[ksq == 0.0] = 1.0
+    k = grid.k_half
+    ksq = np.where(grid.ksq_half == 0.0, 1.0, grid.ksq_half)
     kdotu = np.einsum("a...,a...->...", k, coeffs)
     return coeffs - k * (kdotu / ksq)
 
@@ -255,17 +252,18 @@ def leray_project(field: SpectralField) -> SpectralField:
 
 def gradient_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """d/dx_a as a new leading axis: out[a, ...] = i k_a * coeffs."""
-    return 1j * grid.k_deriv.reshape(
-        (grid.dim,) + (1,) * (coeffs.ndim - grid.dim) + grid.shape) * coeffs
+    return 1j * grid.k_deriv_half.reshape(
+        (grid.dim,) + (1,) * (coeffs.ndim - grid.dim) + grid.half_shape
+    ) * coeffs
 
 
 def divergence_coeffs(grid: SpectralGrid, vec_coeffs: np.ndarray) -> np.ndarray:
-    return np.einsum("a...,a...->...", 1j * grid.k_deriv, vec_coeffs)
+    return np.einsum("a...,a...->...", 1j * grid.k_deriv_half, vec_coeffs)
 
 
 def curl_coeffs(grid: SpectralGrid, vec_coeffs: np.ndarray) -> np.ndarray:
     """2D: scalar vorticity d1 u2 - d2 u1.  3D: the full curl vector."""
-    kd = grid.k_deriv
+    kd = grid.k_deriv_half
     if grid.dim == 2:
         return 1j * (kd[0] * vec_coeffs[1] - kd[1] * vec_coeffs[0])
     return np.stack([
@@ -350,50 +348,25 @@ def zero_nyquist(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Half-spectrum (rfft) conversion helpers
-# --------------------------------------------------------------------------
-
-def to_half(grid: SpectralGrid, full: np.ndarray) -> np.ndarray:
-    """Slice full-lattice coefficients to the rfft half-spectrum layout."""
-    return np.ascontiguousarray(full[..., : grid.n // 2 + 1])
-
-
-def from_half(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
-    """Rebuild the full lattice from the rfft half-spectrum by symmetry,
-    c(-k) = conj c(k), in place: the mirrored rows (row 0 stays, rows 1..
-    reverse) conjugated with the whole contiguous lattice, then the head
-    copied in; a ufunc on the strided tail would allocate buffers."""
-    n = grid.n
-    h = n // 2
-    full = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
-    pairs = ((0, 0), (slice(1, None), slice(None, 0, -1)))
-    for rows in itertools.product(pairs, repeat=grid.dim - 1):
-        dest, src = zip(*rows)
-        full[(Ellipsis,) + dest + (slice(h + 1, None),)] = \
-            half[(Ellipsis,) + src + (slice(h - 1, 0, -1),)]
-    np.conjugate(full, out=full)
-    full[..., : h + 1] = half
-    return full
-
-
-# --------------------------------------------------------------------------
 # Norms and inner products (Parseval, amplitude convention)
 # --------------------------------------------------------------------------
 
 def l2_norm_sq(field: SpectralField) -> float:
     """Integral of |u|^2 over the box = volume * sum_k |u_hat|^2."""
-    return field.grid.volume * float(np.sum(np.abs(field.coeffs) ** 2))
+    return field.grid.volume * float(np.sum(
+        field.grid.parseval_weight_half * np.abs(field.coeffs) ** 2))
 
 
 def grad_norm_sq(field: SpectralField) -> float:
-    return field.grid.volume * float(
-        np.sum(field.grid.ksq * np.sum(np.abs(field.coeffs) ** 2, axis=0)))
+    g = field.grid
+    a2 = np.sum(np.abs(field.coeffs) ** 2, axis=0)
+    return g.volume * float(np.sum(g.parseval_weight_half * g.ksq_half * a2))
 
 
 def inner_l2(f: SpectralField, g: SpectralField) -> float:
     """Discrete L^2 inner product of two real fields."""
-    return f.grid.volume * float(
-        np.real(np.sum(f.coeffs * np.conj(g.coeffs))))
+    return f.grid.volume * float(np.sum(f.grid.parseval_weight_half * np.real(
+        f.coeffs * np.conj(g.coeffs))))
 
 
 # --------------------------------------------------------------------------

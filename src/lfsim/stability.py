@@ -313,17 +313,20 @@ def classify_ordered(params: ModelParams) -> StabilityReport:
 
 def lattice_growth_rates(system: TransformedSystem, grid: SpectralGrid
                          ) -> np.ndarray:
-    """Growth rate of every wavevector of the grid's lattice, grid.shape."""
-    return _slot_rates(system, grid.k.reshape(grid.dim, -1)).reshape(grid.shape)
+    """Growth rate of every wavevector of the grid's half-spectrum,
+    grid.half_shape (the rate of -k is the rate of k)."""
+    return _slot_rates(system, grid.k_half.reshape(grid.dim, -1)).reshape(
+        grid.half_shape)
 
 
 def lattice_max_growth(system: TransformedSystem, grid: SpectralGrid
                        ) -> tuple[float, np.ndarray]:
-    """Max growth rate over the grid's wavevector lattice and its argmax.
+    """Max growth rate over the grid's wavevector lattice and its argmax,
+    the first such k of the half-spectrum.
 
     Used for experiment design; classifications always use the continuum.
     """
-    k = grid.k.reshape(grid.dim, -1)
+    k = grid.k_half.reshape(grid.dim, -1)
     rates = _slot_rates(system, k)
     i = int(np.argmax(rates))
     return float(rates[i]), k[:, i].copy()

@@ -473,6 +473,41 @@ solver.diagnostics_interval = 0.01
         assert code == 3
         assert "gives 2 samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        # _seed_modes returned None for no modes and run raised
+        # AttributeError on it: a traceback, exit 1
+        ["--modes", "0", "--measure", "--t-end", "0.2", "--n", "16"],
+        # an empty table, exit 0
+        ["--modes", "-3"]], ids=["measure-0", "table-minus-3"])
+    def test_dispersion_without_modes_rejected_before_any_work(
+            self, capsys, monkeypatch, extra):
+        def no_stepper(*args, **kwargs):
+            raise AssertionError("a Stepper was built")
+
+        monkeypatch.setattr(Stepper, "__init__", no_stepper)
+        code = main(["dispersion", "--gamma0", "-1", "--alpha", "0.1"]
+                    + extra)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: --modes must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["classify", "--gamma0", "x", "--alpha", "1"], [],
+        ["dispersion", "--alpha", "1"]],
+        ids=["run-no-config", "classify-bad-float", "no-command",
+             "dispersion-no-gamma0"])
+    def test_usage_error_exits_3(self, capsys, argv):
+        # argparse exits 2, the code of a numerical blow-up
+        assert main(argv) == 3
+        assert "usage: lf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
+                                      ["dispersion", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage: lf" in capsys.readouterr().out
+
     def test_exactly_five_samples_still_run(self, tmp_path, capsys):
         assert main(["run", os.path.join(CONFIGS, "nonlinear_decay.cfg"),
                      "--out", str(tmp_path / "o"),

@@ -11,12 +11,12 @@ import pytest
 from lfsim.model import ModelParams, make_disordered_system, make_ordered_system
 from lfsim import _kernels, integrate
 from lfsim.spectral import (SpectralField, SpectralGrid, forward, inverse,
-                            project_coeffs, to_half, zero_nyquist)
+                            leray_project, project_coeffs, zero_nyquist)
 from lfsim.integrate import (BlowUpError, SolverConfig, SolverState,
                              Stepper, _phi, amp_label,
                              nonlinear_rhs, random_solenoidal_field,
                              recover_pressure, run, single_mode_field, step)
-from lfsim.lattice import FineLattice, _irfft_spatial
+from lfsim.lattice import FineLattice, _irfft_spatial, dealiased_product
 from lfsim.stability import _slot_basis, growth_rate
 from lfsim.diagnostics import energy_budget, fit_growth
 from lfsim.experiments import _require_samples
@@ -27,6 +27,26 @@ def params(**kw):
                 gamma0=-1.0, gamma2=1.0, dim=2)
     base.update(kw)
     return ModelParams(**base)
+
+
+def full_lattice_k(grid, deriv=False):
+    """The wavevectors of the whole n^dim lattice in FFT storage order, the
+    Nyquist mode at +n/2 (at 0 for the odd derivatives, when `deriv`): the
+    full-lattice side of the tests' references."""
+    m1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    m1[grid.n // 2] = 0.0 if deriv else grid.n // 2
+    return grid.dk * np.stack(np.meshgrid(*([m1] * grid.dim), indexing="ij"))
+
+
+def full_coeffs(field):
+    """The full-lattice coefficients of a field, by fftn of its samples."""
+    axes = tuple(range(1, field.grid.dim + 1))
+    return np.fft.fftn(field.to_physical(), axes=axes, norm="forward")
+
+
+def half(grid, full):
+    """The rfft half-spectrum of full-lattice coefficients."""
+    return np.ascontiguousarray(full[..., :grid.n // 2 + 1])
 
 
 def _set_mean_slots(a, values):
@@ -105,7 +125,7 @@ class TestStepExactness:
             got = stepper.to_state(out)
             amp = got.mode_amplitude(k)
             assert abs(amp - abs(factor)) <= 1e-14 * abs(factor)
-            idx = (slice(None),) + grid.mode_index(k)
+            idx = (slice(None),) + grid.mode_index(k)[0]
             assert np.max(np.abs(got.coeffs[idx] - factor * u0.coeffs[idx])) \
                 <= 1e-14 * abs(factor)
 
@@ -159,7 +179,7 @@ class TestStepExactness:
 
         monkeypatch.setattr(Stepper, "rhs", counted)
         a = stepper.from_state(
-            SpectralField(grid32, np.zeros((2, 32, 32), complex)))
+            SpectralField(grid32, np.zeros((2,) + grid32.half_shape, complex)))
         out = stepper.step(a, 0.0)
         assert calls == [0.0, 5e-3, 5e-3, 1e-2]
         assert np.max(np.abs(out)) > 0.0
@@ -210,7 +230,8 @@ class TestStepExactness:
                     make_ordered_system(params(alpha=-1.0))):
             stepper = Stepper(sys, grid32, dt=1e-2)
             uh = stepper.from_state(
-                SpectralField(grid32, np.zeros((2, 32, 32), complex)))
+                SpectralField(grid32, np.zeros((2,) + grid32.half_shape,
+                                               complex)))
             for _ in range(3):
                 uh = stepper.step(uh, 0.0)
             assert np.max(np.abs(uh)) == 0.0
@@ -230,15 +251,16 @@ class TestStructuralInvariants:
             f = stepper.to_state(uh)
             assert f.divergence_residual() <= 1e-12
             assert f.hermitian_residual() <= 1e-13 * np.max(np.abs(f.coeffs))
-            phys = np.fft.ifftn(f.coeffs, axes=(1, 2), norm="forward")
-            assert np.max(np.abs(phys.imag)) <= 1e-12 * max(
-                1.0, float(np.max(np.abs(phys.real))))
+            # real: the field is the spectrum of its own samples
+            back = forward(grid32, f.to_physical()).coeffs
+            assert np.max(np.abs(back - f.coeffs)) <= 1e-12 * np.max(
+                np.abs(f.coeffs))
 
     def test_translation_equivariance(self, grid32):
         sys = make_ordered_system(params(alpha=-1.0, gamma0=-0.5))
         u0 = random_solenoidal_field(grid32, 1e-3, 0.5, 5)
         shift = np.array([grid32.length / 8.0, grid32.length / 4.0])
-        phase = np.exp(-1j * np.einsum("a,a...->...", shift, grid32.k))
+        phase = np.exp(-1j * np.einsum("a,a...->...", shift, grid32.k_half))
         u0_shifted = SpectralField(grid32, u0.coeffs * phase)
         cfg = SolverConfig(dt=5e-3, t_end=0.2)
         t1 = run(u0, sys, grid32, cfg)
@@ -256,11 +278,10 @@ class TestStructuralInvariants:
         stepper = Stepper(sys, grid32, dt=1e-3)
         uh = stepper.cartesian(stepper.from_state(u0))
         G = stepper._nonlinear_G(uh).reshape((2,) + grid32.half_shape)
-        from lfsim.spectral import from_half, gradient_coeffs, pad_spectrum, \
-            truncate_spectrum
-        G_full = from_half(grid32, G)
-        coeffs = zero_nyquist(grid32, u0.coeffs.copy())
-        grads = gradient_coeffs(grid32, coeffs).reshape((4,) + grid32.shape)
+        from lfsim.spectral import pad_spectrum, truncate_spectrum
+        coeffs = zero_nyquist(grid32, full_coeffs(u0))
+        grads = (1j * full_lattice_k(grid32, deriv=True)[:, None]
+                 * coeffs).reshape((4,) + grid32.shape)
         fine = np.real(np.fft.ifftn(
             pad_spectrum(grid32, np.concatenate([coeffs, grads]), 64),
             axes=(1, 2), norm="forward"))
@@ -270,8 +291,8 @@ class TestStructuralInvariants:
         conv = p.lambda0 * adv + p.beta * s * uf
         conv_hat = zero_nyquist(grid32, truncate_spectrum(
             grid32, np.fft.fftn(conv, axes=(1, 2), norm="forward")))
-        lhs = project_coeffs(grid32, G_full)
-        rhs = project_coeffs(grid32, conv_hat)
+        lhs = project_coeffs(grid32, G)
+        rhs = project_coeffs(grid32, half(grid32, conv_hat))
         scale = max(np.max(np.abs(rhs)), 1e-30)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
@@ -306,10 +327,10 @@ class TestStructuralInvariants:
         assert len(err.value.trajectory.times) == 0
 
     def test_initial_must_be_solenoidal(self, grid32):
-        bad = np.zeros((2, 32, 32), complex)
-        idx = grid32.mode_index([0.5, 0.0])
+        bad = np.zeros((2,) + grid32.half_shape, complex)
+        idx, _ = grid32.mode_index([0.5, 0.0])
         bad[(slice(None),) + idx] = [1.0, 0.0]          # pure gradient mode
-        bad[(slice(None),) + grid32.mode_index([-0.5, 0.0])] = [1.0, 0.0]
+        bad[(slice(None),) + grid32.mode_index([-0.5, 0.0])[0]] = [1.0, 0.0]
         with pytest.raises(ValueError, match="solenoidal"):
             run(SpectralField(grid32, bad), make_disordered_system(params()),
                 grid32, SolverConfig(dt=1e-3, t_end=1e-2))
@@ -319,9 +340,9 @@ class TestStructuralInvariants:
     def test_unmeasurable_divergence_is_rejected(self, grid32, amplitude):
         # u1 = amplitude cos(0.1 x1) has relative divergence 0.1; at 1e200
         # its squared coefficients overflow, at inf and nan it reads nan
-        bad = np.zeros((2, 32, 32), complex)
+        bad = np.zeros((2,) + grid32.half_shape, complex)
         for k in ([0.1, 0.0], [-0.1, 0.0]):
-            bad[(0,) + grid32.mode_index(k)] = 0.5 * amplitude
+            bad[(0,) + grid32.mode_index(k)[0]] = 0.5 * amplitude
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not solenoidal"):
@@ -361,17 +382,16 @@ class TestThreeDimensional:
         assert np.max(traj.series["div_residual"]) <= 1e-12
 
     def test_rotational_equals_convective_3d(self, grid3d):
-        from lfsim.spectral import from_half, gradient_coeffs, pad_spectrum, \
-            truncate_spectrum
+        from lfsim.spectral import pad_spectrum, truncate_spectrum
         p = params(alpha=0.0, gamma0=1.0, dim=3)
         sys = make_disordered_system(p)
         u0 = random_solenoidal_field(grid3d, 0.3, 0.5, 23)
         stepper = Stepper(sys, grid3d, dt=1e-3)
         uh = stepper.cartesian(stepper.from_state(u0))
         G = stepper._nonlinear_G(uh).reshape((3,) + grid3d.half_shape)
-        G_full = from_half(grid3d, G)
-        coeffs = zero_nyquist(grid3d, u0.coeffs.copy())
-        grads = gradient_coeffs(grid3d, coeffs).reshape((9,) + grid3d.shape)
+        coeffs = zero_nyquist(grid3d, full_coeffs(u0))
+        grads = (1j * full_lattice_k(grid3d, deriv=True)[:, None]
+                 * coeffs).reshape((9,) + grid3d.shape)
         fine = np.real(np.fft.ifftn(
             pad_spectrum(grid3d, np.concatenate([coeffs, grads]), 32),
             axes=(1, 2, 3), norm="forward"))
@@ -380,14 +400,15 @@ class TestThreeDimensional:
             + p.beta * np.sum(uf * uf, axis=0) * uf
         conv_hat = zero_nyquist(grid3d, truncate_spectrum(
             grid3d, np.fft.fftn(conv, axes=(1, 2, 3), norm="forward")))
-        lhs = project_coeffs(grid3d, G_full)
-        rhs = project_coeffs(grid3d, conv_hat)
+        lhs = project_coeffs(grid3d, G)
+        rhs = project_coeffs(grid3d, half(grid3d, conv_hat))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 class TestNonlinearRhs:
     def test_zero_state_is_equilibrium(self, grid32):
-        zero = SpectralField(grid32, np.zeros((2, 32, 32), complex))
+        zero = SpectralField(grid32,
+                             np.zeros((2,) + grid32.half_shape, complex))
         for sys in (make_disordered_system(params()),
                     make_ordered_system(params(alpha=-1.0))):
             out = nonlinear_rhs(SolverState(0.0, zero, sys, grid32))
@@ -397,7 +418,7 @@ class TestNonlinearRhs:
         # at mode k the tendency is -alpha*u plus O(eps^2) couplings
         sys = make_disordered_system(params(alpha=0.4))
         k = (0.5, 0.0)
-        idx = (slice(None),) + grid32.mode_index(k)
+        idx = (slice(None),) + grid32.mode_index(k)[0]
         resid = []
         for eps in (1e-3, 1e-4):
             u0 = single_mode_field(grid32, k, [0.0, 1.0], eps)
@@ -416,12 +437,12 @@ class TestNonlinearRhs:
         u0 = single_mode_field(grid32, k, [0.0, 1.0], 1e-3)
         out = nonlinear_rhs(SolverState(0.0, u0, sys, grid32),
                             linearized=True)
-        kvec = grid32.k
+        kvec = grid32.k_half
         expect = -1j * 1.7 * (sys.V[0] * kvec[0]) * u0.coeffs
         assert np.max(np.abs(out.coeffs - expect)) <= 1e-15
 
     def test_rejects_nonfinite_state(self, grid32):
-        bad = np.zeros((2, 32, 32), complex)
+        bad = np.zeros((2,) + grid32.half_shape, complex)
         bad[0, 1, 1] = np.nan
         sys = make_disordered_system(params())
         with pytest.raises(BlowUpError):
@@ -457,9 +478,9 @@ class TestNonlinearRhs:
         for linearized, forcing in ((False, None), (True, None),
                                     (True, lambda t: f)):
             G = 0.0 if linearized else stepper._nonlinear_G(u)
-            want = stepper._field(_kernels.assemble_rhs(
+            want = _kernels.assemble_rhs(
                 G, u, sys.M, k.astype(complex), stepper.ksq_flat, kv,
-                np.empty_like(u))).coeffs
+                np.empty_like(u)).reshape((dim,) + grid.half_shape)
             if forcing is not None:
                 want += zero_nyquist(grid, project_coeffs(grid, f.coeffs))
             got = nonlinear_rhs(state, linearized=linearized,
@@ -476,15 +497,15 @@ class TestNonlinearRhs:
         # a pure gradient at k || V: the drift alone would not vanish there
         k = np.zeros(dim)
         k[0] = 2.0 * grid.dk
-        coeffs = np.zeros((dim,) + grid.shape, complex)
-        for kk in (k, -k):
-            coeffs[(0,) + grid.mode_index(kk)] = 0.5
+        coeffs = np.zeros((dim,) + grid.half_shape, complex)
+        for kk in (k, -k):   # both on the plane m_last = 0
+            coeffs[(0,) + grid.mode_index(kk)[0]] = 0.5
         grad = SolverState(0.0, SpectralField(grid, coeffs), sys, grid)
         # a random solenoidal u and u plus the gradient of a random scalar
         u0 = random_solenoidal_field(grid, 0.3, 0.6, 5)
-        phi = np.fft.fftn(np.random.default_rng(8).standard_normal(
+        phi = np.fft.rfftn(np.random.default_rng(8).standard_normal(
             grid.shape), norm="forward")
-        g = zero_nyquist(grid, 1j * grid.k * phi)
+        g = zero_nyquist(grid, 1j * grid.k_half * phi)
         g *= np.max(np.abs(u0.coeffs)) / np.max(np.abs(g))
         u = SolverState(0.0, u0, sys, grid)
         ug = SolverState(0.0, SpectralField(grid, u0.coeffs + g), sys, grid)
@@ -569,7 +590,7 @@ class TestRunLoop:
         def forcing(t):
             return fhat
 
-        u0 = SpectralField(grid32, np.zeros((2, 32, 32), complex))
+        u0 = SpectralField(grid32, np.zeros((2,) + grid32.half_shape, complex))
         cfg = SolverConfig(dt=5e-3, t_end=40.0, diagnostics_interval=1.0)
         traj = run(u0, sys, grid32, cfg, forcing=forcing, linearized=True,
                    tracked_wavevectors=[tuple(k)])
@@ -649,10 +670,12 @@ def _reference_row(stepper, t, u, tracked):
         "n_inner": n_inner,
         "f_inner": f_inner,
     }
-    coeffs = stepper._field(u).coeffs
+    full = full_coeffs(SpectralField(grid, u.reshape((grid.dim,)
+                                                     + grid.half_shape)))
     for k in tracked:
-        row[amp_label(k)] = np.sqrt(np.sum(np.abs(
-            coeffs[(slice(None),) + grid.mode_index(k)]) ** 2))
+        m = tuple(round(c / grid.dk) % grid.n for c in k)
+        row[amp_label(k)] = np.sqrt(np.sum(np.abs(full[(slice(None),) + m])
+                                           ** 2))
     return row
 
 
@@ -711,13 +734,47 @@ class TestSampler:
         assert np.array_equal(u, before)
 
 
+class TestLayout:
+    """Every producer of a SpectralField, and the dealiased product, holds
+    the rfft half-spectrum, (dim,) + grid.half_shape."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_fields_hold_the_half_spectrum(self, dim, n):
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        sys = make_ordered_system(params(dim=dim, alpha=-0.5))
+        phys = np.random.default_rng(1).standard_normal((dim,) + grid.shape)
+        k, pol = np.zeros(dim), np.zeros(dim)
+        k[0], pol[1] = grid.dk, 1.0
+        u0 = random_solenoidal_field(grid, 0.1, 0.5, 3)
+        state = SolverState(0.0, u0, sys, grid)
+        cfg = SolverConfig(dt=1e-2, t_end=2e-2)
+        fields = {
+            "forward": forward(grid, phys),
+            "leray_project": leray_project(forward(grid, phys)),
+            "random_solenoidal_field": u0,
+            "single_mode_field": single_mode_field(grid, k, pol, 0.1),
+            "run": run(u0, sys, grid, cfg).final.u_hat,
+            "step": step(state, cfg).u_hat,
+            "nonlinear_rhs": nonlinear_rhs(state)}
+        for name, f in fields.items():
+            assert f.coeffs.shape == (dim,) + grid.half_shape, name
+        assert dealiased_product(grid, phys[:2]).shape == grid.half_shape
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_full_lattice_coefficients_are_rejected(self, dim, n):
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        with pytest.raises(ValueError, match="half-spectrum"):
+            SpectralField(grid, np.zeros((dim,) + grid.shape, complex))
+
+
 class TestInitialData:
     def test_random_field_properties(self, grid32):
         f = random_solenoidal_field(grid32, 0.05, 0.5, 123)
         assert f.divergence_residual() < 1e-13
         assert f.hermitian_residual() < 1e-15
         assert np.all(f.coeffs[:, 0, 0] == 0.0)
-        rms = math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2)))
+        rms = math.sqrt(float(np.sum(grid32.parseval_weight_half
+                                     * np.abs(f.coeffs) ** 2)))
         assert abs(rms - 0.05) < 1e-12
 
     def test_huge_random_field_reads_solenoidal(self, grid32):
@@ -803,7 +860,7 @@ def _convective_pressure(state):
     grid, system = state.grid, state.system
     p = system.params
     d = grid.dim
-    uh = zero_nyquist(grid, to_half(grid, state.u_hat.coeffs))
+    uh = zero_nyquist(grid, state.u_hat.coeffs.copy())
     grads = 1j * grid.k_deriv_half[:, None] * uh
     lattice = FineLattice(grid, d + d * d)
 
@@ -846,7 +903,7 @@ class TestPressure:
     def test_zero_state(self, grid32):
         sys = make_disordered_system(params())
         state = SolverState(0.0, SpectralField(
-            grid32, np.zeros((2, 32, 32), complex)), sys, grid32)
+            grid32, np.zeros((2,) + grid32.half_shape, complex)), sys, grid32)
         out = recover_pressure(state)
         assert np.max(np.abs(out.grad_q)) == 0.0
         assert np.max(np.abs(out.q)) == 0.0
@@ -858,8 +915,8 @@ class TestPressure:
             sys = make_ordered_system(params(alpha=-1.0, lambda1=0.3, dim=d))
             u0 = random_solenoidal_field(grid, 0.1, 0.6, 31)
             out = recover_pressure(SolverState(0.0, u0, sys, grid))
-            gq = np.fft.fftn(out.grad_q, axes=tuple(range(1, d + 1)),
-                             norm="forward")
+            gq = np.fft.rfftn(out.grad_q, axes=tuple(range(1, d + 1)),
+                              norm="forward")
             curl = curl_coeffs(grid, gq)
             assert np.max(np.abs(curl)) <= 1e-12 * max(
                 1.0, float(np.max(np.abs(gq)))), grid
@@ -895,7 +952,7 @@ class TestPressure:
         out = recover_pressure(state, with_physical_pressure=True)
         assert abs(np.mean(out.q)) < 1e-13
         # independent route: |v|^2 formed exactly on a fine lattice
-        vhat = u0.coeffs.copy()
+        vhat = full_coeffs(u0)
         vhat[:, 0, 0] += sys.V
         vf = np.real(np.fft.ifftn(pad_spectrum(grid32, vhat, 64),
                                   axes=(1, 2), norm="forward"))
@@ -1105,22 +1162,23 @@ class TestStepAllocations:
     def test_run_builds_no_full_table_after_its_stepper(self, tmp_path,
                                                         monkeypatch):
         # `lf run` of the 3D decay config, with snapshots: once its Stepper
-        # exists, no step, sample, snapshot or check reads a full-lattice
-        # table (the grid held all four, 2.5 MB at n = 32, through a run)
+        # exists, no step, sample, snapshot or check builds a wavevector
+        # table (the grid held four full-lattice ones, 2.5 MB at n = 32,
+        # through a run; it has only its half-spectrum tables now)
         from lfsim.cli import main
         built, late = [], []
-        init = Stepper.__init__
+        init, modes = Stepper.__init__, SpectralGrid._modes
 
         def spy_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             built.append(True)
+
+        def spy_modes(grid, *args, **kwargs):
+            if built:
+                late.append(args)
+            return modes(grid, *args, **kwargs)
         monkeypatch.setattr(Stepper, "__init__", spy_init)
-        for name in ("mode_numbers", "k", "k_deriv", "ksq"):
-            def spy(grid, name=name, table=getattr(SpectralGrid, name)):
-                if built:
-                    late.append(name)
-                return table.fget(grid)
-            monkeypatch.setattr(SpectralGrid, name, property(spy))
+        monkeypatch.setattr(SpectralGrid, "_modes", spy_modes)
         config = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "configs", "nonlinear_decay.cfg")
         argv = ["run", config, "--out", str(tmp_path)]
@@ -1158,12 +1216,12 @@ class TestStepAllocations:
 
 
     def test_run_peak_is_a_step_or_sample_peak(self, monkeypatch):
-        # the final state's Cartesian rows are staged in the lattice, and
-        # from_half builds the conjugate tail in place: with a Cartesian
-        # buffer of its own and the conj and take temporaries, to_state
-        # took this run (3D n = 16) from the 4105 KB peak of its steps and
-        # samples to 4441 KB; at 3D n = 32 its 1.5 MB field rose 310 KB
-        # above that peak until the run freed the stage buffers first
+        # with a Cartesian buffer of its own and the conj and take
+        # temporaries of the full-lattice conversion, to_state took this
+        # run (3D n = 16) from the 4105 KB peak of its steps and samples to
+        # 4441 KB; at 3D n = 32 its 1.5 MB full-lattice field rose 310 KB
+        # above that peak until the run freed the stage buffers first; the
+        # field is now the Cartesian half-spectrum itself
         import tracemalloc
         sys = make_disordered_system(params(dim=3, alpha=0.5))
         cfg = SolverConfig(dt=1e-3, t_end=2e-3, diagnostics_interval=1e-3)
@@ -1618,7 +1676,8 @@ class TestSlotBasis:
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
     def test_lattice_growth_rates(self, dim, n, kind):
         # the closed forms of M = alpha I (rest) and M = 2 beta V V^T
-        # (polar), on every mode of the full lattice: the restricted M's
+        # (polar), on every mode of the half-spectrum (the rate of -k is
+        # that of k): the restricted M's
         # least eigenvalue is alpha at rest; for the polar state
         # 2 beta (V.k-hat-perp)^2 in 2D (0 at k = 0), and 0 in 3D, where
         # some x perp {V, k} always exists
@@ -1626,12 +1685,13 @@ class TestSlotBasis:
         sys = self.SYSTEMS[kind](dim)
         p = sys.params
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
-        ksq = grid.ksq
+        ksq = grid.ksq_half
         if kind == "rest":
             mu = np.full_like(ksq, p.alpha)
         elif dim == 2:
             knorm = np.sqrt(np.where(ksq > 0, ksq, 1.0))
-            vdot = (sys.V[0] * -grid.k[1] + sys.V[1] * grid.k[0]) / knorm
+            vdot = (sys.V[0] * -grid.k_half[1] + sys.V[1] * grid.k_half[0]) \
+                / knorm
             mu = np.where(ksq > 0, 2.0 * p.beta * vdot**2, 0.0)
         else:
             mu = np.zeros_like(ksq)
@@ -1682,7 +1742,7 @@ class TestMeanSlot:
         mu = lam[-1].real
         assert lam[-1].imag == 0.0 and np.all(np.abs(lam[:-1] - mu) > 0.5)
         mean = (slice(None),) + (0,) * dim
-        coeffs = np.zeros((dim,) + grid.shape, complex)
+        coeffs = np.zeros((dim,) + grid.half_shape, complex)
         coeffs[mean] = 0.3 * Q[:, -1, 0]
         config = SolverConfig(dt=1e-2, t_end=1.0, diagnostics_interval=0.1)
         traj = run(SpectralField(grid, coeffs), sys, grid, config,

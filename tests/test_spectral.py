@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import lfsim
 from lfsim.lattice import dealiased_product, l4_norm_4
 from lfsim.spectral import (SpectralField, SpectralGrid, divergence_coeffs,
-                            forward, from_half, gradient_coeffs, inner_l2,
-                            inverse, l2_norm_sq, leray_project, pad_spectrum,
-                            project_coeffs, read_snapshot, to_half,
-                            truncate_spectrum, write_snapshot, zero_nyquist)
+                            forward, gradient_coeffs, inner_l2, inverse,
+                            l2_norm_sq, leray_project, pad_spectrum,
+                            project_coeffs, read_snapshot, truncate_spectrum,
+                            write_snapshot, zero_nyquist)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +25,15 @@ def grid16():
 def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     return forward(grid, rng.standard_normal((grid.dim,) + grid.shape))
+
+
+def full_lattice_k(grid):
+    """The wavevectors of the whole n^dim lattice in FFT storage order, the
+    Nyquist mode at +n/2: the reference the half-spectrum tables slice."""
+    m1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(np.int64)
+    m1[grid.n // 2] = grid.n // 2
+    m = np.stack(np.meshgrid(*([m1] * grid.dim), indexing="ij"))
+    return m, grid.dk * m.astype(float)
 
 
 class TestGrid:
@@ -39,29 +48,26 @@ class TestGrid:
             SpectralGrid(4, 16, 1.0)
 
     def test_mode_zero_is_zero_vector(self, grid16):
-        assert np.all(grid16.k[:, 0, 0] == 0.0)
+        assert np.all(grid16.k_half[:, 0, 0] == 0.0)
 
     def test_wavevector_values(self):
         g = SpectralGrid(2, 8, 4.0)
         dk = 2.0 * np.pi / 4.0
-        assert np.allclose(g.k[0, :, 0] / dk, [0, 1, 2, 3, 4, -3, -2, -1])
+        assert np.allclose(g.k_half[0, :, 0] / dk, [0, 1, 2, 3, 4, -3, -2, -1])
+        assert np.allclose(g.k_half[1, 0, :] / dk, [0, 1, 2, 3, 4])
         # unpaired mode mapped to +n/2, and excluded from odd derivatives
-        assert g.mode_numbers[0, 4, 0] == 4
-        assert g.k_deriv[0, 4, 0] == 0.0
+        assert g.k_half[0, 4, 0] == 4 * dk
+        assert g.k_deriv_half[0, 4, 0] == 0.0
+        assert g.k_deriv_half[1, 0, 4] == 0.0
 
     @pytest.mark.parametrize("dim,n,length", [(2, 16, 2.0 * np.pi),
                                               (2, 10, 3.7), (3, 8, 20.0)])
     def test_tables_are_the_formulas(self, dim, n, length):
         g = SpectralGrid(dim, n, length)
-        m1 = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        m1[n // 2] = n // 2
-        m = np.stack(np.meshgrid(*([m1] * dim), indexing="ij"))
-        k = g.dk * m.astype(float)
+        m, k = full_lattice_k(g)
         kd = np.where(m == n // 2, 0.0, k)
         h = n // 2 + 1
-        want = {"mode_numbers": m, "k": k, "k_deriv": kd,
-                "ksq": np.sum(k**2, axis=0), "k_half": k[..., :h],
-                "k_deriv_half": kd[..., :h],
+        want = {"k_half": k[..., :h], "k_deriv_half": kd[..., :h],
                 "ksq_half": np.sum(k**2, axis=0)[..., :h]}
         for name, ref in want.items():
             got = getattr(g, name)
@@ -74,8 +80,7 @@ class TestGrid:
     def test_grid_holds_only_its_half_tables(self):
         # the full-lattice mode numbers, k, k_deriv and ksq, held from
         # __init__, took a 3D n = 32 grid with the half tables that a run
-        # reads to 3241 KB; they are now built on each use and dropped,
-        # up to first-call caches of the interpreter and numpy (< 1 KB)
+        # reads to 3241 KB; the grid has no full-lattice table at all now
         import tracemalloc
         tracemalloc.start()
         try:
@@ -83,17 +88,23 @@ class TestGrid:
             g = SpectralGrid(3, 32, 20.0 * np.pi)
             g.k_half, g.ksq_half, g.parseval_weight_half
             held, _ = tracemalloc.get_traced_memory()
-            assert g.k.shape == (3, 32, 32, 32) and g.ksq.shape == (32,) * 3
-            g.mode_numbers, g.k_deriv
-            after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (held - before) / 1024 <= 1024
-        assert (after - held) / 1024 <= 4
+        for name in ("mode_numbers", "k", "k_deriv", "ksq"):
+            assert not hasattr(g, name), name
 
     def test_mode_index_roundtrip(self, grid16):
-        idx = grid16.mode_index([3.0, -2.0])
-        assert np.allclose(grid16.k[(slice(None),) + idx], [3.0, -2.0])
+        # a k with -n/2 < m_last < 0 is found as its stored partner -k;
+        # the planes m_last = 0 and n/2 hold k itself
+        for k, conjugate in (([3.0, 2.0], False), ([3.0, -2.0], True),
+                             ([-3.0, 0.0], False), ([3.0, -8.0], False),
+                             ([-8.0, -7.0], True)):
+            idx, got = grid16.mode_index(k)
+            assert got is conjugate, k
+            stored = grid16.k_half[(slice(None),) + idx]
+            sign = -1.0 if conjugate else 1.0
+            assert np.array_equal(sign * np.asarray(k) % 16, stored % 16), k
         with pytest.raises(ValueError, match="lattice"):
             grid16.mode_index([0.5, 0.0])
 
@@ -132,7 +143,7 @@ class TestTransforms:
         f = forward(g, phys)
         idx = np.arange(8)
         for mi in range(8):
-            for mj in range(8):
+            for mj in range(5):   # the half-spectrum's columns
                 phase = np.exp(-2j * np.pi * (mi * idx[:, None]
                                               + mj * idx[None, :]) / 8)
                 direct = np.sum(phys * phase, axis=(1, 2)) / 64.0
@@ -170,7 +181,7 @@ class TestLeray:
     def test_gradient_direction_annihilated(self, grid16):
         f = random_field(grid16)
         f.coeffs[:] = 0.0
-        idx = grid16.mode_index([1.0, 0.0])
+        idx, _ = grid16.mode_index([1.0, 0.0])
         f.coeffs[(slice(None),) + idx] = [1.0, 0.0]
         out = leray_project(f)
         assert np.max(np.abs(out.coeffs)) < 1e-15
@@ -178,7 +189,7 @@ class TestLeray:
     def test_transverse_mode_preserved(self, grid16):
         f = random_field(grid16)
         f.coeffs[:] = 0.0
-        idx = grid16.mode_index([1.0, 0.0])
+        idx, _ = grid16.mode_index([1.0, 0.0])
         f.coeffs[(slice(None),) + idx] = [0.0, 1.0]
         out = leray_project(f)
         assert np.allclose(out.coeffs[(slice(None),) + idx], [0.0, 1.0])
@@ -186,7 +197,7 @@ class TestLeray:
     def test_diagonal_mode(self, grid16):
         f = random_field(grid16)
         f.coeffs[:] = 0.0
-        idx = grid16.mode_index([1.0, 1.0])
+        idx, _ = grid16.mode_index([1.0, 1.0])
         f.coeffs[(slice(None),) + idx] = [1.0, 0.0]
         out = leray_project(f)
         assert np.allclose(out.coeffs[(slice(None),) + idx], [0.5, -0.5])
@@ -208,12 +219,17 @@ class TestLeray:
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
     def test_half_spectrum_projection_is_the_full_ones_half(self, dim, n):
-        # a forced run projects its forcing on the rfft half, where it
-        # projected on the full lattice and then sliced the half
+        # fields are projected on the rfft half, where they were once
+        # projected on the full lattice and then sliced to the half
         g = SpectralGrid(dim, n, 5.0)
-        c = random_field(g, 8).coeffs
-        want = to_half(g, leray_project(SpectralField(g, c)).coeffs)
-        assert np.array_equal(project_coeffs(g, to_half(g, c)), want)
+        phys = np.random.default_rng(8).standard_normal((dim,) + g.shape)
+        c = np.fft.fftn(phys, axes=tuple(range(1, dim + 1)), norm="forward")
+        _, k = full_lattice_k(g)
+        ksq = np.sum(k**2, axis=0)
+        ksq[ksq == 0.0] = 1.0
+        full = c - k * (np.einsum("a...,a...->...", k, c) / ksq)
+        half = np.ascontiguousarray(c[..., :n // 2 + 1])
+        assert np.array_equal(project_coeffs(g, half), full[..., :n // 2 + 1])
 
     def test_self_adjoint(self, grid16):
         f = random_field(grid16, 6)
@@ -229,11 +245,13 @@ class TestDerivatives:
         assert np.max(np.abs(gradient_coeffs(grid16, f.coeffs))) == 0.0
 
     def test_gradient_is_real(self, grid16):
+        # in the half-spectrum a real field is one whose self-conjugate
+        # planes are Hermitian
         f = random_field(grid16, 8)
         zero_nyquist(grid16, f.coeffs)
         g = gradient_coeffs(grid16, f.coeffs)
-        phys = np.fft.ifftn(g, axes=(2, 3), norm="forward")
-        assert np.max(np.abs(phys.imag)) < 1e-13
+        for a in range(2):
+            assert SpectralField(grid16, g[a]).hermitian_residual() < 1e-13
 
 
 class TestDealiasedProduct:
@@ -300,7 +318,7 @@ class TestDealiasedProduct:
             fine.append(f)
         got = dealiased_product(g, coarse)
         exact_fine = np.fft.fftn(fine[0] * fine[1] * fine[2], norm="forward")
-        expect = truncate_spectrum(g, exact_fine)
+        expect = truncate_spectrum(g, exact_fine)[..., :n // 2 + 1]
         zero_nyquist(g, expect)
         scale = max(1.0, float(np.max(np.abs(expect))))
         assert np.max(np.abs(got - expect)) <= 1e-12 * scale
@@ -312,7 +330,7 @@ class TestDealiasedProduct:
                                     for s in (5, 6))
         got = dealiased_product(g, [c0, c1])
         expect = truncate_spectrum(g, np.fft.fftn(f0 * f1, norm="forward"))
-        zero_nyquist(g, expect)
+        expect = zero_nyquist(g, expect[..., :n // 2 + 1])
         assert np.max(np.abs(got - expect)) <= 1e-12
 
     @pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
@@ -320,7 +338,7 @@ class TestDealiasedProduct:
         # |u|^4 holds modes |m| < 2n: the 2n^dim lattice integrates it exactly
         g = SpectralGrid(dim, n, 2.0)
         comps = [self._band_limited(g, 2 * n, seed) for seed in range(dim)]
-        u = SpectralField(g, np.stack([c[0] for c in comps]))
+        u = SpectralField(g, np.stack([c[0][..., :n // 2 + 1] for c in comps]))
         s = sum(c[2] ** 2 for c in comps)
         expect = g.volume * float(np.mean(s * s))
         assert abs(l4_norm_4(u) - expect) <= 1e-12 * expect
@@ -331,8 +349,10 @@ def test_src_does_not_use_the_padding_oracle():
     # products are tested against, and _kernels.assemble_rhs/leray the
     # Cartesian tendency that nonlinear_rhs is tested against, so no
     # program code may call, import or alias them outside their own
-    # definitions
-    oracle = {"pad_spectrum", "truncate_spectrum", "assemble_rhs", "leray"}
+    # definitions; and fields hold the half-spectrum only, so neither the
+    # full-lattice transforms nor a conversion to or from them may return
+    oracle = {"pad_spectrum", "truncate_spectrum", "assemble_rhs", "leray",
+              "from_half", "to_half", "fftn", "ifftn"}
     uses = []
     for path in sorted(pathlib.Path(lfsim.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -369,19 +389,27 @@ class TestPadTruncate:
 
 
 class TestHalfSpectrum:
+    """The rfft half-spectrum is the whole of a real field; the full lattice
+    appears here only as the tests' reference, by numpy's fftn/ifftn."""
+
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
     def test_roundtrip(self, dim, n):
+        # forward's half is the full lattice's, sliced; inverse of that
+        # half gives back the samples
         g = SpectralGrid(dim, n, 1.0)
-        f = random_field(g, seed=dim)
-        full = f.coeffs
-        back = from_half(g, to_half(g, full))
-        assert np.max(np.abs(back - full)) < 1e-14
+        phys = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
+        axes = tuple(range(1, dim + 1))
+        full = np.fft.fftn(phys, axes=axes, norm="forward")
+        f = forward(g, phys)
+        assert np.max(np.abs(f.coeffs - full[..., :n // 2 + 1])) < 1e-14
+        assert np.max(np.abs(inverse(f) - phys)) < 1e-13
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8), (3, 10)])
-    def test_from_half_matches_the_mirrored_tail(self, dim, n):
-        # the tail by conj, flip and np.take along each leading axis, as
-        # from_half built it with temporaries, on a half-spectrum that is
-        # not Hermitian on the k_last = 0 plane (its tail ignores that)
+    def test_inverse_is_the_full_lattice_with_its_mirrored_tail(self, dim, n):
+        # a half-spectrum that is not Hermitian on its self-conjugate
+        # planes names the full lattice whose tail is the conjugate, flip
+        # and np.take of it along each leading axis; inverse gives that
+        # field's real part, dropping the planes' anti-Hermitian part
         g = SpectralGrid(dim, n, 1.0)
         rng = np.random.default_rng(n + dim)
         shape = (dim,) + g.half_shape
@@ -390,8 +418,50 @@ class TestHalfSpectrum:
         tail = np.flip(np.conj(half[..., 1:h]), axis=-1)
         for ax in range(1, dim):
             tail = np.take(tail, (-np.arange(n)) % n, axis=ax)
-        assert np.array_equal(from_half(g, half),
-                              np.concatenate([half, tail], axis=-1))
+        full = np.concatenate([half, tail], axis=-1)
+        want = np.real(np.fft.ifftn(full, axes=tuple(range(1, dim + 1)),
+                                    norm="forward"))
+        got = inverse(SpectralField(g, half))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestHermitianResidual:
+    """The half-spectrum stores both k and -k on the planes m_last = 0 and
+    n/2; `hermitian_residual` is how far those pairs are from a real
+    field's c(-k) = conj c(k)."""
+
+    @pytest.mark.parametrize("dim,n,m", [(2, 16, (3, 0)), (3, 8, (1, -2, 0)),
+                                         (2, 16, (5, 8))])
+    def test_planted_anti_hermitian_pair_reads_its_defect(self, dim, n, m):
+        g = SpectralGrid(dim, n, 2.0 * np.pi)
+        k = np.zeros(dim)
+        k[0] = 2.0
+        pol = np.zeros(dim)
+        pol[1] = 1.0
+        f = lfsim.single_mode_field(g, k, pol, 0.6)   # on the plane, real
+        assert f.hermitian_residual() == 0.0
+        d = np.array([0.3 - 0.4j] + [0.1j] * (dim - 1))
+        (idx, _), (neg, _) = g.mode_index(m), g.mode_index(-np.asarray(m))
+        f.coeffs[(slice(None),) + idx] += d
+        f.coeffs[(slice(None),) + neg] -= np.conj(d)
+        assert f.hermitian_residual() == 2.0 * np.max(np.abs(d))
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8), (3, 10)])
+    def test_forward_of_real_samples_is_hermitian(self, dim, n):
+        g = SpectralGrid(dim, n, 3.0)
+        f = random_field(g, seed=n)
+        assert f.hermitian_residual() <= 1e-15 * np.max(np.abs(f.coeffs))
+
+    @pytest.mark.parametrize("dim,n,k", [(2, 16, (3.0, -2.0)),
+                                         (2, 16, (-7.0, 5.0)),
+                                         (3, 8, (1.0, -3.0, 2.0)),
+                                         (3, 8, (0.0, 2.0, -1.0))])
+    def test_mode_amplitude_is_even_off_the_plane(self, dim, n, k):
+        g = SpectralGrid(dim, n, 2.0 * np.pi)
+        f = random_field(g, seed=dim)
+        k = np.asarray(k)
+        assert g.mode_index(k)[1] != g.mode_index(-k)[1]
+        assert f.mode_amplitude(k) == f.mode_amplitude(-k) > 0.0
 
 
 class TestSnapshots:

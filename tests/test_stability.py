@@ -284,6 +284,11 @@ class TestLatticeMaxGrowth:
         rate, k = lattice_max_growth(make_disordered_system(p), grid)
         assert abs(rate - 0.15) < 1e-4   # (0.5, 0.5) lattice hit is exact
         assert abs(np.dot(k, k) - 0.5) < 1e-12
+        # the representative is the first maximum the half-spectrum stores
+        rates = lattice_growth_rates(make_disordered_system(p), grid)
+        first = np.unravel_index(np.argmax(rates), grid.half_shape)
+        assert rates.shape == grid.half_shape
+        assert np.array_equal(k, grid.k_half[(slice(None),) + first])
 
     def test_ordered_2d_witness_along_v(self):
         p = params(alpha=-1.0, gamma0=-0.5)
@@ -291,6 +296,23 @@ class TestLatticeMaxGrowth:
         rate, k = lattice_max_growth(make_ordered_system(p, [1.0, 0.0]), grid)
         assert abs(rate - 0.0625) < 1e-12
         assert k[1] == 0.0 and abs(abs(k[0]) - 0.5) < 1e-12
+
+
+    def test_default_instability_modes_break_ties_in_half_order(self):
+        # at dk = 1 the rest state's fastest |m|^2 is 5, on 4 +-k pairs of
+        # exactly equal rate; each is reported as its member whose first
+        # nonzero mode number is positive, the pairs in the order the
+        # half-spectrum stores them: (1, 2), (2, 1), then (-2, 1) and
+        # (-1, 2), the stored partners of (2, -1) and (1, -2)
+        from lfsim.experiments import _default_instability_modes
+        grid = SpectralGrid(2, 16, 2.0 * np.pi)
+        sys = make_disordered_system(params(alpha=0.0, gamma0=-10.0))
+        rates = lattice_growth_rates(sys, grid)
+        assert np.count_nonzero(rates == rates.max()) == 4
+        assert _default_instability_modes(sys, grid, count=4) == [
+            (1.0, 2.0), (2.0, 1.0), (2.0, -1.0), (1.0, -2.0)]
+        assert _default_instability_modes(sys, grid) == [
+            (1.0, 2.0), (2.0, 1.0), (2.0, -1.0)]
 
 
 class TestRatesAgainstTheDenseSymbol:
@@ -312,7 +334,7 @@ class TestRatesAgainstTheDenseSymbol:
                 params(alpha=-0.7, beta=1.3, lambda0=0.6, gamma0=gamma0,
                        dim=dim), V / np.linalg.norm(V))
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
-        k = grid.k.reshape(dim, -1)
+        k = grid.k_half.reshape(dim, -1)   # -k has the rate of k
         dense = np.empty(k.shape[1])
         for m, km in enumerate(k.T):
             S = symbol_at(sys, km).matrix.real
