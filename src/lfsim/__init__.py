@@ -1,9 +1,8 @@
 """lfsim: pseudospectral solver and linear-stability toolkit for the
 generalized Navier-Stokes model of active (bacterial) turbulence."""
 
-from .model import (ModelParams, StateKind, SteadyState, TransformedSystem,
-                    disordered_state, make_disordered_system,
-                    make_ordered_system, ordered_state, untransform)
+from .model import (ModelParams, StateKind, TransformedSystem,
+                    make_disordered_system, make_ordered_system, untransform)
 from .spectral import (SpectralField, SpectralGrid, forward, inverse,
                        l2_norm_sq, leray_project, read_snapshot,
                        write_snapshot)

@@ -104,6 +104,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
+    from .experiments import _axis_modes, _measure_rates
     from .integrate import SolverConfig
     from .model import make_disordered_system, make_ordered_system
     from .spectral import SpectralGrid
@@ -115,11 +116,9 @@ def _cmd_dispersion(args) -> int:
     grid = SpectralGrid(params.dim, args.n, args.box_length)
     system = (make_ordered_system(params) if args.ordered
               else make_disordered_system(params))
-    modes = [tuple((m * grid.dk if a == 0 else 0.0) for a in range(params.dim))
-             for m in range(1, min(args.modes, grid.n // 2 - 1) + 1)]
+    modes = _axis_modes(grid, args.modes)
     measured = {}
     if args.measure:
-        from .experiments import _measure_rates
         cfg = SolverConfig(dt=args.dt, t_end=args.t_end)
         fits, _ = _measure_rates(grid, system, modes, 1e-4, cfg)
         measured = {k: fit.rate for k, fit in fits.items()}

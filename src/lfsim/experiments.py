@@ -253,14 +253,16 @@ def _measure_rates(grid: SpectralGrid, system: TransformedSystem,
 # Experiments
 # --------------------------------------------------------------------------
 
+def _axis_modes(grid: SpectralGrid, count: int) -> list[tuple[float, ...]]:
+    """m dk e1, m = 1..count short of the first axis's Nyquist slot."""
+    return [tuple((m * grid.dk if a == 0 else 0.0) for a in range(grid.dim))
+            for m in range(1, min(count, grid.n // 2 - 1) + 1)]
+
+
 def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     grid = cfg.make_grid()
     system = cfg.make_system()
-    tracked = cfg.tracked_wavevectors
-    if not tracked:   # m = 1..6 on the first axis, short of its Nyquist slot
-        dk = grid.dk
-        tracked = [tuple((m * dk if a == 0 else 0.0) for a in range(grid.dim))
-                   for m in range(1, min(6, grid.n // 2 - 1) + 1)]
+    tracked = cfg.tracked_wavevectors or _axis_modes(grid, 6)
     fits, files = _measure_rates(grid, system, tracked, cfg.amplitude,
                                  cfg.solver, out)
     rows = []

@@ -10,11 +10,14 @@ state v = 0 and, for alpha < 0, constant polar states with swimming speed
 
 Perturbations u = v - V around either steady state satisfy one generic
 system with a drift velocity V, a symmetric zeroth-order matrix M, and a
-quadratic term N(u) = sum_{j,k} a_jk u^j u^k.  This module owns those
-coefficient sets:
+quadratic term N(u) = sum_{j,k} a_jk u^j u^k:
 
     rest state:   V = 0,  M = alpha*I,     N = 0
-    polar state:  V,      M = 2*beta*V V', N(u) = -beta|u|^2 V - 2 beta (u.V) u
+    polar state:  V,      M = 2*beta*V V', N(u) = -beta|u|^2 V - 2 beta (u.V) u,
+                  a_jk = -beta*delta_jk*V - beta*(V_j e_k + V_k e_j)
+
+A `TransformedSystem` is the pair (params, V), its kind and M derived; the
+products (`_kernels`) take N(u) in the closed form from V and beta.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -22,17 +25,15 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "StateKind",
     "ModelParams",
-    "SteadyState",
     "TransformedSystem",
-    "disordered_state",
-    "ordered_state",
     "make_disordered_system",
     "make_ordered_system",
     "untransform",
@@ -83,27 +84,51 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class SteadyState:
-    """A steady state of the model: the rest state or one polar state."""
+class TransformedSystem:
+    """The perturbation system about a steady state: the parameters and the
+    steady velocity V, 0 (the rest state) or a polar velocity with
+    |V|^2 beta = -alpha.  The kind and M follow from them."""
 
-    kind: StateKind
+    params: ModelParams
     V: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "V", np.asarray(self.V, dtype=float))
-        self.V.setflags(write=False)
+        V, d = np.asarray(self.V, dtype=float), self.params.dim
+        if V.shape != (d,):
+            raise ValueError(f"V must have shape ({d},), got {V.shape}")
+        # 0, or the polar speed to the direction's tolerance and roundoff
+        if np.any(V) and not abs(np.linalg.norm(V) / self.params.swimming_speed
+                                 - 1.0) <= 2.0 * _DIRECTION_TOL:
+            raise ValueError(
+                "V must be 0 or a polar velocity, |V|^2 beta = -alpha")
+        V.setflags(write=False)
+        object.__setattr__(self, "V", V)
+
+    @property
+    def kind(self) -> StateKind:
+        return StateKind.ORDERED if np.any(self.V) else StateKind.DISORDERED
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """alpha*I at rest, 2*beta*V V' about a polar state; read-only."""
+        p = self.params
+        M = (2.0 * p.beta * np.outer(self.V, self.V) if np.any(self.V)
+             else p.alpha * np.eye(p.dim))
+        M.setflags(write=False)
+        return M
 
 
-def disordered_state(params: ModelParams) -> SteadyState:
-    return SteadyState(StateKind.DISORDERED, np.zeros(params.dim))
+def make_disordered_system(params: ModelParams) -> TransformedSystem:
+    """Perturbation system about the rest state: V = 0, M = alpha*I, N = 0."""
+    return TransformedSystem(params, np.zeros(params.dim))
 
 
-def ordered_state(params: ModelParams, direction: np.ndarray | None = None) -> SteadyState:
-    """Polar steady state with speed sqrt(-alpha/beta) along ``direction``.
-
-    The set of polar states is a sphere of directions; the default
-    representative points along the first axis.
-    """
+def make_ordered_system(
+    params: ModelParams, direction: np.ndarray | None = None
+) -> TransformedSystem:
+    """Perturbation system about the polar state of speed sqrt(-alpha/beta)
+    along the unit ``direction``, by default the first axis (the polar
+    states are a sphere of directions)."""
     if params.alpha >= 0:
         raise ValueError(
             f"ordered states exist only for alpha < 0, got alpha={params.alpha}")
@@ -115,87 +140,7 @@ def ordered_state(params: ModelParams, direction: np.ndarray | None = None) -> S
         raise ValueError(f"direction must have shape ({params.dim},)")
     if abs(np.linalg.norm(direction) - 1.0) > _DIRECTION_TOL:
         raise ValueError("direction must be a unit vector")
-    return SteadyState(StateKind.ORDERED, params.swimming_speed * direction)
-
-
-@dataclass(frozen=True)
-class TransformedSystem:
-    """Coefficients (V, M, a_jk) of the perturbation system about a steady state.
-
-    quad_coeffs[j, k, :] is the vector a_jk of the quadratic term
-    N(u) = sum_{j,k} a_jk u^j u^k, stored symmetrized (a_jk = a_kj).
-    """
-
-    params: ModelParams
-    kind: StateKind
-    V: np.ndarray
-    M: np.ndarray
-    quad_coeffs: np.ndarray
-    # True when M is exactly a scalar multiple of the identity (rest state);
-    # the Fourier symbol then commutes with the Helmholtz projector.
-    scalar_m: float | None = field(default=None)
-
-    def __post_init__(self):
-        d = self.params.dim
-        for name, shape in (("V", (d,)), ("M", (d, d)), ("quad_coeffs", (d, d, d))):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.max(np.abs(self.M - self.M.T)) != 0.0:
-            raise ValueError("M must be symmetric")
-
-    @property
-    def has_quadratic(self) -> bool:
-        return bool(np.any(self.quad_coeffs))
-
-    def evaluate_quadratic(self, u: np.ndarray) -> np.ndarray:
-        """N(u) = sum_{j,k} a_jk u^j u^k, pointwise over a (dim, ...) field."""
-        u = np.asarray(u)
-        if u.shape[0] != self.params.dim:
-            raise ValueError("leading axis of u must index vector components")
-        return np.einsum("jki,j...,k...->i...", self.quad_coeffs, u, u)
-
-
-def make_disordered_system(params: ModelParams) -> TransformedSystem:
-    """Perturbation system about the rest state: V = 0, M = alpha*I, N = 0."""
-    d = params.dim
-    return TransformedSystem(
-        params=params,
-        kind=StateKind.DISORDERED,
-        V=np.zeros(d),
-        M=params.alpha * np.eye(d),
-        quad_coeffs=np.zeros((d, d, d)),
-        scalar_m=params.alpha,
-    )
-
-
-def make_ordered_system(
-    params: ModelParams, direction: np.ndarray | None = None
-) -> TransformedSystem:
-    """Perturbation system about a polar state.
-
-    M = 2*beta*V V' and N(u) = -beta|u|^2 V - 2 beta (u.V) u, encoded as
-    a_jk = -beta*delta_jk*V - beta*(V_j e_k + V_k e_j).
-    """
-    state = ordered_state(params, direction)
-    V = state.V
-    d = params.dim
-    beta = params.beta
-    eye = np.eye(d)
-    quad = np.zeros((d, d, d))
-    for j in range(d):
-        for k in range(d):
-            quad[j, k] = -beta * (eye[j, k] * V + V[j] * eye[k] + V[k] * eye[j])
-    return TransformedSystem(
-        params=params,
-        kind=StateKind.ORDERED,
-        V=V,
-        M=2.0 * beta * np.outer(V, V),
-        quad_coeffs=quad,
-        scalar_m=None,
-    )
+    return TransformedSystem(params, params.swimming_speed * direction)
 
 
 def untransform(u: np.ndarray, system: TransformedSystem) -> np.ndarray:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -114,8 +114,8 @@ def _projector(k: np.ndarray) -> np.ndarray:
 def symbol_at(system: TransformedSystem, k: Sequence[float]) -> SymbolMatrix:
     """The dim x dim symbol matrix at wavevector k.
 
-    For scalar M = c*I (rest state) the projector commutes on the solenoidal
-    subspace and the matrix reduces to (Gamma2|k|^4 + Gamma0|k|^2 + c)*I,
+    At rest, M = alpha*I commutes with the projector on the solenoidal
+    subspace and the matrix reduces to (Gamma2|k|^4 + Gamma0|k|^2 + alpha)*I,
     exactly diagonal; otherwise the M term enters as P(k) M P(k).
     """
     p = system.params
@@ -125,8 +125,8 @@ def symbol_at(system: TransformedSystem, k: Sequence[float]) -> SymbolMatrix:
     ksq = float(np.dot(k, k))
     scalar = p.gamma2 * ksq**2 + p.gamma0 * ksq
     drift = 1j * p.lambda0 * float(np.dot(system.V, k))
-    if system.scalar_m is not None:
-        m_term = system.scalar_m * np.eye(p.dim)
+    if system.kind is StateKind.DISORDERED:
+        m_term = p.alpha * np.eye(p.dim)
     else:
         P = _projector(k)
         m_term = P @ system.M @ P
@@ -170,7 +170,7 @@ def _slot_basis(system: TransformedSystem, k: np.ndarray
     bit, so the +-k pairs of the half layout stay conjugate.
     """
     p, M = system.params, system.M
-    scalar = system.scalar_m is not None
+    scalar = system.kind is StateKind.DISORDERED
     d, n_modes = k.shape
     ksq = np.einsum("am,am->m", k, k)
     zero = ksq == 0.0
@@ -192,7 +192,7 @@ def _slot_basis(system: TransformedSystem, k: np.ndarray
     # at k = 0, M's eigenvectors (the 2D turn spares LAPACK's start-up)
     if scalar:
         Q[:, :, zero] = np.eye(d)[:, :, None]
-        mu = np.full((d, n_modes), system.scalar_m)
+        mu = np.full((d, n_modes), p.alpha)
     else:
         Q0 = (np.concatenate(_diagonalize_pair(M, *np.hsplit(np.eye(2), 2)),
                              axis=1) if d == 2 else np.linalg.eigh(M)[1])
@@ -298,9 +298,7 @@ def classify_ordered(params: ModelParams) -> StabilityReport:
         s_star = math.sqrt(-g0 / (2.0 * g2))
         # canonical V along e1: witness k || V in 2D, k perp V in 3D
         argmax[0 if params.dim == 2 else 1] = s_star
-        band = unstable_band(ModelParams(
-            params.lambda0, params.lambda1, 0.0, params.beta,
-            g0, g2, params.dim))
+        band = unstable_band(replace(params, alpha=0.0))
         note = None
     else:
         cls = Classification.ASYMPTOTICALLY_STABLE
@@ -360,9 +358,7 @@ def phase_diagram(params_base: ModelParams, gamma0_range: tuple[float, float],
     for g0 in g0s:
         row_d, row_o = [], []
         for a in als:
-            cell = ModelParams(params_base.lambda0, params_base.lambda1,
-                               float(a), params_base.beta, float(g0),
-                               params_base.gamma2, params_base.dim)
+            cell = replace(params_base, alpha=float(a), gamma0=float(g0))
             row_d.append(classify_disordered(cell))
             row_o.append(classify_ordered(cell) if a < 0 else None)
         dis.append(row_d)

@@ -20,6 +20,7 @@ from lfsim.lattice import FineLattice, _irfft_spatial, dealiased_product
 from lfsim.stability import _slot_basis, growth_rate
 from lfsim.diagnostics import energy_budget, fit_growth
 from lfsim.experiments import _require_samples
+from model_reference import quad_coeffs
 
 
 def params(**kw):
@@ -653,8 +654,8 @@ def _reference_row(stepper, t, u, tracked):
                     u.reshape((grid.dim,) + grid.half_shape))
     s = np.einsum("im,im->m", fine, fine) ** 2
     n_inner = f_inner = 0.0
-    if system.has_quadratic and not stepper.linearized:
-        Narr = np.einsum("jki,jm,km->im", system.quad_coeffs, fine, fine)
+    if not stepper.linearized:
+        Narr = np.einsum("jki,jm,km->im", quad_coeffs(system), fine, fine)
         n_inner = vol * np.mean(np.sum(fine * Narr, axis=0))
     if stepper.forcing is not None:
         f_inner = vol * np.dot(w, np.real(np.sum(
@@ -863,13 +864,14 @@ def _convective_pressure(state):
     uh = zero_nyquist(grid, state.u_hat.coeffs.copy())
     grads = 1j * grid.k_deriv_half[:, None] * uh
     lattice = FineLattice(grid, d + d * d)
+    quad = quad_coeffs(system)
 
     def bracket(fine, out, scratch):
         uf, gf = fine[:d], fine[d:].reshape(d, d, -1)
         s = np.einsum("im,im->m", uf, uf)
         out[...] = p.lambda0 * np.einsum("am,aim->im", uf, gf) \
             + system.M @ uf + p.beta * s * uf \
-            - np.einsum("jki,jm,km->im", system.quad_coeffs, uf, uf)
+            - np.einsum("jki,jm,km->im", quad, uf, uf)
     lattice.products(d, bracket, uh,
                      grads.reshape((d * d,) + grid.half_shape))
     B = lattice.band(np.zeros((d,) + grid.half_shape, np.complex128))
@@ -888,7 +890,7 @@ class TestPressure:
         grid = SpectralGrid(dim, n, 20.0 * np.pi)
         ordered = make_ordered_system(params(alpha=-1.0, lambda0=1.3,
                                              lambda1=0.3, dim=dim))
-        assert ordered.has_quadratic
+        assert np.any(quad_coeffs(ordered))
         for sys in (ordered, make_disordered_system(
                 params(alpha=0.4, lambda0=0.7, dim=dim))):
             for amp in (0.05, 1.0):

@@ -7,6 +7,7 @@ import pytest
 from lfsim import _kernels
 from lfsim.model import (ModelParams, make_disordered_system,
                          make_ordered_system)
+from model_reference import quad_coeffs
 
 RNG = np.random.default_rng(99)
 
@@ -109,6 +110,7 @@ def test_products_agreement(d, state):
         # V along an axis, or oblique to every axis
         e = np.eye(d)[0] if state == "polar" else np.arange(1.0, d + 1.0)
         sys = make_ordered_system(p, e / np.linalg.norm(e))
+    quad = quad_coeffs(sys)
     u = RNG.standard_normal((d, m))
     om = RNG.standard_normal((1 if d == 2 else 3, m))
     products = _kernels.products_2d if d == 2 else _kernels.products_3d
@@ -121,8 +123,7 @@ def test_products_agreement(d, state):
         u3 = np.append(u[:, j], [0.0] * (3 - d))
         om3 = om[:, j] if d == 3 else np.array([0.0, 0.0, om[0, j]])
         want = lam0 * -np.cross(u3, om3)[:d] + beta * np.dot(u3, u3) * u[:, j]
-        want -= [u[:, j] @ sys.quad_coeffs[:, :, i] @ u[:, j]
-                 for i in range(d)]
+        want -= [u[:, j] @ quad[:, :, i] @ u[:, j] for i in range(d)]
         assert_close(got[:, j], want)
 
 
