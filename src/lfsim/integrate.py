@@ -307,10 +307,27 @@ class Tendency:
         _kernels.rotate(QT[..., -1:], u[:, :1], self._row[:1], out[:, -1:])
         return out
 
+    @functools.cached_property
+    def _mirror(self) -> np.ndarray:
+        """The index in the m_last = 0 plane of -k, for each k there."""
+        s = self.half_shape[:-1]
+        return np.ravel_multi_index(-np.indices(s) % s[0], s).ravel()
+
+    def _hermitian(self, u: np.ndarray) -> np.ndarray:
+        """u (dim, n_modes) with its m_last = 0 plane, which stores k and -k,
+        set in place to its Hermitian part (c(k) + conj c(-k))/2: only that
+        part reaches the products, so the rest would grow from roundoff."""
+        plane = u[:, ::self.half_shape[-1]]
+        mirror = plane[:, self._mirror]
+        plane.real += mirror.real
+        plane.imag -= mirror.imag
+        plane *= 0.5
+        return u
+
     def _half(self, u_hat: SpectralField) -> np.ndarray:
-        """The Cartesian half-spectrum of a field, Nyquist slots zeroed."""
+        """A field's half-spectrum: Nyquist slots zeroed, plane Hermitian."""
         coeffs = zero_nyquist(self.grid, u_hat.coeffs.copy())
-        return coeffs.reshape(self.grid.dim, self.n_modes)
+        return self._hermitian(coeffs.reshape(self.grid.dim, self.n_modes))
 
     def from_state(self, u_hat: SpectralField) -> np.ndarray:
         """Slot coefficients Q^T u of a field: its Nyquist slots and its
@@ -389,8 +406,8 @@ class Tendency:
             out.fill(0.0)
         else:   # -G is formed on the lattice, so Q^T of it is the tendency
             self._products(a, -1.0)
-            self._slot_coeffs(
-                self._lattice.band(self._stage(self.grid.dim)), out)
+            self._slot_coeffs(self._hermitian(
+                self._lattice.band(self._stage(self.grid.dim))), out)
         if self.forcing is not None:
             out += self._slot_coeffs(self._forcing_half(t))
         return out
@@ -398,8 +415,8 @@ class Tendency:
     def _forcing_half(self, t: float) -> np.ndarray:
         f = self.forcing(t)
         coeffs = f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
-        coeffs = project_coeffs(self.grid, coeffs)
-        return zero_nyquist(self.grid, coeffs).reshape(self.grid.dim, self.n_modes)
+        coeffs = zero_nyquist(self.grid, project_coeffs(self.grid, coeffs))
+        return self._hermitian(coeffs.reshape(self.grid.dim, self.n_modes))
 
 
 class Stepper(Tendency):

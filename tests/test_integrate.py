@@ -13,7 +13,7 @@ from lfsim import _kernels, integrate
 from lfsim.spectral import (SpectralField, SpectralGrid, forward, inverse,
                             leray_project, project_coeffs, zero_nyquist)
 from lfsim.integrate import (BlowUpError, SolverConfig, SolverState,
-                             Stepper, _phi, amp_label,
+                             Stepper, Tendency, _phi, amp_label,
                              nonlinear_rhs, random_solenoidal_field,
                              recover_pressure, run, single_mode_field, step)
 from lfsim.lattice import FineLattice, _irfft_spatial, dealiased_product
@@ -733,6 +733,63 @@ class TestSampler:
         before = u.copy()
         integrate._SeriesRecorder(stepper, ()).sample(0.0, u)
         assert np.array_equal(u, before)
+
+
+class TestHermitianPlane:
+    """The m_last = 0 plane of the half-spectrum stores both k and -k; the
+    tendency keeps each pair conjugate, so the part of the plane that the
+    products never see cannot grow from roundoff at the linear rate."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_planted_anti_hermitian_pair_is_dropped(self, dim, n):
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        tendency = Tendency(make_disordered_system(params(dim=dim)), grid)
+        f = random_solenoidal_field(grid, 1.0, 0.5, 3)
+        planted = f.coeffs.copy()
+        # (c(k), c(-k)) += (w, -conj w) e2 at k = dk e1, in the plane
+        k, minus_k = (1,) + (0,) * (dim - 1), (n - 1,) + (0,) * (dim - 1)
+        planted[(1,) + k] += 0.3 + 0.2j
+        planted[(1,) + minus_k] -= 0.3 - 0.2j
+        assert SpectralField(grid, planted).hermitian_residual() > 0.5
+        got = tendency.to_state(tendency.from_state(SpectralField(grid,
+                                                                  planted)))
+        want = tendency.to_state(tendency.from_state(f))
+        assert got.hermitian_residual() == 0.0
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-15
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("kind", ["rest", "polar"])
+    def test_tendency_plane_is_hermitian(self, dim, n, kind):
+        grid = SpectralGrid(dim, n, 20.0 * np.pi)
+        p = params(alpha=-0.5, lambda0=1.3, dim=dim)
+        sys = (make_disordered_system(p) if kind == "rest"
+               else make_ordered_system(p))
+        tendency = Tendency(sys, grid)
+        state = SolverState(0.0, random_solenoidal_field(grid, 1.0, 0.6, 7),
+                            sys, grid)
+        a = tendency.from_state(state.u_hat)
+        out = tendency.rhs(a, 0.0, np.empty_like(a))
+        assert np.any(out)
+        assert tendency.to_state(out).hermitian_residual() == 0.0
+        assert nonlinear_rhs(state).hermitian_residual() == 0.0
+
+    @pytest.mark.parametrize("dim,n,periods", [(2, 16, 10), (3, 8, 2)])
+    def test_long_unstable_run_stays_real(self, dim, n, periods):
+        # rest state, alpha = -5: the plane's slowest modes grow at ~5, so
+        # t = 10 is past 45 e-folds of roundoff, and the field saturates
+        grid = SpectralGrid(dim, n, periods * 2.0 * np.pi)
+        sys = make_disordered_system(params(lambda0=0.0, alpha=-5.0,
+                                            gamma0=1.0, dim=dim))
+        cfg = SolverConfig(dt=0.02, t_end=10.0, diagnostics_interval=1.0,
+                           snapshot_interval=1.0)
+        snaps = []
+        traj = run(random_solenoidal_field(grid, 1.0, 0.6, 7), sys, grid,
+                   cfg, on_snapshot=lambda t, phys: snaps.append(phys))
+        assert traj.final.u_hat.hermitian_residual() <= 1e-13
+        assert len(snaps) == len(traj.times) == 11
+        for l2, phys in zip(traj.series["l2_norm_sq"], snaps):
+            from_samples = grid.volume * np.mean(np.sum(phys**2, axis=0))
+            assert abs(l2 - from_samples) <= 1e-12 * from_samples
 
 
 class TestLayout:
