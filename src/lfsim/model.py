@@ -112,8 +112,8 @@ class TransformedSystem:
     def M(self) -> np.ndarray:
         """alpha*I at rest, 2*beta*V V' about a polar state; read-only."""
         p = self.params
-        M = (2.0 * p.beta * np.outer(self.V, self.V) if np.any(self.V)
-             else p.alpha * np.eye(p.dim))
+        M = (2.0 * p.beta * np.outer(self.V, self.V)
+             if self.kind is StateKind.ORDERED else p.alpha * np.eye(p.dim))
         M.setflags(write=False)
         return M
 
