@@ -9,17 +9,20 @@ lattice or on a Nyquist slot, ...) are validation errors.
 Vectors are comma-separated components; lists of vectors are
 whitespace-separated: `tracked_wavevectors = 0.5,0 0.7,0`.
 
-Defaults (recorded here as the single source of truth): 2D, n=64, L=20*pi,
-dt=1e-3, perturbation amplitude 1e-4, spectrum scale 0.5, seed 12345,
-lambda0=1, lambda1=0, beta=1, gamma2=1; no snapshots (`free_run`: about five
-per run) unless `solver.snapshot_interval` is set.
+`_KEYS` is the single source of truth: every key, its parser and its
+default (2D, n=64, L=20*pi, dt=1e-3, perturbation amplitude 1e-4, spectrum
+scale 0.5, seed 12345, lambda0=1, lambda1=0, beta=1, gamma2=1).  Some
+defaults depend on the experiment: t_end (`_DEFAULT_T_END`), diagnostics
+every step for `ordered_contractivity`, and about five snapshots per run
+for `free_run` (no snapshots otherwise).  `parse_config` resolves them and
+builds the grid and the system the run uses.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -78,96 +81,67 @@ _SEEDED_EXPERIMENTS = {ExperimentKind.DISPERSION,
                        ExperimentKind.DISORDERED_INSTABILITY,
                        ExperimentKind.ORDERED_INSTABILITY}
 
-DEFAULTS: dict[str, Any] = {
-    "output_dir": "lf_out",
-    "params.lambda0": 1.0,
-    "params.lambda1": 0.0,
-    "params.beta": 1.0,
-    "params.gamma2": 1.0,
-    "params.dim": 2,
-    "state.kind": None,          # derived from the experiment when absent
-    "state.direction": None,     # e1 when absent
-    "grid.n_per_axis": 64,
-    "grid.box_length": 20.0 * math.pi,
-    "solver.dt": 1e-3,
-    "solver.t_end": None,        # per-experiment default
-    "solver.snapshot_interval": None,
-    "solver.diagnostics_interval": None,
-    "solver.seed": 12345,
-    "perturbation.amplitude": 1e-4,
-    "perturbation.spectrum_scale": 0.5,
-    "perturbation.tracked_wavevectors": (),
-    "phase.gamma0_min": -2.0,
-    "phase.gamma0_max": 2.0,
-    "phase.alpha_min": -1.0,
-    "phase.alpha_max": 1.0,
-    "phase.resolution": 41,
-}
 
-_REQUIRED = ("experiment", "params.alpha", "params.gamma0")
+def _vector(text: str) -> tuple[float, ...]:
+    return tuple(map(float, text.split(",")))
 
-# key -> value parser
-_FLOAT_KEYS = {
-    "params.lambda0", "params.lambda1", "params.alpha", "params.beta",
-    "params.gamma0", "params.gamma2", "grid.box_length", "solver.dt",
-    "solver.t_end", "solver.snapshot_interval", "solver.diagnostics_interval",
-    "perturbation.amplitude", "perturbation.spectrum_scale",
-    "phase.gamma0_min", "phase.gamma0_max", "phase.alpha_min",
-    "phase.alpha_max",
+
+# key -> (parser, default); `...` marks a required key, None a default
+# resolved in `parse_config`
+_KEYS: dict[str, tuple[Any, Any]] = {
+    "experiment": (str, ...),
+    "output_dir": (str, "lf_out"),
+    "params.lambda0": (float, 1.0),
+    "params.lambda1": (float, 0.0),
+    "params.alpha": (float, ...),
+    "params.beta": (float, 1.0),
+    "params.gamma0": (float, ...),
+    "params.gamma2": (float, 1.0),
+    "params.dim": (int, 2),
+    "state.kind": (str, None),          # derived from the experiment
+    "state.direction": (_vector, None),  # e1
+    "grid.n_per_axis": (int, 64),
+    "grid.box_length": (float, 20.0 * math.pi),
+    "solver.dt": (float, 1e-3),
+    "solver.t_end": (float, None),
+    "solver.snapshot_interval": (float, None),
+    "solver.diagnostics_interval": (float, None),
+    "solver.seed": (int, 12345),
+    "perturbation.amplitude": (float, 1e-4),
+    "perturbation.spectrum_scale": (float, 0.5),
+    "perturbation.tracked_wavevectors": (
+        lambda text: tuple(map(_vector, text.split())), ()),
+    "phase.gamma0_min": (float, -2.0),
+    "phase.gamma0_max": (float, 2.0),
+    "phase.alpha_min": (float, -1.0),
+    "phase.alpha_max": (float, 1.0),
+    "phase.resolution": (int, 41),
 }
-_INT_KEYS = {"params.dim", "grid.n_per_axis", "solver.seed", "phase.resolution"}
-_STR_KEYS = {"experiment", "output_dir", "state.kind"}
-_VEC_KEYS = {"state.direction"}
-_VECLIST_KEYS = {"perturbation.tracked_wavevectors"}
-_KNOWN_KEYS = (_FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _VEC_KEYS
-               | _VECLIST_KEYS)
+DEFAULTS: dict[str, Any] = {key: default for key, (_, default)
+                            in _KEYS.items() if default is not ...}
+_KNOWN_KEYS = frozenset(_KEYS)
 
 
 @dataclass
 class ExperimentConfig:
+    """A validated config: the grid, the system and the resolved solver the
+    run uses, built once by `parse_config`."""
+
     experiment: ExperimentKind
-    params: ModelParams
-    state_kind: StateKind
-    direction: np.ndarray
-    n_per_axis: int
-    box_length: float
+    system: TransformedSystem
+    grid: SpectralGrid
     solver: SolverConfig
     amplitude: float
     spectrum_scale: float
     tracked_wavevectors: list[tuple[float, ...]]
     output_dir: str
-    phase_ranges: dict[str, float] = field(default_factory=dict)
-
-    def make_grid(self) -> SpectralGrid:
-        return SpectralGrid(self.params.dim, self.n_per_axis, self.box_length)
-
-    def make_system(self) -> TransformedSystem:
-        if self.state_kind is StateKind.ORDERED:
-            return make_ordered_system(self.params, self.direction)
-        return make_disordered_system(self.params)
+    phase_ranges: dict[str, float]
 
 
-def _parse_vector(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad vector {text!r}: {exc}") from exc
-
-
-def _parse_value(key: str, raw: str, line: int):
+def _parse_value(key: str, raw: str, line: int | None):
     raw = raw.strip()
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _VEC_KEYS:
-            return _parse_vector(raw)
-        if key in _VECLIST_KEYS:
-            return tuple(_parse_vector(tok) for tok in raw.split())
-        return raw
-    except ParseError:
-        raise
+        return _KEYS[key][0](raw)
     except ValueError as exc:
         raise ParseError(f"bad value for {key}: {raw!r} ({exc})", line) from exc
 
@@ -207,9 +181,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
     for key, raw in (overrides or {}).items():
         if key not in _KNOWN_KEYS:
             raise ParseError(f"unknown override key {key!r}")
-        values[key] = _parse_value(key, raw, -1)
-    for key in _REQUIRED:
-        if key not in values:
+        values[key] = _parse_value(key, raw, None)
+    for key, (_, default) in _KEYS.items():
+        if default is ... and key not in values:
             raise ValidationError(f"missing required key {key!r}")
 
     def get(key):
@@ -233,25 +207,20 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
 
     kind_raw = get("state.kind")
     if kind_raw is None:
-        state_kind = (StateKind.ORDERED if experiment in _ORDERED_EXPERIMENTS
-                      else StateKind.DISORDERED)
+        kind = (StateKind.ORDERED if experiment in _ORDERED_EXPERIMENTS
+                else StateKind.DISORDERED)
     else:
         try:
-            state_kind = StateKind(str(kind_raw).strip().lower())
+            kind = StateKind(str(kind_raw).strip().lower())
         except ValueError:
             raise ValidationError(f"state.kind must be disordered or ordered, "
                                   f"got {kind_raw!r}")
-    if experiment in _ORDERED_EXPERIMENTS and state_kind is not StateKind.ORDERED:
+    if experiment in _ORDERED_EXPERIMENTS and kind is not StateKind.ORDERED:
         raise ValidationError(
             f"experiment {experiment.value} analyses the ordered state")
-    if state_kind is StateKind.ORDERED and params.alpha >= 0:
-        raise ValidationError("ordered state requires alpha < 0")
 
     direction = get("state.direction")
-    if direction is None:
-        direction = np.zeros(params.dim)
-        direction[0] = 1.0
-    else:
+    if direction is not None:
         direction = np.asarray(direction, dtype=float)
         if direction.shape != (params.dim,):
             raise ValidationError(
@@ -261,24 +230,31 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
             raise ValidationError("state.direction must have a finite nonzero norm")
         direction = direction / norm
 
-    t_end = get("solver.t_end")
-    if t_end is None:
-        t_end = _DEFAULT_T_END[experiment]
     try:
-        solver = SolverConfig(
-            dt=get("solver.dt"), t_end=float(t_end),
-            snapshot_interval=get("solver.snapshot_interval"),
-            diagnostics_interval=get("solver.diagnostics_interval"),
-            seed=get("solver.seed"))
+        grid = SpectralGrid(params.dim, get("grid.n_per_axis"),
+                            get("grid.box_length"))
+        system = (make_ordered_system(params, direction)
+                  if kind is StateKind.ORDERED
+                  else make_disordered_system(params))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    n = get("grid.n_per_axis")
-    box = get("grid.box_length")
+    t_end = get("solver.t_end")
+    diag = get("solver.diagnostics_interval")
+    if diag is None and experiment is ExperimentKind.ORDERED_CONTRACTIVITY:
+        diag = get("solver.dt")   # the identity's trapezoid: every step
     try:
-        grid = SpectralGrid(params.dim, n, box)
+        solver = SolverConfig(
+            dt=get("solver.dt"),
+            t_end=_DEFAULT_T_END[experiment] if t_end is None else t_end,
+            snapshot_interval=get("solver.snapshot_interval"),
+            diagnostics_interval=diag, seed=get("solver.seed"))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    if solver.snapshot_interval is None and experiment is ExperimentKind.FREE_RUN:
+        # about five snapshots, on the step cadence
+        every = max(1, round(solver.nsteps / 5))
+        solver = replace(solver, snapshot_interval=every * solver.dt)
 
     tracked = []
     for vec in get("perturbation.tracked_wavevectors"):
@@ -290,7 +266,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
         except ValueError as exc:
             raise ValidationError(
                 f"perturbation.tracked_wavevectors: {exc}") from exc
-        if n // 2 in index:
+        if grid.n // 2 in index:
             raise ValidationError(
                 f"tracked wavevector {vec} is on a Nyquist slot (m = n/2), "
                 "which the run holds at zero")
@@ -319,8 +295,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
                                   f"must hold, both finite: [{lo}, {hi}]")
 
     return ExperimentConfig(
-        experiment=experiment, params=params, state_kind=state_kind,
-        direction=direction, n_per_axis=n, box_length=box, solver=solver,
+        experiment=experiment, system=system, grid=grid, solver=solver,
         amplitude=amplitude, spectrum_scale=scale,
         tracked_wavevectors=tracked, output_dir=str(get("output_dir")),
         phase_ranges=phase_ranges)

@@ -13,7 +13,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -260,8 +260,7 @@ def _axis_modes(grid: SpectralGrid, count: int) -> list[tuple[float, ...]]:
 
 
 def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    grid = cfg.make_grid()
-    system = cfg.make_system()
+    grid, system = cfg.grid, cfg.system
     tracked = cfg.tracked_wavevectors or _axis_modes(grid, 6)
     fits, files = _measure_rates(grid, system, tracked, cfg.amplitude,
                                  cfg.solver, out)
@@ -285,15 +284,15 @@ def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 def _run_phase_diagram(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     os.makedirs(out, exist_ok=True)
-    pr = cfg.phase_ranges
+    pr, params = cfg.phase_ranges, cfg.system.params
     res = int(pr["resolution"])
-    diag = phase_diagram(cfg.params, (pr["gamma0_min"], pr["gamma0_max"]),
+    diag = phase_diagram(params, (pr["gamma0_min"], pr["gamma0_max"]),
                          (pr["alpha_min"], pr["alpha_max"]), (res, res))
 
     # classification flips only across the analytic boundary curves
     violations = 0
     for i, g0 in enumerate(diag.gamma0):
-        boundary = (g0 * g0 / (4.0 * cfg.params.gamma2)) if g0 < 0 else 0.0
+        boundary = (g0 * g0 / (4.0 * params.gamma2)) if g0 < 0 else 0.0
         for j in range(res - 1):
             a_lo, a_hi = diag.alpha[j], diag.alpha[j + 1]
             c_lo = diag.disordered[i][j].classification
@@ -311,17 +310,16 @@ def _run_phase_diagram(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 def _run_nonlinear_decay(cfg: ExperimentConfig, out: str) -> ExperimentReport:
     _require_samples(cfg.solver, _FD4_SAMPLES, "the energy residual")
-    if cfg.state_kind is not StateKind.DISORDERED:
+    grid, system = cfg.grid, cfg.system
+    if system.kind is not StateKind.DISORDERED:
         raise ValueError("the decay certificate applies to rest-state runs; "
-                         f"got state.kind = {cfg.state_kind.value}")
-    grid = cfg.make_grid()
-    system = cfg.make_system()
+                         f"got state.kind = {system.kind.value}")
     initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
                                       cfg.solver.seed)
     traj, files = _run_and_record(out, initial, system, grid, cfg.solver,
                                   tracked_wavevectors=cfg.tracked_wavevectors)
     report = check_decay_bound(traj.times, traj.series["l2_norm_sq"],
-                               cfg.params, system.kind)
+                               system.params, system.kind)
     res = _max_energy_residual(traj)
     checks = [_check("decay_margin", report.margin, 0.0, ">="),
               _check("max_energy_residual", res, ENERGY_RESIDUAL_TOL)]
@@ -356,8 +354,7 @@ def _check_window_reachable(k, rate: float, solver: SolverConfig) -> None:
 
 
 def _run_instability(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    grid = cfg.make_grid()
-    system = cfg.make_system()
+    grid, system = cfg.grid, cfg.system
     tracked = cfg.tracked_wavevectors or _default_instability_modes(system, grid)
     predictions = {k: growth_rate(system, np.asarray(k)) for k in tracked}
     best = max(tracked, key=lambda k: predictions[k])
@@ -407,14 +404,10 @@ def _run_instability(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 
 def _run_contractivity(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    if cfg.params.gamma0 < 0:
+    grid, system, solver = cfg.grid, cfg.system, cfg.solver
+    if system.params.gamma0 < 0:
         raise ValueError("contractivity requires gamma0 >= 0 (the ordered "
                          "state is exponentially unstable for gamma0 < 0)")
-    grid = cfg.make_grid()
-    system = cfg.make_system()
-    solver = cfg.solver
-    if solver.diagnostics_interval is None:
-        solver = replace(solver, diagnostics_interval=solver.dt)
     if len(solver.sample_steps) != solver.nsteps + 1:
         # the trapezoid's error grows as the square of the interval: only
         # the step cadence keeps the identity's tolerance in reach
@@ -436,16 +429,10 @@ def _run_contractivity(cfg: ExperimentConfig, out: str) -> ExperimentReport:
 
 
 def _run_free(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    grid = cfg.make_grid()
-    system = cfg.make_system()
-    solver = cfg.solver
-    if solver.snapshot_interval is None:
-        # about five snapshots, on the step cadence
-        every = max(1, round(solver.nsteps / 5))
-        solver = replace(solver, snapshot_interval=every * solver.dt)
-    initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
-                                      solver.seed)
-    traj, files = _run_and_record(out, initial, system, grid, solver,
+    initial = random_solenoidal_field(cfg.grid, cfg.amplitude,
+                                      cfg.spectrum_scale, cfg.solver.seed)
+    traj, files = _run_and_record(out, initial, cfg.system, cfg.grid,
+                                  cfg.solver,
                                   tracked_wavevectors=cfg.tracked_wavevectors)
     kinetic_final = 0.5 * traj.series["l2_norm_sq"][-1]
     checks = [_check("final_kinetic_finite", kinetic_final, float(np.inf))]
@@ -467,10 +454,10 @@ def _finish(cfg: ExperimentConfig, out: str, checks: list[Check],
 def _band_coverage_warning(cfg: ExperimentConfig) -> str | None:
     """Warn when the box is too small for the unstable band to hold at
     least 3 lattice wavenumbers."""
-    band = unstable_band(cfg.params)
+    band = unstable_band(cfg.system.params)
     if not band.has_band:
         return None
-    grid = cfg.make_grid()
+    grid = cfg.grid
     ksq = grid.ksq_half
     count = int(np.sum(grid.parseval_weight_half,   # over the whole lattice
                        where=(ksq > band.s_minus_sq) & (ksq < band.s_plus_sq)))

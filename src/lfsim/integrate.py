@@ -125,6 +125,8 @@ class SolverConfig:
             if not _is_multiple(value, self.dt):
                 raise ValueError(f"{name}={value} is not a multiple of "
                                  f"dt={self.dt}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         diag = self.effective_diag_interval
         if diag < self.t_end and not _is_multiple(self.t_end, diag):
             raise ValueError(
@@ -325,7 +327,11 @@ class Tendency:
         return u
 
     def _half(self, u_hat: SpectralField) -> np.ndarray:
-        """A field's half-spectrum: Nyquist slots zeroed, plane Hermitian."""
+        """A field's half-spectrum: Nyquist slots zeroed, plane Hermitian.
+        Every field enters here, so a field on another grid is rejected."""
+        if u_hat.grid != self.grid:
+            raise ValueError(f"the field is on another grid: {u_hat.grid!r},"
+                             f" not {self.grid!r}")
         coeffs = zero_nyquist(self.grid, u_hat.coeffs.copy())
         return self._hermitian(coeffs.reshape(self.grid.dim, self.n_modes))
 

@@ -83,11 +83,12 @@ class ModelParams:
         return float(np.sqrt(-self.alpha / self.beta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformedSystem:
     """The perturbation system about a steady state: the parameters and the
     steady velocity V, 0 (the rest state) or a polar velocity with
-    |V|^2 beta = -alpha.  The kind and M follow from them."""
+    |V|^2 beta = -alpha.  The kind and M follow from them.  Systems with
+    equal params and V are equal, and hash alike."""
 
     params: ModelParams
     V: np.ndarray
@@ -103,6 +104,14 @@ class TransformedSystem:
                 "V must be 0 or a polar velocity, |V|^2 beta = -alpha")
         V.setflags(write=False)
         object.__setattr__(self, "V", V)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TransformedSystem)
+                and self.params == other.params
+                and np.array_equal(self.V, other.V))
+
+    def __hash__(self) -> int:   # floats, so -0.0 hashes as 0.0
+        return hash((self.params, tuple(self.V.tolist())))
 
     @property
     def kind(self) -> StateKind:

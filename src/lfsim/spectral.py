@@ -73,7 +73,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class SpectralGrid:
     """Periodic grid bookkeeping: the rfft half-spectrum's wavevector tables.
 
-    Immutable and shareable; all arrays are read-only.
+    Immutable and shareable; all arrays are read-only.  Grids with the same
+    (dim, n, length) are equal, and hash alike.
     """
 
     def __init__(self, dim: int, points_per_axis: int, box_length: float):
@@ -91,6 +92,13 @@ class SpectralGrid:
         self.half_shape = (self.n,) * (dim - 1) + (self.n // 2 + 1,)
         self.volume = self.length**dim
         self.dk = 2.0 * np.pi / self.length
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SpectralGrid) and self.dim == other.dim
+                and self.n == other.n and self.length == other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.n, self.length))
 
     def _modes(self, scale: float | None = None,
                deriv: bool = False) -> np.ndarray:

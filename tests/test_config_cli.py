@@ -9,12 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
+from lfsim import config
 from lfsim.cli import main
-from lfsim.config import (ExperimentKind, ParseError, ValidationError,
-                          parse_config)
+from lfsim.config import (DEFAULTS, ExperimentKind, ParseError,
+                          ValidationError, load_config, parse_config)
+from lfsim.experiments import run_experiment
 from lfsim.integrate import Stepper
-from lfsim.model import StateKind
-from lfsim.spectral import read_snapshot
+from lfsim.model import StateKind, TransformedSystem
+from lfsim.spectral import SpectralGrid, read_snapshot
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
@@ -32,13 +34,12 @@ class TestParser:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.experiment is ExperimentKind.DISPERSION
-        assert cfg.n_per_axis == 64
-        assert cfg.box_length == pytest.approx(20.0 * math.pi)
+        assert cfg.grid.n == 64
+        assert cfg.grid.length == pytest.approx(20.0 * math.pi)
         assert cfg.solver.dt == 1e-3
         assert cfg.amplitude == 1e-4
-        assert cfg.params.beta == 1.0 and cfg.params.gamma2 == 1.0
-        assert cfg.state_kind is StateKind.DISORDERED
-        assert np.allclose(cfg.direction, [1.0, 0.0])
+        assert cfg.system.params.beta == 1.0 == cfg.system.params.gamma2
+        assert cfg.system.kind is StateKind.DISORDERED
 
     def test_dotted_keys_equal_sections(self):
         a = parse_config(MINIMAL + "\n[solver]\ndt = 2e-3\n")
@@ -48,7 +49,7 @@ class TestParser:
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# top\nexperiment = dispersion  # trailing\n\n"
                            "params.alpha = 0.1\nparams.gamma0 = -1 # x\n")
-        assert cfg.params.gamma0 == -1.0
+        assert cfg.system.params.gamma0 == -1.0
 
     def test_unknown_key_is_parse_error_with_line(self):
         bad = MINIMAL + "gamma3 = 1.0\n"
@@ -108,11 +109,11 @@ class TestParser:
         cfg = parse_config("experiment = ordered_instability\n"
                            "params.alpha = -1\nparams.gamma0 = -0.5\n"
                            "state.direction = 3,4\n")
-        assert np.allclose(cfg.direction, [0.6, 0.8])
+        assert np.allclose(cfg.system.V, [0.6, 0.8])
 
     def test_overrides(self):
         cfg = parse_config(MINIMAL, {"solver.dt": "5e-3", "grid.n_per_axis": "32"})
-        assert cfg.solver.dt == 5e-3 and cfg.n_per_axis == 32
+        assert cfg.solver.dt == 5e-3 and cfg.grid.n == 32
         with pytest.raises(ParseError, match="override"):
             parse_config(MINIMAL, {"nope": "1"})
 
@@ -121,6 +122,81 @@ class TestParser:
         cfg = parse_config("experiment = free_run\nparams.alpha = 0.1\n"
                            "params.gamma0 = -1\n")
         assert cfg.solver.t_end == 10.0
+
+    def test_defaults_are_the_key_table(self):
+        # the 23 defaults of the hand-kept table the key table replaced
+        assert DEFAULTS == {
+            "output_dir": "lf_out", "params.lambda0": 1.0,
+            "params.lambda1": 0.0, "params.beta": 1.0, "params.gamma2": 1.0,
+            "params.dim": 2, "state.kind": None, "state.direction": None,
+            "grid.n_per_axis": 64, "grid.box_length": 20.0 * math.pi,
+            "solver.dt": 1e-3, "solver.t_end": None,
+            "solver.snapshot_interval": None,
+            "solver.diagnostics_interval": None, "solver.seed": 12345,
+            "perturbation.amplitude": 1e-4,
+            "perturbation.spectrum_scale": 0.5,
+            "perturbation.tracked_wavevectors": (),
+            "phase.gamma0_min": -2.0, "phase.gamma0_max": 2.0,
+            "phase.alpha_min": -1.0, "phase.alpha_max": 1.0,
+            "phase.resolution": 41}
+        assert config._KNOWN_KEYS == set(DEFAULTS) | {
+            "experiment", "params.alpha", "params.gamma0"}
+        # every default goes back through its key's parser
+        for key, default in DEFAULTS.items():
+            if default is not None:
+                text = "" if default == () else str(default)
+                assert config._KEYS[key][0](text) == default, key
+
+    def test_equal_texts_parse_to_equal_configs(self):
+        with open(os.path.join(CONFIGS, "ordered_instability.cfg")) as fh:
+            text = fh.read()
+        a, b = parse_config(text), parse_config(text)
+        assert a == b and a.grid is not b.grid and a.system is not b.system
+        assert a != parse_config(text, {"state.direction": "0,1"})
+
+    def test_resolved_solver(self):
+        # contractivity samples every step, free_run takes about five
+        # snapshots on the step cadence; explicit values are kept
+        text = ("experiment = ordered_contractivity\nparams.alpha = -1\n"
+                "params.gamma0 = 1\nsolver.dt = 5e-4\n")
+        assert parse_config(text).solver.diagnostics_interval == 5e-4
+        assert parse_config(text, {"solver.diagnostics_interval": "1e-3"}
+                            ).solver.diagnostics_interval == 1e-3
+        free = "experiment = free_run\nparams.alpha = 0.1\nparams.gamma0 = 1\n"
+        for t_end, interval in (("10", 2.0), ("0.03", 6e-3), ("1e-3", 1e-3)):
+            solver = parse_config(free, {"solver.t_end": t_end}).solver
+            assert solver.snapshot_interval == pytest.approx(interval)
+            assert solver.diagnostics_interval is None
+        assert parse_config(free, {"solver.snapshot_interval": "0.5"}
+                            ).solver.snapshot_interval == 0.5
+        assert parse_config(MINIMAL).solver.snapshot_interval is None
+        # dt is validated before the snapshot interval divides by it
+        with pytest.raises(ValidationError, match="dt must be > 0"):
+            parse_config(free, {"solver.dt": "0"})
+
+    @pytest.mark.parametrize("key,raw", [
+        ("state.direction", "1,x"),
+        ("perturbation.tracked_wavevectors", "0.5,0 0.5,,0")])
+    def test_bad_vector_reports_its_line(self, key, raw):
+        text = MINIMAL + f"{key} = {raw}\n"
+        with pytest.raises(ParseError, match=f"bad value for {key}") as exc:
+            parse_config(text)
+        assert exc.value.line == len(text.splitlines())
+        assert f"(line {exc.value.line})" in str(exc.value)
+
+    def test_bad_override_value_has_no_line(self):
+        # an override has no line in the config text; it read "(line -1)"
+        with pytest.raises(ParseError, match=r"solver.dt: 'fast'") as exc:
+            parse_config(MINIMAL, {"solver.dt": "fast"})
+        assert exc.value.line is None and "(line" not in str(exc.value)
+
+    def test_negative_seed_names_the_key(self, tmp_path, capsys):
+        for name in ("free_run.cfg", "phase_diagram.cfg"):
+            out = tmp_path / name
+            assert main(["run", os.path.join(CONFIGS, name), "--out",
+                         str(out), "--override", "solver.seed=-1"]) == 3
+            assert "seed must be >= 0, got -1" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -284,6 +360,25 @@ solver.diagnostics_interval = 0.2
         cfg = write_cfg(tmp_path, QUICK_DISPERSION)
         assert main(["run", cfg, "--out", str(tmp_path / "o"),
                      "--override", "solver.t_end=1.0"]) == 0
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_run_builds_no_grid_and_no_system(self, tmp_path, monkeypatch,
+                                              name):
+        # the run uses the grid and the system that parse_config built
+        cfg = load_config(os.path.join(CONFIGS, name), {
+            "grid.n_per_axis": "32", "solver.t_end": "0.1",
+            "phase.resolution": "5"})
+        built = []
+        for cls in (SpectralGrid, TransformedSystem):
+            def spy(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", spy)
+        try:
+            run_experiment(cfg, out_dir=str(tmp_path))
+        except ValueError:   # the instability runs' too-short window
+            assert cfg.experiment.value.endswith("instability")
+        assert built == []
 
     def test_determinism_identical_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, QUICK_DISPERSION)

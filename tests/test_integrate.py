@@ -877,6 +877,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="multiple|finite"):
             SolverConfig(**kw)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SolverConfig(dt=1e-3, t_end=1.0, seed=-1)
+        SolverConfig(dt=1e-3, t_end=1.0, seed=0)
+
     def test_cadence_tolerates_roundoff(self):
         # 0.012 / 0.001 and 0.003 / 0.001 are not whole in floating point
         SolverConfig(dt=1e-3, t_end=0.012, diagnostics_interval=0.003)
@@ -908,6 +913,38 @@ class TestSolverConfig:
         _require_samples(cfg, len(samples), "the test")
         with pytest.raises(ValueError, match=f"gives {len(samples)} samples"):
             _require_samples(cfg, len(samples) + 1, "the test")
+
+
+class TestFieldOnAnotherGrid:
+    """Every entry point takes its field through `Tendency._half`, which
+    rejects a field whose grid is not the one it is run on: a field built
+    at L = 2 pi, run on an L = 20 pi grid, would reach a wrong answer and
+    end on the other grid."""
+
+    grid = SpectralGrid(2, 16, 2.0 * np.pi)
+    system = make_disordered_system(params())
+    ENTRY_POINTS = {
+        "run": lambda s: run(s.u_hat, s.system, s.grid,
+                             SolverConfig(dt=1e-3, t_end=2e-3)),
+        "step": lambda s: step(s, SolverConfig(dt=1e-3, t_end=1e-3)),
+        "nonlinear_rhs": nonlinear_rhs,
+        "recover_pressure": recover_pressure,
+        "energy_budget": energy_budget}
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("other", [SpectralGrid(2, 16, 20.0 * np.pi),
+                                       SpectralGrid(2, 32, 2.0 * np.pi)])
+    def test_rejected(self, entry, other):
+        u = random_solenoidal_field(self.grid, 0.1, 2.0, 3)
+        with pytest.raises(ValueError, match="the field is on another grid"):
+            self.ENTRY_POINTS[entry](SolverState(0.0, u, self.system, other))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_equal_grid_built_separately_accepted(self, entry):
+        u = random_solenoidal_field(self.grid, 0.1, 2.0, 3)
+        same = SpectralGrid(2, 16, 2.0 * np.pi)
+        assert same is not u.grid
+        self.ENTRY_POINTS[entry](SolverState(0.0, u, self.system, same))
 
 
 def _convective_pressure(state):

@@ -119,6 +119,21 @@ class TestTransformedSystem:
             with pytest.raises(ValueError, match="unit"):
                 make_ordered_system(p, d * (1.0 + 1e-11))
 
+    def test_value_equality_and_hash(self):
+        p = params(alpha=-1.0)
+        a, b = make_ordered_system(p), make_ordered_system(p)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != make_ordered_system(p, [0.0, 1.0])
+        assert a != make_ordered_system(params(alpha=-1.0, gamma0=0.5))
+        assert a != make_disordered_system(p) and a != "system"
+        # -0.0 == 0.0, so the hash must agree too
+        neg = TransformedSystem(p, np.array([-0.0, 1.0]))
+        pos = TransformedSystem(p, np.array([0.0, 1.0]))
+        assert neg == pos and hash(neg) == hash(pos)
+        rest = make_disordered_system(p)
+        assert rest == TransformedSystem(p, -np.zeros(2))
+        assert hash(rest) == hash(TransformedSystem(p, -np.zeros(2)))
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_kind_and_m_bit_for_bit(self, dim):
         rng = np.random.default_rng(4)

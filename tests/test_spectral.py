@@ -47,6 +47,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpectralGrid(4, 16, 1.0)
 
+    def test_value_equality_and_hash(self, grid16):
+        same = SpectralGrid(2, 16, 2.0 * np.pi)
+        assert same == grid16 and hash(same) == hash(grid16)
+        assert len({same, grid16}) == 1
+        for other in (SpectralGrid(3, 16, 2.0 * np.pi),
+                      SpectralGrid(2, 32, 2.0 * np.pi),
+                      SpectralGrid(2, 16, 20.0 * np.pi), "grid"):
+            assert grid16 != other
+
     def test_mode_zero_is_zero_vector(self, grid16):
         assert np.all(grid16.k_half[:, 0, 0] == 0.0)
 
