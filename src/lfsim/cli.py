@@ -104,8 +104,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
-    from .experiments import _axis_modes, _measure_rates
-    from .integrate import SolverConfig
+    from .experiments import _axis_modes, _fit_modes, _linear_run, _rel_error
+    from .integrate import SolverConfig, run
     from .model import make_disordered_system, make_ordered_system
     from .spectral import SpectralGrid
     from .stability import growth_rate
@@ -120,8 +120,9 @@ def _cmd_dispersion(args) -> int:
     measured = {}
     if args.measure:
         cfg = SolverConfig(dt=args.dt, t_end=args.t_end)
-        fits, _ = _measure_rates(grid, system, modes, 1e-4, cfg)
-        measured = {k: fit.rate for k, fit in fits.items()}
+        traj = run(system=system, grid=grid, config=cfg,
+                   **_linear_run(grid, system, modes, 1e-4, cfg))
+        measured = {k: fit.rate for k, fit in _fit_modes(traj, modes).items()}
     header = f"{'|k|^2':>12}  {'predicted':>14}"
     if measured:
         header += f"  {'measured':>14}  {'rel_err':>10}"
@@ -131,7 +132,7 @@ def _cmd_dispersion(args) -> int:
         pred = growth_rate(system, np.asarray(k))
         line = f"{ksq:12.6g}  {pred:14.8g}"
         if measured:
-            rel = abs(measured[k] - pred) / max(abs(pred), 1e-12)
+            rel = _rel_error(measured[k], pred)
             line += f"  {measured[k]:14.8g}  {rel:10.3g}"
         print(line)
     return 0

@@ -1,10 +1,16 @@
 """Canned experiment suite: dispersion checks, phase diagrams, decay
 certificates, instability demonstrations, contractivity, free runs.
 
-Every experiment writes a diagnostics CSV, the snapshots its solver config
-asks for and its own result tables into the output directory, and returns
-an ExperimentReport whose checks each cite a number present in the emitted
-files.  Runs are deterministic for a fixed config (including the seed).
+Each experiment is a function `_<kind>(cfg)` in `_EXPERIMENTS`: it runs
+its pre-checks and returns its run, the keyword arguments of `run` (None
+for `phase_diagram`), and `assess(trajectory, out, files) -> (checks,
+notes)`, which writes its own tables and adds them to `files`.
+`run_experiment` does the rest: the output directory, the run with its
+diagnostics CSV and snapshots, the assessment and `report.csv`.  So a
+config error (exit 3) comes only from a pre-check, before any work; a run
+that cannot be measured (a missed fit window) fails a check instead.  Every
+check cites a number in the emitted files.  Runs are deterministic for a
+fixed config (including the seed).
 """
 
 from __future__ import annotations
@@ -204,27 +210,22 @@ def _require_representable(system: TransformedSystem,
                 f"underflow before t_end={solver.t_end:g}")
 
 
-def _run_and_record(out: str | None, initial, system: TransformedSystem,
-                    grid: SpectralGrid, solver: SolverConfig, **kwargs
+def _run_and_record(out: str, cfg: ExperimentConfig, **kwargs
                     ) -> tuple[Trajectory, dict[str, str]]:
-    """`run` with its diagnostics CSV and snapshots written into `out`
-    (created here); returns the trajectory and the files written.  Each
-    snapshot is written when it is taken, so a run keeps none in memory.  A
-    run that blows up writes what it sampled before the blow-up, then
-    re-raises.  Without `out` nothing is written."""
-    if out is None:
-        return run(initial, system, grid, solver, **kwargs), {}
-    os.makedirs(out, exist_ok=True)
+    """`run` with its diagnostics CSV and snapshots written into `out`;
+    returns the trajectory and the files written.  Each snapshot is written
+    when it is taken, so a run keeps none in memory.  A run that blows up
+    writes what it sampled before the blow-up, then re-raises."""
     files = {"diagnostics": os.path.join(out, "diagnostics.csv")}
 
     def snapshot(t, snap):
         name = f"snap_{t:012.6f}.lfsnap"
         files[name] = os.path.join(out, name)
-        write_snapshot(files[name], grid, snap, t)
+        write_snapshot(files[name], cfg.grid, snap, t)
 
     try:
-        traj = run(initial, system, grid, solver, on_snapshot=snapshot,
-                   **kwargs)
+        traj = run(system=cfg.system, grid=cfg.grid, config=cfg.solver,
+                   on_snapshot=snapshot, **kwargs)
     except BlowUpError as exc:
         write_diagnostics_csv(files["diagnostics"], exc.trajectory)
         exc.args = (f"{exc}; diagnostics written to {files['diagnostics']}",)
@@ -233,24 +234,51 @@ def _run_and_record(out: str | None, initial, system: TransformedSystem,
     return traj, files
 
 
-def _measure_rates(grid: SpectralGrid, system: TransformedSystem,
-                   modes: list[tuple[float, ...]], amplitude: float,
-                   solver: SolverConfig, out: str | None = None
-                   ) -> tuple[dict[tuple[float, ...], GrowthFit], dict[str, str]]:
-    """Seed `modes` at `amplitude`, run linearized and fit each mode's growth
-    over the whole run; see `_run_and_record` for `out` and the files."""
+def _linear_run(grid: SpectralGrid, system: TransformedSystem,
+                modes: list[tuple[float, ...]], amplitude: float,
+                solver: SolverConfig) -> dict:
+    """The keyword arguments of a linearized `run` seeded with `modes` at
+    `amplitude`, once its growth fits are known to be measurable."""
     _require_samples(solver, _FIT_SAMPLES, "a growth fit")
     _require_representable(system, modes, amplitude, solver)
-    initial = _seed_modes(grid, system, modes, amplitude)
-    traj, files = _run_and_record(out, initial, system, grid, solver,
-                                  linearized=True, tracked_wavevectors=modes)
-    fits = {k: fit_growth(traj.times, traj.series[amp_label(k)], wavevector=k)
+    return {"initial": _seed_modes(grid, system, modes, amplitude),
+            "linearized": True, "tracked_wavevectors": modes}
+
+
+def _random_run(cfg: ExperimentConfig, linearized: bool = False) -> dict:
+    """The keyword arguments of a run from the configured random field."""
+    initial = random_solenoidal_field(cfg.grid, cfg.amplitude,
+                                      cfg.spectrum_scale, cfg.solver.seed)
+    return {"initial": initial, "linearized": linearized,
+            "tracked_wavevectors": cfg.tracked_wavevectors}
+
+
+def _fit_modes(traj: Trajectory, modes: list[tuple[float, ...]]
+               ) -> dict[tuple[float, ...], GrowthFit]:
+    """Each mode's growth fitted over the whole run."""
+    return {k: fit_growth(traj.times, traj.series[amp_label(k)], wavevector=k)
             for k in modes}
-    return fits, files
+
+
+def _rel_error(rate: float, predicted: float) -> float:
+    return abs(rate - predicted) / max(abs(predicted), 1e-12)
+
+
+def _rate_row(k: tuple[float, ...], predicted: float,
+              fit: GrowthFit | None) -> dict:
+    """One row of `rates.csv`; without a fit the measured columns read nan."""
+    rate, r_squared = (fit.rate, fit.r_squared) if fit else (math.nan,
+                                                             math.nan)
+    return {"k": k, "ksq": float(np.dot(k, k)),
+            "predicted_rate": "%.17g" % predicted,
+            "measured_rate": "%.17g" % rate,
+            "rel_error": "%.6g" % _rel_error(rate, predicted),
+            "r_squared": "%.12g" % r_squared}
 
 
 # --------------------------------------------------------------------------
-# Experiments
+# Experiments: each runs its pre-checks and returns its run (or None) and
+# its assessment
 # --------------------------------------------------------------------------
 
 def _axis_modes(grid: SpectralGrid, count: int) -> list[tuple[float, ...]]:
@@ -259,72 +287,61 @@ def _axis_modes(grid: SpectralGrid, count: int) -> list[tuple[float, ...]]:
             for m in range(1, min(count, grid.n // 2 - 1) + 1)]
 
 
-def _run_dispersion(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    grid, system = cfg.grid, cfg.system
-    tracked = cfg.tracked_wavevectors or _axis_modes(grid, 6)
-    fits, files = _measure_rates(grid, system, tracked, cfg.amplitude,
-                                 cfg.solver, out)
-    rows = []
-    worst = 0.0
-    for k in tracked:
-        predicted = growth_rate(system, np.asarray(k))
-        fit = fits[k]
-        rel = abs(fit.rate - predicted) / max(abs(predicted), 1e-12)
-        worst = max(worst, rel)
-        rows.append({"k": k, "ksq": float(np.dot(k, k)),
-                     "predicted_rate": "%.17g" % predicted,
-                     "measured_rate": "%.17g" % fit.rate,
-                     "rel_error": "%.6g" % rel,
-                     "r_squared": "%.12g" % fit.r_squared})
-    files["rates"] = os.path.join(out, "rates.csv")
-    write_dispersion_csv(files["rates"], rows)
-    checks = [_check("max_rate_rel_error", worst, LINEARIZED_RATE_TOL)]
-    return _finish(cfg, out, checks, files)
+def _dispersion(cfg: ExperimentConfig):
+    system = cfg.system
+    tracked = cfg.tracked_wavevectors or _axis_modes(cfg.grid, 6)
+    runs = _linear_run(cfg.grid, system, tracked, cfg.amplitude, cfg.solver)
+
+    def assess(traj, out, files):
+        fits = _fit_modes(traj, tracked)
+        predicted = {k: growth_rate(system, np.asarray(k)) for k in tracked}
+        files["rates"] = os.path.join(out, "rates.csv")
+        write_dispersion_csv(files["rates"], [
+            _rate_row(k, predicted[k], fits[k]) for k in tracked])
+        worst = max(_rel_error(fits[k].rate, predicted[k]) for k in tracked)
+        return [_check("max_rate_rel_error", worst, LINEARIZED_RATE_TOL)], []
+    return runs, assess
 
 
-def _run_phase_diagram(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    os.makedirs(out, exist_ok=True)
+def _phase_diagram(cfg: ExperimentConfig):
     pr, params = cfg.phase_ranges, cfg.system.params
     res = int(pr["resolution"])
-    diag = phase_diagram(params, (pr["gamma0_min"], pr["gamma0_max"]),
-                         (pr["alpha_min"], pr["alpha_max"]), (res, res))
 
-    # classification flips only across the analytic boundary curves
-    violations = 0
-    for i, g0 in enumerate(diag.gamma0):
-        boundary = (g0 * g0 / (4.0 * params.gamma2)) if g0 < 0 else 0.0
-        for j in range(res - 1):
-            a_lo, a_hi = diag.alpha[j], diag.alpha[j + 1]
-            c_lo = diag.disordered[i][j].classification
-            c_hi = diag.disordered[i][j + 1].classification
-            if c_lo is not c_hi and not (a_lo <= boundary <= a_hi):
-                violations += 1
+    def assess(traj, out, files):
+        diag = phase_diagram(params, (pr["gamma0_min"], pr["gamma0_max"]),
+                             (pr["alpha_min"], pr["alpha_max"]), (res, res))
+        # classification flips only across the analytic boundary curves
+        violations = 0
+        for i, g0 in enumerate(diag.gamma0):
+            boundary = (g0 * g0 / (4.0 * params.gamma2)) if g0 < 0 else 0.0
+            for j in range(res - 1):
+                a_lo, a_hi = diag.alpha[j], diag.alpha[j + 1]
+                c_lo = diag.disordered[i][j].classification
+                c_hi = diag.disordered[i][j + 1].classification
+                if c_lo is not c_hi and not (a_lo <= boundary <= a_hi):
+                    violations += 1
+        for state in ("disordered", "ordered"):
+            files[f"phase_{state}"] = os.path.join(out, f"phase_{state}.csv")
+            write_phase_diagram_csv(files[f"phase_{state}"], diag, state)
+        return [_check("boundary_crossing_violations", violations, 0)], []
+    return None, assess
 
-    files = {"phase_disordered": os.path.join(out, "phase_disordered.csv"),
-             "phase_ordered": os.path.join(out, "phase_ordered.csv")}
-    write_phase_diagram_csv(files["phase_disordered"], diag, "disordered")
-    write_phase_diagram_csv(files["phase_ordered"], diag, "ordered")
-    checks = [_check("boundary_crossing_violations", violations, 0)]
-    return _finish(cfg, out, checks, files)
 
-
-def _run_nonlinear_decay(cfg: ExperimentConfig, out: str) -> ExperimentReport:
+def _nonlinear_decay(cfg: ExperimentConfig):
     _require_samples(cfg.solver, _FD4_SAMPLES, "the energy residual")
-    grid, system = cfg.grid, cfg.system
+    system = cfg.system
     if system.kind is not StateKind.DISORDERED:
         raise ValueError("the decay certificate applies to rest-state runs; "
                          f"got state.kind = {system.kind.value}")
-    initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
-                                      cfg.solver.seed)
-    traj, files = _run_and_record(out, initial, system, grid, cfg.solver,
-                                  tracked_wavevectors=cfg.tracked_wavevectors)
-    report = check_decay_bound(traj.times, traj.series["l2_norm_sq"],
-                               system.params, system.kind)
-    res = _max_energy_residual(traj)
-    checks = [_check("decay_margin", report.margin, 0.0, ">="),
-              _check("max_energy_residual", res, ENERGY_RESIDUAL_TOL)]
-    note = [f"envelope rate on ||u||^2: {report.rate:.6g}"]
-    return _finish(cfg, out, checks, files, note)
+
+    def assess(traj, out, files):
+        report = check_decay_bound(traj.times, traj.series["l2_norm_sq"],
+                                   system.params, system.kind)
+        checks = [_check("decay_margin", report.margin, 0.0, ">="),
+                  _check("max_energy_residual", _max_energy_residual(traj),
+                         ENERGY_RESIDUAL_TOL)]
+        return checks, [f"envelope rate on ||u||^2: {report.rate:.6g}"]
+    return _random_run(cfg), assess
 
 
 def _max_energy_residual(traj: Trajectory) -> float:
@@ -353,59 +370,55 @@ def _check_window_reachable(k, rate: float, solver: SolverConfig) -> None:
             f"t_end >= {needed:.4g}")
 
 
-def _run_instability(cfg: ExperimentConfig, out: str) -> ExperimentReport:
+def _instability(cfg: ExperimentConfig):
     grid, system = cfg.grid, cfg.system
     tracked = cfg.tracked_wavevectors or _default_instability_modes(system, grid)
     predictions = {k: growth_rate(system, np.asarray(k)) for k in tracked}
     best = max(tracked, key=lambda k: predictions[k])
-    predicted = predictions[best]
-    _check_window_reachable(best, predicted, cfg.solver)
+    _check_window_reachable(best, predictions[best], cfg.solver)
+    runs = {"initial": _seed_modes(grid, system, tracked, cfg.amplitude),
+            "tracked_wavevectors": tracked}
 
-    initial = _seed_modes(grid, system, tracked, cfg.amplitude)
-    traj, files = _run_and_record(out, initial, system, grid, cfg.solver,
-                                  tracked_wavevectors=tracked)
-    files["rates"] = os.path.join(out, "rates.csv")
-    files["final_snapshot"] = os.path.join(out, "final.lfsnap")
-    amps = traj.series[amp_label(best)]
-    a0 = amps[0]
-    try:
-        window = _linear_window(traj.times, amps, a0)
-    except ValueError as exc:
-        raise ValueError(f"{exc}; diagnostics written to "
-                         f"{files['diagnostics']}") from None
-    fit = fit_growth(traj.times, amps, window=window, wavevector=best)
-    rel = abs(fit.rate - predicted) / max(abs(predicted), 1e-12)
+    def assess(traj, out, files):
+        amps = traj.series[amp_label(best)]
+        a0 = amps[0]
+        try:
+            window = _linear_window(traj.times, amps, a0)
+        except ValueError as exc:   # the mode missed the window: no rate
+            fit, notes = None, [str(exc)]
+        else:
+            fit = fit_growth(traj.times, amps, window=window, wavevector=best)
+            notes = [f"fitted over t in [{window[0]:.4g}, {window[1]:.4g}] "
+                     f"(amplitudes within {LINEAR_WINDOW[0]:g}.."
+                     f"{LINEAR_WINDOW[1]:g} of the initial {a0:.3g})"]
+        kinetic = 0.5 * traj.series["l2_norm_sq"]
+        tail = kinetic[traj.times >= 0.75 * traj.times[-1]]
+        notes.append("saturation-phase mean kinetic energy: "
+                     f"{float(np.mean(tail)):.6g}")
 
-    kinetic = 0.5 * traj.series["l2_norm_sq"]
-    tail = kinetic[traj.times >= 0.75 * traj.times[-1]]
-    saturation = float(np.mean(tail))
+        files["rates"] = os.path.join(out, "rates.csv")
+        files["final_snapshot"] = os.path.join(out, "final.lfsnap")
+        write_dispersion_csv(files["rates"], [
+            _rate_row(k, predictions[k], fit if k == best else None)
+            for k in tracked])
+        write_snapshot(files["final_snapshot"], grid,
+                       traj.final.u_hat.to_physical(), traj.final.t)
 
-    rows = [{"k": k, "ksq": float(np.dot(k, k)),
-             "predicted_rate": "%.17g" % predictions[k],
-             "measured_rate": "%.17g" % (fit.rate if k == best else math.nan),
-             "rel_error": "%.6g" % (rel if k == best else math.nan),
-             "r_squared": "%.12g" % (fit.r_squared if k == best else math.nan)}
-            for k in tracked]
-    write_dispersion_csv(files["rates"], rows)
-    write_snapshot(files["final_snapshot"], grid,
-                   traj.final.u_hat.to_physical(), traj.final.t)
-
-    checks = [_check("growth_rate_rel_error", rel, NONLINEAR_RATE_TOL),
-              _check("final_kinetic_finite", float(kinetic[-1]),
-                     float(np.inf), "<=")]
-    if system.kind is StateKind.DISORDERED:
-        checks.append(_check("max_energy_residual", _max_energy_residual(traj),
-                             ENERGY_RESIDUAL_TOL))
-    notes = [f"fitted over t in [{window[0]:.4g}, {window[1]:.4g}] "
-             f"(amplitudes within {LINEAR_WINDOW[0]:g}..{LINEAR_WINDOW[1]:g} "
-             f"of the initial {a0:.3g})",
-             f"saturation-phase mean kinetic energy: {saturation:.6g}"]
-    return _finish(cfg, out, checks, files, notes)
+        rel = _rel_error(fit.rate if fit else math.nan, predictions[best])
+        checks = [_check("growth_rate_rel_error", rel, NONLINEAR_RATE_TOL),
+                  _check("final_kinetic_finite", float(kinetic[-1]),
+                         float(np.inf), "<=")]
+        if system.kind is StateKind.DISORDERED:
+            checks.append(_check("max_energy_residual",
+                                 _max_energy_residual(traj),
+                                 ENERGY_RESIDUAL_TOL))
+        return checks, notes
+    return runs, assess
 
 
-def _run_contractivity(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    grid, system, solver = cfg.grid, cfg.system, cfg.solver
-    if system.params.gamma0 < 0:
+def _contractivity(cfg: ExperimentConfig):
+    solver = cfg.solver
+    if cfg.system.params.gamma0 < 0:
         raise ValueError("contractivity requires gamma0 >= 0 (the ordered "
                          "state is exponentially unstable for gamma0 < 0)")
     if len(solver.sample_steps) != solver.nsteps + 1:
@@ -415,40 +428,34 @@ def _run_contractivity(cfg: ExperimentConfig, out: str) -> ExperimentReport:
             f"diagnostics every {solver.effective_diag_interval:g} with "
             f"dt={solver.dt:g}: the integrated energy identity needs a "
             "sample at every step")
-    initial = random_solenoidal_field(grid, cfg.amplitude, cfg.spectrum_scale,
-                                      solver.seed)
-    traj, files = _run_and_record(out, initial, system, grid, solver,
-                                  linearized=True,
-                                  tracked_wavevectors=cfg.tracked_wavevectors)
-    l2 = traj.series["l2_norm_sq"]
-    growth = float(np.max(np.diff(l2)) / l2[0]) if len(l2) > 1 else 0.0
-    identity = integrated_identity_residual(traj)
-    checks = [_check("max_l2_increase_rel", growth, MONOTONE_SLACK),
-              _check("integrated_identity_residual", identity, IDENTITY_TOL)]
-    return _finish(cfg, out, checks, files)
+
+    def assess(traj, out, files):
+        l2 = traj.series["l2_norm_sq"]
+        growth = float(np.max(np.diff(l2)) / l2[0]) if len(l2) > 1 else 0.0
+        identity = integrated_identity_residual(traj)
+        return [_check("max_l2_increase_rel", growth, MONOTONE_SLACK),
+                _check("integrated_identity_residual", identity,
+                       IDENTITY_TOL)], []
+    return _random_run(cfg, linearized=True), assess
 
 
-def _run_free(cfg: ExperimentConfig, out: str) -> ExperimentReport:
-    initial = random_solenoidal_field(cfg.grid, cfg.amplitude,
-                                      cfg.spectrum_scale, cfg.solver.seed)
-    traj, files = _run_and_record(out, initial, cfg.system, cfg.grid,
-                                  cfg.solver,
-                                  tracked_wavevectors=cfg.tracked_wavevectors)
-    kinetic_final = 0.5 * traj.series["l2_norm_sq"][-1]
-    checks = [_check("final_kinetic_finite", kinetic_final, float(np.inf))]
-    return _finish(cfg, out, checks, files)
+def _free_run(cfg: ExperimentConfig):
+    def assess(traj, out, files):
+        kinetic_final = 0.5 * traj.series["l2_norm_sq"][-1]
+        return [_check("final_kinetic_finite", kinetic_final,
+                       float(np.inf))], []
+    return _random_run(cfg), assess
 
 
-def _finish(cfg: ExperimentConfig, out: str, checks: list[Check],
-            files: dict[str, str], notes: list[str] | None = None
-            ) -> ExperimentReport:
-    files = dict(files)
-    files["report"] = os.path.join(out, "report.csv")
-    write_report_csv(files["report"], checks)
-    return ExperimentReport(
-        experiment=cfg.experiment.value,
-        passed=all(c.passed for c in checks),
-        checks=checks, files=files, notes=list(notes or []))
+_EXPERIMENTS = {
+    ExperimentKind.DISPERSION: _dispersion,
+    ExperimentKind.PHASE_DIAGRAM: _phase_diagram,
+    ExperimentKind.NONLINEAR_DECAY: _nonlinear_decay,
+    ExperimentKind.DISORDERED_INSTABILITY: _instability,
+    ExperimentKind.ORDERED_INSTABILITY: _instability,
+    ExperimentKind.ORDERED_CONTRACTIVITY: _contractivity,
+    ExperimentKind.FREE_RUN: _free_run,
+}
 
 
 def _band_coverage_warning(cfg: ExperimentConfig) -> str | None:
@@ -479,16 +486,13 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir: str | None = None
     warning = _band_coverage_warning(cfg)
     if warning is not None:
         print(f"WARNING {warning}", file=sys.stderr)
-    kind = cfg.experiment
-    if kind is ExperimentKind.DISPERSION:
-        return _run_dispersion(cfg, out)
-    if kind is ExperimentKind.PHASE_DIAGRAM:
-        return _run_phase_diagram(cfg, out)
-    if kind is ExperimentKind.NONLINEAR_DECAY:
-        return _run_nonlinear_decay(cfg, out)
-    if kind in (ExperimentKind.DISORDERED_INSTABILITY,
-                ExperimentKind.ORDERED_INSTABILITY):
-        return _run_instability(cfg, out)
-    if kind is ExperimentKind.ORDERED_CONTRACTIVITY:
-        return _run_contractivity(cfg, out)
-    return _run_free(cfg, out)
+    runs, assess = _EXPERIMENTS[cfg.experiment](cfg)
+    os.makedirs(out, exist_ok=True)
+    traj, files = ((None, {}) if runs is None
+                   else _run_and_record(out, cfg, **runs))
+    checks, notes = assess(traj, out, files)
+    files["report"] = os.path.join(out, "report.csv")
+    write_report_csv(files["report"], checks)
+    return ExperimentReport(experiment=cfg.experiment.value,
+                            passed=all(c.passed for c in checks),
+                            checks=checks, files=files, notes=notes)

@@ -230,7 +230,7 @@ def unstable_band(params: ModelParams) -> BandResult:
     band; a negative lower root is clamped to 0 (modes have |k|^2 > 0).
     """
     g0, g2, a = params.gamma0, params.gamma2, params.alpha
-    if g0 < 0.0:
+    if g0 < 0.0 and g0**2 > 0.0:   # a g0^2 that underflows reads as g0 = 0
         disc = 0.25 - a * g2 / g0**2
         if disc <= 0.0:
             return BandResult(False)

@@ -13,10 +13,13 @@ from lfsim import config
 from lfsim.cli import main
 from lfsim.config import (DEFAULTS, ExperimentKind, ParseError,
                           ValidationError, load_config, parse_config)
-from lfsim.experiments import run_experiment
+from lfsim.experiments import (_EXPERIMENTS, LINEARIZED_RATE_TOL,
+                               run_experiment)
 from lfsim.integrate import Stepper
-from lfsim.model import StateKind, TransformedSystem
+from lfsim.model import (ModelParams, StateKind, TransformedSystem,
+                         make_disordered_system)
 from lfsim.spectral import SpectralGrid, read_snapshot
+from lfsim.stability import growth_rate
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
@@ -249,6 +252,24 @@ class TestCli:
         assert code == 3
         assert "not a multiple" in capsys.readouterr().err
 
+    def test_dispersion_measure_matches_growth_rate(self, capsys):
+        # the linearized runs of the three axis modes m dk e1, dk = 0.1
+        assert main(["dispersion", "--gamma0", "-1", "--alpha", "0.1",
+                     "--measure", "--n", "16", "--modes", "3",
+                     "--dt", "0.01", "--t-end", "1"]) == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        assert header.split() == ["|k|^2", "predicted", "measured", "rel_err"]
+        assert len(rows) == 3
+        system = make_disordered_system(ModelParams(
+            lambda0=1.0, lambda1=0.0, alpha=0.1, beta=1.0, gamma0=-1.0,
+            gamma2=1.0, dim=2))
+        for m, row in enumerate(rows, start=1):
+            ksq, _, measured, _ = map(float, row.split())
+            assert ksq == pytest.approx((0.1 * m) ** 2)
+            assert measured == pytest.approx(
+                growth_rate(system, np.array([0.1 * m, 0.0])),
+                rel=LINEARIZED_RATE_TOL)
+
     def test_run_pass_and_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK_DISPERSION)
         out = str(tmp_path / "out")
@@ -380,6 +401,10 @@ solver.diagnostics_interval = 0.2
             assert cfg.experiment.value.endswith("instability")
         assert built == []
 
+    def test_one_experiment_function_per_kind(self):
+        # run_experiment looks every kind up in one table
+        assert set(_EXPERIMENTS) == set(ExperimentKind)
+
     def test_determinism_identical_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, QUICK_DISPERSION)
         outs = []
@@ -466,7 +491,7 @@ phase.resolution = 9
     def test_window_missed_after_run_writes_diagnostics(self, tmp_path, capsys,
                                                         monkeypatch):
         # an overstated rate passes the pre-check; the run then misses the
-        # window and must leave its diagnostics behind
+        # window, which fails the rate check with every output written
         import lfsim.experiments as ex
         monkeypatch.setattr(ex, "growth_rate", lambda system, k: 100.0)
         cfg = write_cfg(tmp_path, """
@@ -479,10 +504,18 @@ solver.t_end = 0.2
 solver.diagnostics_interval = 0.01
 """)
         out = tmp_path / "o"
-        assert main(["run", cfg, "--out", str(out)]) == 3
-        assert "no usable linear-regime window" in capsys.readouterr().err
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        assert "NOTE no usable linear-regime window" in capsys.readouterr().out
         path = out / "disordered_instability" / "diagnostics.csv"
         assert sum(1 for _ in open(path)) == 1 + 21
+        with open(out / "disordered_instability" / "report.csv") as fh:
+            rows = {row["check"]: row for row in csv.DictReader(fh)}
+        assert rows["growth_rate_rel_error"]["value"] == "nan"
+        assert rows["growth_rate_rel_error"]["passed"] == "false"
+        with open(out / "disordered_instability" / "rates.csv") as fh:
+            assert {row["measured_rate"] for row in csv.DictReader(fh)} \
+                == {"nan"}
+        assert (out / "disordered_instability" / "final.lfsnap").exists()
 
     @pytest.mark.parametrize("name,t_end,needed", [
         ("nonlinear_decay.cfg", "0.03", "the energy residual needs at least 5"),

@@ -174,6 +174,13 @@ class TestUnstableBand:
     def test_positive_gamma0_positive_alpha(self):
         assert not unstable_band(params(alpha=0.2, gamma0=1.0)).has_band
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.0, -0.1])
+    def test_underflowing_gamma0_squared_reads_as_zero(self, alpha):
+        # gamma0^2 = 0 for gamma0 = -1e-320 divided by zero in the
+        # discriminant; the band is that of gamma0 = 0
+        assert (unstable_band(params(alpha=alpha, gamma0=-1e-320))
+                == unstable_band(params(alpha=alpha, gamma0=0.0)))
+
     def test_endpoint_polynomial_invariant(self):
         rng = np.random.default_rng(7)
         for _ in range(200):

@@ -5,10 +5,11 @@
 Runs each config (by default the shipped `configs/*.cfg`) at seed 12345
 with `lfsim` taken from BASE_SRC, then from HEAD_SRC, into WORK_DIR/base
 and WORK_DIR/head.  The long configs run to the shortened t_end of
-`SHORT_T_END`.  Prints a Markdown report: each run's exit codes, each output
-file's byte-equality, the largest relative difference of each
-`diagnostics.csv` column, and of each snapshot's samples.  It is a report:
-it exits 0 whatever it finds.
+`SHORT_T_END`.  Prints a Markdown report: each run's exit codes, whether
+its stdout and its stderr are the same (the output directory read as
+`OUT`), each output file's byte-equality, the largest relative difference
+of each `diagnostics.csv` column, and of each snapshot's samples.  It is a
+report: it exits 0 whatever it finds.
 """
 
 import csv
@@ -27,16 +28,18 @@ SHORT_T_END = {"ordered_instability": "40", "disordered_instability": "20",
                "ordered_contractivity": "0.5"}
 
 
-def run(src: str, config: str, out: str) -> int:
-    """`lf run` of `config` into `out`, with `lfsim` from `src`."""
+def run(src: str, config: str, out: str) -> tuple[int, str, str]:
+    """`lf run` of `config` into `out`, with `lfsim` from `src`: the exit
+    code, stdout and stderr, with `out` replaced by `OUT` in both."""
     name = os.path.splitext(os.path.basename(config))[0]
     argv = [sys.executable, "-m", "lfsim.cli", "run", config, "--out", out,
             "--override", f"solver.seed={SEED}"]
     if name in SHORT_T_END:
         argv += ["--override", f"solver.t_end={SHORT_T_END[name]}"]
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    return subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    return (proc.returncode, proc.stdout.replace(out, "OUT"),
+            proc.stderr.replace(out, "OUT"))
 
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -107,10 +110,13 @@ def main(argv: list[str]) -> int:
         name = os.path.splitext(os.path.basename(config))[0]
         base, head = (os.path.join(work, side, name)
                       for side in ("base", "head"))
-        codes = run(base_src, config, base), run(head_src, config, head)
+        runs = run(base_src, config, base), run(head_src, config, head)
         t_end = SHORT_T_END.get(name, "as shipped")
-        report.append(f"**{name}** (t_end {t_end}): exit {codes[0]} on the "
-                      f"base, {codes[1]} on the head")
+        report.append(f"**{name}** (t_end {t_end}): exit {runs[0][0]} on the "
+                      f"base, {runs[1][0]} on the head")
+        for i, stream in ((1, "stdout"), (2, "stderr")):
+            same = runs[0][i] == runs[1][i]
+            report.append(f"- {stream}: " + ("identical" if same else "differs"))
         report += compare(base, head) + [""]
     print("\n".join(report))
     return 0
